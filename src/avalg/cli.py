@@ -3,9 +3,7 @@
 JSON payloads go to stdout inside a small envelope; diagnostics go to
 stderr.  Exit codes: 0 ok, 1 usage, 2 input parse error, 3 budget exceeded,
 4 internal invariant failure.  Tabular subcommands accept
-``--format {json,csv,text}``.  The AVALG_THREADS environment variable is
-accepted for forward compatibility; all computations are deterministic and
-currently run on one thread.
+``--format {json,csv,text}``.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 from . import enumeration, instances, operad, trees
@@ -276,7 +273,6 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def main(argv=None) -> int:
-    os.environ.get("AVALG_THREADS")  # accepted; execution is single-threaded
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,17 +1,15 @@
 """Counting averaging words with one idempotent generator and operator.
 
-Here every bracket power is 1, no two brackets are adjacent or nested, and
-runs of the generator ``x`` are capped at ``run_cap`` (``math.inf`` lifts the
-cap).  Words are graded by *degree* (bracket pairs) and *arity* (number of
-``x``'s).  Two independent routes compute the same tables:
+Here every bracket power is 1, so no bracket directly wraps another, no two
+brackets are adjacent, and runs of the generator ``x`` are capped at
+``run_cap`` (``math.inf`` lifts the cap).  Words are graded by *degree*
+(bracket pairs) and *arity* (number of ``x``'s).  Two independent routes compute the same tables:
 
-* ``census`` generates the words themselves from the grammar
-
-      word          -> 1 | bracketed | associate
-      associate     -> run | run bracketed | bracketed run | run bracketed run
-      bracketed     -> indecomposable | decomposable
-      indecomposable-> [ head-0 word ]
-      decomposable  -> indecomposable run bracketed
+* ``census`` generates the words themselves with the one averaging-word
+  grammar of :mod:`avalg.words`, held to bracket power 1 and the run cap,
+  and classifies each word: *bracketed* (b) words start and end with a
+  bracket, *indecomposable* (i) ones are bracketed of breadth 1, and the
+  decomposable (d = b - i) and associate (c = a - b) columns follow.
 
 * ``series`` solves the functional equations of the generating series
   degree by degree in exact integer arithmetic (no radicals).
@@ -32,10 +30,12 @@ from .words import (
     Bracket,
     BracketedWord,
     Letter,
-    arity,
+    _averaging_factors,
+    breadth,
+    head_index,
     raw,
-    word,
-    word_key,
+    render_word,
+    tail_index,
 )
 
 __all__ = [
@@ -104,126 +104,15 @@ def count_compositions(m: int, k: int, cap: Cap = math.inf) -> int:
 # ---------------------------------------------------------------------------
 # Word generation under the idempotent convention
 
-_X = Letter("x")
-
-
-def _run_word(m: int) -> BracketedWord:
-    return BracketedWord((_X,) * m)
-
-
-@lru_cache(maxsize=None)
-def _gen_indecomposable(cap: Cap, n: int, m: int) -> tuple:
-    if n < 1:
-        return ()
-    return tuple(
-        word(Bracket(content, 1)) for content in _gen_head0(cap, n - 1, m)
-    )
-
-
-@lru_cache(maxsize=None)
-def _gen_bracketed(cap: Cap, n: int, m: int) -> tuple:
-    """Words that start and end with a bracket."""
-    out = list(_gen_indecomposable(cap, n, m))
-    for n1 in range(1, n):
-        for m1 in range(1, m):
-            for first in _gen_indecomposable(cap, n1, m1):
-                for r in range(1, m - m1):
-                    if cap != math.inf and r > cap:
-                        break
-                    for rest in _gen_bracketed(cap, n - n1, m - m1 - r):
-                        out.append(
-                            BracketedWord(first.factors + (_X,) * r + rest.factors)
-                        )
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _gen_head0(cap: Cap, n: int, m: int) -> tuple:
-    """Words starting with a run: run | run bracketed | run bracketed run."""
-    out = []
-    if n == 0:
-        if m >= 1 and (cap == math.inf or m <= cap):
-            out.append(_run_word(m))
-        return tuple(out)
-    for r1 in range(1, m):
-        if cap != math.inf and r1 > cap:
-            break
-        for b in _gen_bracketed(cap, n, m - r1):
-            out.append(BracketedWord((_X,) * r1 + b.factors))
-        for r2 in range(1, m - r1):
-            if cap != math.inf and r2 > cap:
-                break
-            for b in _gen_bracketed(cap, n, m - r1 - r2):
-                out.append(
-                    BracketedWord((_X,) * r1 + b.factors + (_X,) * r2)
-                )
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _gen_all(cap: Cap, n: int, m: int) -> tuple:
-    """Every nontrivial averaging word of the idempotent grammar, sorted."""
-    out = list(_gen_head0(cap, n, m))
-    out.extend(_gen_bracketed(cap, n, m))
-    for r in range(1, m):
-        if cap != math.inf and r > cap:
-            break
-        for b in _gen_bracketed(cap, n, m - r):
-            out.append(BracketedWord(b.factors + (_X,) * r))
-    return tuple(sorted(out, key=word_key))
-
-
-# count mirrors, used for budget pre-checks and as a structural cross-check
-
-@lru_cache(maxsize=None)
-def _cnt_indecomposable(cap: Cap, n: int, m: int) -> int:
-    return _cnt_head0(cap, n - 1, m) if n >= 1 else 0
-
-
-@lru_cache(maxsize=None)
-def _cnt_bracketed(cap: Cap, n: int, m: int) -> int:
-    total = _cnt_indecomposable(cap, n, m)
-    for n1 in range(1, n):
-        for m1 in range(1, m):
-            first = _cnt_indecomposable(cap, n1, m1)
-            if not first:
-                continue
-            for r in range(1, m - m1):
-                if cap != math.inf and r > cap:
-                    break
-                total += first * _cnt_bracketed(cap, n - n1, m - m1 - r)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _cnt_head0(cap: Cap, n: int, m: int) -> int:
-    if n == 0:
-        return 1 if m >= 1 and (cap == math.inf or m <= cap) else 0
-    total = 0
-    for r1 in range(1, m):
-        if cap != math.inf and r1 > cap:
-            break
-        total += _cnt_bracketed(cap, n, m - r1)
-        for r2 in range(1, m - r1):
-            if cap != math.inf and r2 > cap:
-                break
-            total += _cnt_bracketed(cap, n, m - r1 - r2)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _cnt_all(cap: Cap, n: int, m: int) -> int:
-    total = _cnt_head0(cap, n, m) + _cnt_bracketed(cap, n, m)
-    for r in range(1, m):
-        if cap != math.inf and r > cap:
-            break
-        total += _cnt_bracketed(cap, n, m - r)
-    return total
-
-
 def averaging_words_v(run_cap: Cap, n: int, m: int) -> tuple:
     """The words of degree n and arity m, canonical order (no trivial word)."""
-    return _gen_all(_check_cap(run_cap), n, m)
+    cap = _check_cap(run_cap)
+    found = [
+        BracketedWord(factors)
+        for head in (0, 1)
+        for factors in _averaging_factors("x", m, n, 1, cap, head)
+    ]
+    return tuple(sorted(found, key=render_word))
 
 
 def indecomposable_words_v(run_cap: Cap, n: int, m: int = -1) -> tuple:
@@ -233,14 +122,18 @@ def indecomposable_words_v(run_cap: Cap, n: int, m: int = -1) -> tuple:
     of degree n has at most 2n - 1 runs of at most cap letters each.
     """
     cap = _check_cap(run_cap)
-    if m >= 0:
-        return _gen_indecomposable(cap, n, m)
-    if cap == math.inf:
+    if m < 0 and cap == math.inf:
         raise ValueError("an explicit arity is required when the run cap is infinite")
+    arities = [m] if m >= 0 else range(1, int(cap) * max(2 * n - 1, 1) + 1)
     out = []
-    for mm in range(1, int(cap) * max(2 * n - 1, 1) + 1):
-        out.extend(_gen_indecomposable(cap, n, mm))
-    return tuple(sorted(out, key=word_key))
+    for mm in arities:
+        found = [
+            BracketedWord(factors)
+            for factors in _averaging_factors("x", mm, n, 1, cap, 1)
+            if len(factors) == 1
+        ]
+        out.extend(sorted(found, key=render_word))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +194,13 @@ def census(run_cap: Cap, max_degree: int, max_arity: int, include_one: bool = Fa
 
     The trivial word contributes 1 at cell (0, 0) when ``include_one`` is
     set.  Raises :class:`BudgetExceeded` when the total number of words to
-    generate would exceed ``budget``.
+    generate, predicted by :func:`reduce_to_v1`, would exceed ``budget``.
+    Every cell is checked against that prediction.
     """
     cap = _check_cap(run_cap)
-    cells = [(n, m) for n in range(max_degree + 1) for m in range(max_arity + 1)]
-    predicted = sum(_cnt_all(cap, n, m) for n, m in cells if m >= 1)
+    cells = [(n, m) for n in range(max_degree + 1) for m in range(1, max_arity + 1)]
+    expected = reduce_to_v1(cap, max_degree, max_arity, include_one=False)
+    predicted = sum(expected.counts.values())
     if predicted > budget:
         raise BudgetExceeded(
             f"census would generate {predicted} words (budget {budget})"
@@ -314,19 +209,21 @@ def census(run_cap: Cap, max_degree: int, max_arity: int, include_one: bool = Fa
     tables = {name: {} for name in "abcdi"}
     words = {} if list_words else None
     for n, m in cells:
-        if m == 0:
-            continue
-        all_words = _gen_all(cap, n, m)
-        brk = _gen_bracketed(cap, n, m)
-        ind = _gen_indecomposable(cap, n, m)
-        assert len(all_words) == _cnt_all(cap, n, m)
+        all_words = averaging_words_v(cap, n, m)
+        if len(all_words) != expected.count(n, m):
+            raise AssertionError(
+                f"census generated {len(all_words)} words of degree {n} and arity {m},"
+                f" the series predicts {expected.count(n, m)}"
+            )
+        brk = [w for w in all_words if head_index(w) == tail_index(w) == 1]
+        ind = sum(1 for w in brk if breadth(w) == 1)
         if all_words:
             tables["a"][(n, m)] = len(all_words)
         if brk:
             tables["b"][(n, m)] = len(brk)
-            tables["i"][(n, m)] = len(ind)
-            if len(brk) - len(ind):
-                tables["d"][(n, m)] = len(brk) - len(ind)
+            tables["i"][(n, m)] = ind
+            if len(brk) - ind:
+                tables["d"][(n, m)] = len(brk) - ind
         if len(all_words) - len(brk):
             tables["c"][(n, m)] = len(all_words) - len(brk)
         if words is not None and all_words:
@@ -553,40 +450,31 @@ def schroeder(n: int) -> int:
     """Large Schroeder number by the composition recursion
 
         s_0 = 1,  s_n = 2 * sum over j, (p_1..p_j) |= n of s_(p_1-1)...s_(p_j-1)
+
+    computed in convolution form by :func:`schroeder_sequence`.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n == 0:
-        return 1
-    total = 0
-    for j in range(1, n + 1):
-        for parts in compositions(n, j):
-            prod = 1
-            for p in parts:
-                prod *= schroeder(p - 1)
-            total += prod
-    return 2 * total
+    return schroeder_sequence(n + 1)[n]
 
 
 def schroeder_sequence(count: int) -> list:
-    return [schroeder(n) for n in range(count)]
+    """s_0 .. s_(count-1); the inner sum of the recursion is C_0 = 1,
+    C_n = sum_(p=1..n) s_(p-1) * C_(n-p), and s_n = 2 * C_n for n >= 1."""
+    s, c = [1], [1]
+    for n in range(1, count):
+        c.append(sum(s[p - 1] * c[n - p] for p in range(1, n + 1)))
+        s.append(2 * c[n])
+    return s[:count]
 
 
-@lru_cache(maxsize=None)
 def indecomposable_recursion(n: int) -> int:
-    """i_n directly from its own composition recursion (i_1 = 1)."""
-    if n < 1:
-        return 0
-    if n == 1:
-        return 1
-    total = 0
-    for j in range(1, n):
-        for parts in compositions(n - 1, j):
-            prod = 1
-            for p in parts:
-                prod *= indecomposable_recursion(p)
-            total += prod
-    return 2 * total
+    """i_n from its composition recursion, which is Schroeder's shifted by one.
+
+    i_1 = 1 and i_n = 2 * sum over (p_1..p_j) |= n - 1 of i_(p_1)...i_(p_j),
+    so i_n = s_(n-1).
+    """
+    return schroeder(n - 1) if n >= 1 else 0
 
 
 # ---------------------------------------------------------------------------

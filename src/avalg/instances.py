@@ -166,33 +166,34 @@ class FiniteAlgebra:
         return FiniteAlgebra(self.basis, self.mul, tuple(tuple(_frac(c) for c in row) for row in op))
 
 
-def _solve(rows, rhs):
-    """Least-structure exact solver: returns one solution of A x = b or None."""
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+def _eliminate(rows):
+    """Exact Gauss-Jordan elimination: the reduced rows and their pivot columns."""
+    mat = [list(row) for row in rows]
     pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c]), None)
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        pv = mat[r][c]
+        mat[r] = [v / pv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n]:
-            return None  # inconsistent
+    return mat, pivots
+
+
+def _solve(rows, rhs):
+    """Least-structure exact solver: returns one solution of A x = b or None."""
+    if not rows:
+        return []
+    n = len(rows[0])
+    aug, pivots = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == n:
+        return None  # inconsistent: a pivot in the right-hand side
     x = [Fraction(0)] * n
     for row_idx, c in enumerate(pivots):
         x[c] = aug[row_idx][n]
@@ -281,36 +282,11 @@ def decomposition_is_graded(alg: FiniteAlgebra) -> bool:
 
 
 def _span_basis(vectors):
-    basis = []
-    rows = []
-    for v in vectors:
-        candidate = rows + [list(v)]
-        if _rank(candidate) > len(rows):
-            rows.append(list(v))
-            basis.append(v)
-    return basis
-
-
-def _rank(rows):
-    mat = [row[:] for row in rows]
-    m = len(mat)
-    if m == 0:
-        return 0
-    n = len(mat[0])
-    rank = 0
-    for c in range(n):
-        pivot = next((i for i in range(rank, m) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][c]
-        mat[rank] = [v / pv for v in mat[rank]]
-        for i in range(m):
-            if i != rank and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+    """The vectors that are independent of those before them: the pivot columns."""
+    if not vectors:
+        return []
+    columns = [[v[k] for v in vectors] for k in range(len(vectors[0]))]
+    return [vectors[c] for c in _eliminate(columns)[1]]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ identifier), which keeps ``parse_word(render_word(w)) == w`` exact.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -431,12 +432,6 @@ def peel(w: Union[AveragingWord, BracketedWord]) -> tuple:
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration (single-letter alphabet)
 
-def _only(symbols: Sequence[str]) -> str:
-    if len(symbols) != 1:
-        raise ValueError("exhaustive word enumeration needs a single-letter alphabet")
-    return symbols[0]
-
-
 @lru_cache(maxsize=None)
 def _all_words_exact(sym: str, size: int) -> tuple:
     """All canonical bracketed words with ``arity + degree == size``."""
@@ -473,106 +468,40 @@ def iter_bracketed_words(max_size: int, symbol: str = "x") -> Iterator[Bracketed
 
 
 @lru_cache(maxsize=None)
-def _core_shaped_exact(sym: str, a: int, d: int) -> tuple:
-    """Averaging words with head 0 whose tail is a letter or a power-1 bracket.
+def _averaging_factors(sym: str, a: int, d: int, power_cap: Union[int, float],
+                       run_cap: Union[int, float], head: int) -> tuple:
+    """Factor tuples of the averaging words over ``sym`` of arity ``a``, degree ``d``.
 
-    These are exactly the words a single bracket can wrap in normal form.
+    A word alternates runs of at most ``run_cap`` letters with brackets
+    ``[core]^s``, ``s <= power_cap``, where a core is a word with head 0
+    that does not end in a bracket of power >= 2.  ``head`` selects the
+    first factor as in :func:`head_index`.  Every word comes out once.
     """
     out = []
-    if d == 0:
-        if a >= 1:
-            out.append(word(*[Letter(sym)] * a))
+    if head == 0:
+        for r in range(1, min(a, run_cap) + 1):
+            run = (Letter(sym),) * r
+            if r == a:
+                if d == 0:
+                    out.append(run)
+            else:
+                rests = _averaging_factors(sym, a - r, d, power_cap, run_cap, 1)
+                out.extend(run + rest for rest in rests)
         return tuple(out)
-    # run, then (bracket, run)* pairs, then an optional final power-1 bracket
-    for r0 in range(1, a + 1):
-        prefix = tuple([Letter(sym)] * r0)
-        out.extend(_core_tails(sym, prefix, a - r0, d))
-    return tuple(out)
-
-
-def _core_tails(sym: str, prefix: tuple, a: int, d: int) -> list:
-    """Extend ``prefix`` (ending in a letter) by alternating brackets and runs."""
-    out = []
-    if a == 0 and d == 0:
-        out.append(BracketedWord(prefix))
-        return out
-    if d == 0:
-        return out
-    # final power-1 bracket
-    for core in _core_shaped_exact(sym, a, d - 1):
-        out.append(BracketedWord(prefix + (Bracket(core, 1),)))
-    # middle bracket (any power) followed by a run and more word
-    for bd in range(1, d + 1):
-        for b in _tilde_brackets_exact(sym, a_budget=a - 1, d=bd):
-            ba = arity(b.core)
-            for r in range(1, a - ba + 1):
-                mid = prefix + (b,) + tuple([Letter(sym)] * r)
-                out.extend(_core_tails(sym, mid, a - ba - r, d - bd))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _tilde_brackets_all(sym: str, a: int, d: int) -> tuple:
-    """Breadth-1 brackets: any power around a core-shaped word, exact (a, d)."""
-    out = []
-    for power in range(1, d + 1):
-        for core in _core_shaped_exact(sym, a, d - power):
-            out.append(Bracket(core, power))
-    return tuple(out)
-
-
-def _tilde_brackets_exact(sym: str, a_budget: int, d: int) -> Iterator[Bracket]:
-    for a in range(1, a_budget + 1):
-        yield from _tilde_brackets_all(sym, a, d)
-
-
-@lru_cache(maxsize=None)
-def _averaging_exact(sym: str, a: int, d: int) -> tuple:
-    """All averaging words over one letter with exact arity ``a`` and degree ``d``."""
-    if a < 1:
-        return ()
-    out = []
-    seen = set()
-
-    def emit(w: BracketedWord):
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-
-    # words with head 0: run followed by alternating structure
-    for r0 in range(1, a + 1):
-        prefix = tuple([Letter(sym)] * r0)
-        for w in _alternating(sym, prefix, a - r0, d, after_run=True):
-            emit(w)
-    # words with head 1: bracket followed by alternating structure
-    if d >= 1:
+    for ba in range(1, a + 1):
         for bd in range(1, d + 1):
-            for ba in range(1, a + 1):
-                for b in _tilde_brackets_all(sym, ba, bd):
-                    for w in _alternating(sym, (b,), a - ba, d - bd, after_run=False):
-                        emit(w)
+            brackets = [
+                Bracket(BracketedWord(core), s)
+                for s in range(1, min(bd, power_cap) + 1)
+                for core in _averaging_factors(sym, ba, bd - s, power_cap, run_cap, 0)
+                if not (isinstance(core[-1], Bracket) and core[-1].power >= 2)
+            ]
+            if (ba, bd) == (a, d):
+                out.extend((b,) for b in brackets)
+            else:
+                rests = _averaging_factors(sym, a - ba, d - bd, power_cap, run_cap, 0)
+                out.extend((b,) + rest for b in brackets for rest in rests)
     return tuple(out)
-
-
-def _alternating(sym: str, prefix: tuple, a: int, d: int, after_run: bool) -> list:
-    out = []
-    if a == 0 and d == 0:
-        out.append(BracketedWord(prefix))
-        return out
-    if after_run:
-        if d >= 1:
-            for bd in range(1, d + 1):
-                for ba in range(1, a + 1):
-                    for b in _tilde_brackets_all(sym, ba, bd):
-                        out.extend(
-                            _alternating(sym, prefix + (b,), a - ba, d - bd, False)
-                        )
-    else:
-        for r in range(1, a + 1):
-            out.extend(
-                _alternating(sym, prefix + tuple([Letter(sym)] * r), a - r, d, True)
-            )
-    return out
 
 
 def iter_averaging_words(
@@ -581,8 +510,9 @@ def iter_averaging_words(
     """Every averaging word over one letter within the given arity/degree bounds."""
     for a in range(1, max_arity + 1):
         for d in range(0, max_degree + 1):
-            for w in _averaging_exact(symbol, a, d):
-                yield AveragingWord(w)
+            for head in (0, 1):
+                for factors in _averaging_factors(symbol, a, d, math.inf, math.inf, head):
+                    yield AveragingWord(BracketedWord(factors))
 
 
 # ---------------------------------------------------------------------------

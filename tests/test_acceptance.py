@@ -67,18 +67,12 @@ def census_v1():
 def test_criterion_01_schroeder_identification():
     with criterion(1, "schroeder-identification"):
         import avalg.enumeration as enum_mod
+        import avalg.words as words_mod
 
-        for fn in (
-            enum_mod._gen_all,
-            enum_mod._gen_bracketed,
-            enum_mod._gen_indecomposable,
-            enum_mod._gen_head0,
-            enum_mod._cnt_all,
-            enum_mod._cnt_bracketed,
-            enum_mod._cnt_indecomposable,
-            enum_mod._cnt_head0,
-        ):
-            fn.cache_clear()
+        for module in (words_mod, enum_mod):
+            for fn in vars(module).values():
+                if callable(getattr(fn, "cache_clear", None)):
+                    fn.cache_clear()
         start = time.monotonic()
         totals = census(1, 7, 15, include_one=True).a.degree_totals(7)
         census_elapsed = time.monotonic() - start

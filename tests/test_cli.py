@@ -164,5 +164,19 @@ class TestExitCodes:
         )
         assert proc.returncode == 3
 
+    def test_census_count_mismatch_is_internal_under_O(self):
+        # a word lost by the generator is caught even with asserts stripped
+        script = (
+            "import sys, avalg.cli as cli, avalg.enumeration as enum\n"
+            "full = enum.averaging_words_v\n"
+            "enum.averaging_words_v = lambda cap, n, m: full(cap, n, m)[1:]\n"
+            "sys.exit(cli.main(['census', '--max-degree', '2']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 4
+        assert "the series predicts 1" in proc.stderr
+
     def test_non_averaging_input_to_apply_p(self):
         assert run_cli("apply-p", "[x][x]").returncode == 2

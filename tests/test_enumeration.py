@@ -22,9 +22,10 @@ from avalg.enumeration import (
 )
 from avalg.words import (
     AveragingWord,
+    Bracket,
     arity,
     degree,
-    iter_averaging_words,
+    iter_bracketed_words,
     parse_word,
     render_word,
     validate_averaging,
@@ -126,21 +127,37 @@ class TestCensus:
                     assert "^" not in render_word(w)  # powers all 1
 
     def test_census_agrees_with_validator_filter(self):
-        # independent route: all averaging words with powers 1, runs capped
-        result = census(2, 3, 7)
-        by_filter = {}
-        for aw in iter_averaging_words(max_arity=7, max_degree=3):
-            w = aw.word
-            if "^" in render_word(w):
-                continue
-            _, runs = collapse_runs(w)
-            if any(r > 2 for r in runs):
-                continue
-            key = (degree(w), arity(w))
-            by_filter[key] = by_filter.get(key, 0) + 1
-        for n in range(4):
-            for m in range(1, 8):
-                assert result.a.count(n, m) == by_filter.get((n, m), 0), (n, m)
+        # independent route: every bracketed word of size <= 10 that the
+        # validator accepts, with powers 1, classified by its end factors
+        accepted = [
+            w
+            for w in iter_bracketed_words(10)
+            if "^" not in render_word(w) and degree(w) <= 3 and arity(w) <= 7
+            and isinstance(validate_averaging(w), AveragingWord)
+        ]
+        for cap in (1, 2, math.inf):
+            result = census(cap, 3, 7)
+            by_filter = {}
+            for w in accepted:
+                _, runs = collapse_runs(w)
+                if any(r > cap for r in runs):
+                    continue
+                bracketed = all(isinstance(f, Bracket) for f in (w.factors[0], w.factors[-1]))
+                if not bracketed:
+                    kinds = "ac"
+                elif len(w.factors) == 1:
+                    kinds = "abi"
+                else:
+                    kinds = "abd"
+                for kind in kinds:
+                    key = (kind, degree(w), arity(w))
+                    by_filter[key] = by_filter.get(key, 0) + 1
+            for kind in "abcdi":
+                table = getattr(result, kind)
+                for n in range(4):
+                    for m in range(1, 8):
+                        got = table.count(n, m)
+                        assert got == by_filter.get((kind, n, m), 0), (cap, kind, n, m)
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceeded):
@@ -256,6 +273,17 @@ class TestSchroeder:
     def test_unrolled_s1(self):
         # j = 1, single composition (1), contributes 2 * s_0
         assert schroeder(1) == 2 * schroeder(0) == 2
+
+    def test_three_term_recurrence_to_300(self):
+        # A006318: (n + 1) s_n = 3 (2n - 1) s_(n-1) - (n - 2) s_(n-2)
+        ref = [1, 2]
+        for n in range(2, 301):
+            num = 3 * (2 * n - 1) * ref[n - 1] - (n - 2) * ref[n - 2]
+            assert num % (n + 1) == 0
+            ref.append(num // (n + 1))
+        assert schroeder_sequence(301) == ref
+        for n in (0, 1, 2, 17, 18, 150, 299, 300):
+            assert schroeder(n) == ref[n]
 
     def test_matches_indecomposable_column(self):
         ui = univariate("I", 8)
