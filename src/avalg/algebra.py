@@ -93,8 +93,8 @@ def diamond(u: Union[AveragingWord, BracketedWord],
     ru, rv = _ensure_normal(u), _ensure_normal(v)
     result = _diamond(ru, rv)
     # head/tail preservation holds for every product by construction
-    assert head_index(result) == head_index(ru)
-    assert tail_index(result) == tail_index(rv)
+    if head_index(result) != head_index(ru) or tail_index(result) != tail_index(rv):
+        raise AssertionError(f"diamond changed the head or tail index: {render_word(result)}")
     return AveragingWord(result)
 
 
@@ -133,20 +133,23 @@ def reduce(w: Union[BracketedWord, AveragingWord]) -> AveragingWord:
     becomes the product and each bracket layer one operator application.
     Identity on averaging words.
     """
-    result = None
-    for f in raw(w).factors:
-        value = _eval_factor(f)
-        result = value if result is None else _diamond(result, value)
-    return AveragingWord(result)
+    return AveragingWord(_reduce(raw(w)))
 
 
-def _eval_factor(f) -> BracketedWord:
-    if isinstance(f, Letter):
-        return word(f)
-    value = reduce(f.core).word
-    for _ in range(f.power):
-        value = _apply_p(value)
-    return value
+def _reduce(w: BracketedWord) -> BracketedWord:
+    # the product of the factors' values, folded left to right: a bracket's
+    # value is one bracket factor, which merges with a bracket before it
+    factors = []
+    for f in w.factors:
+        if isinstance(f, Bracket):
+            value = _reduce(f.core)
+            for _ in range(f.power):
+                value = _apply_p(value)
+            f = value.factors[0]
+            if factors and isinstance(factors[-1], Bracket):
+                f = _merge_brackets(factors.pop(), f)
+        factors.append(f)
+    return BracketedWord(tuple(factors))
 
 
 # ---------------------------------------------------------------------------

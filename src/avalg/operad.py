@@ -18,12 +18,13 @@ from .trees import (
     LEAF,
     AveragingTree,
     UnreducedBinaryTree,
+    _phi_inverse,
     phi,
     phi_inverse,
     render_binary_tree,
     uni_count,
 )
-from .words import Bracket, BracketedWord, Letter, raw
+from .words import Bracket, BracketedWord, Letter
 
 __all__ = [
     "IDENTITY",
@@ -69,10 +70,12 @@ def compose(tau: TreeLike, index: int, sigma: TreeLike) -> AveragingTree:
     tau, sigma = _as_tree(tau), _as_tree(sigma)
     if not 1 <= index <= tau.arity:
         raise IndexError(f"leaf index {index} out of range 1..{tau.arity}")
-    wt = raw(phi_inverse(tau))
-    ws = raw(phi_inverse(sigma))
-    result = phi(reduce(_splice(wt, index, ws)))
-    assert result.arity == tau.arity + sigma.arity - 1
+    spliced = _splice(_phi_inverse(tau.tree), index, _phi_inverse(sigma.tree))
+    result = phi(reduce(spliced))
+    if result.arity != tau.arity + sigma.arity - 1:
+        raise AssertionError(
+            f"composition has {result.arity} leaves, expected {tau.arity + sigma.arity - 1}"
+        )
     return result
 
 

@@ -20,7 +20,8 @@ Text forms: Schroeder trees as ``w(...)`` / ``i`` / ``o``; binary trees as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Tuple, Union
 
@@ -80,24 +81,53 @@ class TreeSyntaxError(ValueError):
 # ---------------------------------------------------------------------------
 # Unreduced binary trees
 
-@dataclass(frozen=True)
+# Every node carries its hash, computed once from its children's hashes, so
+# hashing a tree is O(1).  Only int and tuple-of-int hashes are used, which do
+# not depend on PYTHONHASHSEED, so an unpickled tree hashes as a fresh one.
+
+class _Node:
+    """Gives the slotted vertex classes a weak-reference slot (see ``_NODES``)."""
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True)
 class TLeaf:
+    _hash = 0x5EAF
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __str__(self) -> str:
         return "L"
 
 
-@dataclass(frozen=True)
-class Uni:
+@dataclass(frozen=True, slots=True)
+class Uni(_Node):
     child: "UnreducedBinaryTree"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((1, self.child._hash)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return render_binary_tree(self)
 
 
-@dataclass(frozen=True)
-class Bi:
+@dataclass(frozen=True, slots=True)
+class Bi(_Node):
     left: "UnreducedBinaryTree"
     right: "UnreducedBinaryTree"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((2, self.left._hash, self.right._hash)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return render_binary_tree(self)
@@ -198,42 +228,69 @@ def is_averaging_tree(t: UnreducedBinaryTree) -> bool:
         the bracketed case the left subtree is trivial or is a bi-vertex
         with trivial right subtree.
     """
-    for s in subtrees(t):
+    return _averaging_leaves(t) > 0
+
+
+def _averaging_leaves(t: UnreducedBinaryTree) -> int:
+    """Leaf count of ``t`` if it is an averaging tree, else 0, in one linear walk.
+
+    On a bracket chain over a bi-vertex core, :func:`is_fat` amounts to two
+    checks: the core's left spine of bi-vertices ends in a leaf without
+    meeting a uni-vertex, and the core's right subtree has bracketed power
+    at most 1.  Each chain is checked once, at its top, and a bi-vertex lies
+    on the left spine of at most one core.
+    """
+    leaves = 0
+    stack = [t]
+    while stack:
+        s = stack.pop()
         if isinstance(s, Uni):
-            _, core = _strip(s)
-            if not isinstance(core, TLeaf) and not is_fat(s):
-                return False
+            core = s.child
+            while isinstance(core, Uni):
+                core = core.child
+            if isinstance(core, Bi):
+                spine, right = core.left, core.right
+                while isinstance(spine, Bi):
+                    spine = spine.left
+                if isinstance(spine, Uni):
+                    return 0
+                if isinstance(right, Uni) and isinstance(right.child, Uni):
+                    return 0
+            stack.append(core)
         elif isinstance(s, Bi):
-            right = s.right
-            if isinstance(right, TLeaf):
-                continue
-            if not is_bracketed(right):
-                return False
-            left = s.left
-            if isinstance(left, TLeaf):
-                continue
-            if not (isinstance(left, Bi) and isinstance(left.right, TLeaf)):
-                return False
-    return True
+            left, right = s.left, s.right
+            if not isinstance(right, TLeaf):
+                if not isinstance(right, Uni):
+                    return 0
+                if not (isinstance(left, TLeaf)
+                        or (isinstance(left, Bi) and isinstance(left.right, TLeaf))):
+                    return 0
+            stack.append(right)
+            stack.append(left)
+        else:
+            leaves += 1
+    return leaves
 
 
 class InvalidAveragingTree(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AveragingTree:
     """An unreduced binary tree certified to satisfy the averaging conditions."""
 
     tree: UnreducedBinaryTree
+    arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not is_averaging_tree(self.tree):
+        leaves = _averaging_leaves(self.tree)
+        if not leaves:
             raise InvalidAveragingTree(f"not an averaging tree: {render_binary_tree(self.tree)}")
+        object.__setattr__(self, "arity", leaves)
 
-    @property
-    def arity(self) -> int:
-        return leaf_count(self.tree)
+    def __hash__(self) -> int:
+        return self.tree._hash
 
     def __str__(self) -> str:
         return render_binary_tree(self.tree)
@@ -248,28 +305,57 @@ def _tree_of(t: Union[AveragingTree, UnreducedBinaryTree]) -> UnreducedBinaryTre
 
 def phi(w: Union[AveragingWord, BracketedWord]) -> AveragingTree:
     """Word to tree: letters to leaves, bracket layers to uni-vertices,
-    juxtaposition peels the last factor into the right branch."""
+    juxtaposition peels the last factor into the right branch.
+
+    A raw word is checked to be averaging; an :class:`AveragingWord` already
+    is, so it is not scanned again.
+    """
     v = raw(w)
     symbols = letters_of(v)
     if symbols != {"x"}:
         raise ValueError("the tree bijection needs words over the single letter x")
-    AveragingWord(v)  # reject non-averaging input early
+    if not isinstance(w, AveragingWord):
+        AveragingWord(v)  # reject non-averaging input early
     return AveragingTree(_phi(v))
 
 
+# Hash-consing (Filliatre & Conchon, 2006): the vertices ``_phi`` builds are
+# shared through a weak table, so equal trees from the bijection are one
+# object and ``==`` between them ends at the identity check.  A key holds the
+# ids of the children; the vertex keeps its children alive and its entry goes
+# when the vertex dies, so the ids in a live key are never reused.  Sharing is
+# invisible except to ``is``: trees built directly, unpickled, or raced for by
+# two threads are equal, just not shared.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _uni(child: UnreducedBinaryTree) -> Uni:
+    key = (id(child),)
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES[key] = Uni(child)
+    return node
+
+
+def _bi(left: UnreducedBinaryTree, right: UnreducedBinaryTree) -> Bi:
+    key = (id(left), id(right))
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES[key] = Bi(left, right)
+    return node
+
+
 def _phi(v: BracketedWord) -> UnreducedBinaryTree:
-    factors = v.factors
-    if len(factors) == 1:
-        f = factors[0]
+    acc = None
+    for f in v.factors:
         if isinstance(f, Letter):
-            return LEAF
-        t = _phi(f.core)
-        for _ in range(f.power):
-            t = Uni(t)
-        return t
-    left = _phi(BracketedWord(factors[:-1]))
-    right = _phi(BracketedWord(factors[-1:]))
-    return Bi(left, right)
+            t = LEAF
+        else:
+            t = _phi(f.core)
+            for _ in range(f.power):
+                t = _uni(t)
+        acc = t if acc is None else _bi(acc, t)
+    return acc
 
 
 def phi_inverse(t: Union[AveragingTree, UnreducedBinaryTree]) -> AveragingWord:
@@ -277,15 +363,24 @@ def phi_inverse(t: Union[AveragingTree, UnreducedBinaryTree]) -> AveragingWord:
     return AveragingWord(_phi_inverse(_tree_of(t)))
 
 
+_X = Letter("x")
+
+
 def _phi_inverse(t: UnreducedBinaryTree) -> BracketedWord:
-    power, core = _strip(t)
-    if isinstance(core, TLeaf):
-        base = word(Letter("x"))
-        return word(Bracket(base, power)) if power else base
-    w1 = _phi_inverse(core.left)
-    w2 = _phi_inverse(core.right)
-    combined = BracketedWord(w1.factors + w2.factors)
-    return word(Bracket(combined, power)) if power else combined
+    # bi-vertices concatenate, read left to right; bracket cores recurse
+    factors = []
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Bi):
+            stack.append(s.right)
+            stack.append(s.left)
+        elif isinstance(s, Uni):
+            power, core = _strip(s)
+            factors.append(Bracket(_phi_inverse(core), power))
+        else:
+            factors.append(_X)
+    return BracketedWord(tuple(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -178,5 +178,18 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert "the series predicts 1" in proc.stderr
 
+    def test_compose_arity_mismatch_is_internal_under_O(self):
+        # a letter lost while splicing is caught even with asserts stripped
+        script = (
+            "import sys, avalg.cli as cli, avalg.operad as opd\n"
+            "opd._splice = lambda w, index, replacement: w\n"
+            "sys.exit(cli.main(['compose', 'x x', '1', 'x x']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 4, proc.stdout
+        assert "composition has 2 leaves, expected 3" in proc.stderr
+
     def test_non_averaging_input_to_apply_p(self):
         assert run_cli("apply-p", "[x][x]").returncode == 2

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import weakref
+
 import pytest
 
 from avalg.trees import (
@@ -6,6 +11,7 @@ from avalg.trees import (
     Bi,
     SLeaf,
     SNode,
+    TLeaf,
     TreeSyntaxError,
     Uni,
     bracketed_power,
@@ -46,6 +52,22 @@ TAU = {
 }
 
 
+def averaging_by_definition(t):
+    """Conditions (a) and (b) read off the definitions, subtree by subtree."""
+    for s in subtrees(t):
+        if isinstance(s, Uni):
+            ladder = leaf_count(s) == 1
+            if not ladder and not is_fat(s):
+                return False
+        elif isinstance(s, Bi) and not isinstance(s.right, TLeaf):
+            if not isinstance(s.right, Uni):
+                return False
+            left = s.left
+            if not (left == LEAF or (isinstance(left, Bi) and left.right == LEAF)):
+                return False
+    return True
+
+
 class TestPredicates:
     def test_left_factor_trees(self):
         assert is_lft(TAU[1])
@@ -77,6 +99,12 @@ class TestPredicates:
             assert is_averaging_tree(tree)
             tree = Uni(tree)
         assert is_averaging_tree(tree)
+
+    def test_one_pass_check_matches_definition(self):
+        family = enumerate_unreduced(6, 4)
+        accepted = [t for t in family if is_averaging_tree(t)]
+        assert accepted == [t for t in family if averaging_by_definition(t)]
+        assert len(accepted) == len(enumerate_averaging_trees(6, 4))
 
     def test_bracketed_power(self):
         assert bracketed_power(Uni(Uni(Bi(LEAF, LEAF)))) == 2
@@ -230,3 +258,51 @@ class TestTextForms:
 
         with pytest.raises(InvalidAveragingTree):
             AveragingTree(TAU[6])
+
+
+SHARE_SCRIPT = """
+import pickle, sys
+from avalg.operad import OperadElement
+from avalg.trees import AveragingTree, enumerate_averaging_trees, parse_binary_tree
+
+def check(ok, what):
+    if not ok:
+        sys.exit(what)
+
+family = enumerate_averaging_trees(4, 3)
+element = OperadElement.from_terms(3, [(t, k) for k, t in enumerate(family) if t.arity == 3])
+if sys.argv[1] == "dump":
+    with open(sys.argv[2], "wb") as handle:
+        pickle.dump((family, {t: k for k, t in enumerate(family)}, element), handle)
+    sys.exit(0)
+with open(sys.argv[2], "rb") as handle:
+    loaded, index, loaded_element = pickle.load(handle)
+check(loaded == family and loaded_element == element, "loaded values differ")
+check(hash(loaded_element) == hash(element), "element hash differs")
+check(dict(loaded_element.terms) == dict(element.terms), "element terms differ")
+for k, t in enumerate(family):
+    copy = AveragingTree(parse_binary_tree(str(t)))
+    check(hash(loaded[k]) == hash(t) == hash(copy), f"hash of {t} differs")
+    check(hash(loaded[k].tree) == hash(t.tree), f"vertex hash of {t} differs")
+    check(index[t] == index[copy] == index[loaded[k]] == k, f"lookup of {t} fails")
+"""
+
+
+class TestSharing:
+    def test_pickled_trees_hash_alike_under_another_hash_seed(self, tmp_path):
+        path = str(tmp_path / "trees.pickle")
+        for mode, seed in (("dump", "1"), ("load", "2")):
+            proc = subprocess.run(
+                [sys.executable, "-c", SHARE_SCRIPT, mode, path],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+
+    def test_bijection_shares_vertices_weakly(self):
+        w = parse_word("[x x[x]^3 x[x x]]^5 x[x]")
+        first, second = phi(w), phi(w)
+        assert first.tree is second.tree
+        alive = weakref.ref(first.tree)
+        del first, second
+        assert alive() is None
