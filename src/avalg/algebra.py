@@ -24,8 +24,10 @@ from .words import (
     BracketedWord,
     Letter,
     WordSyntaxError,
+    certified,
     head_index,
     parse_word,
+    random_averaging_word,
     raw,
     render_word,
     tail_index,
@@ -46,23 +48,17 @@ __all__ = [
 ]
 
 
-def _core_shaped(w: BracketedWord) -> bool:
-    """True when a single bracket around ``w`` is already in normal form.
+def _plain_wrap(w: BracketedWord) -> bool:
+    """True when applying the operator to ``w`` just adds one bracket.
 
-    Holds iff ``w`` has head index 0 and its tail is a letter or a power-1
-    bracket.  Cores of brackets in normal-form words always have this shape.
+    Holds for a single bracket, and for a word with head index 0 whose tail
+    is a letter or a power-1 bracket: the shape of every bracket core in a
+    normal-form word.
     """
-    if head_index(w) != 0:
-        return False
+    if isinstance(w.factors[0], Bracket):
+        return len(w.factors) == 1
     last = w.factors[-1]
     return isinstance(last, Letter) or last.power == 1
-
-
-def _plain_wrap(w: BracketedWord) -> bool:
-    """True when applying the operator to ``w`` just adds one bracket."""
-    if len(w.factors) == 1 and isinstance(w.factors[0], Bracket):
-        return True
-    return _core_shaped(w)
 
 
 def _merge_brackets(left: Bracket, right: Bracket) -> Bracket:
@@ -79,10 +75,6 @@ def _diamond(u: BracketedWord, v: BracketedWord) -> BracketedWord:
     return BracketedWord(u.factors + v.factors)
 
 
-def _ensure_normal(u: Union[AveragingWord, BracketedWord]) -> BracketedWord:
-    return u.word if isinstance(u, AveragingWord) else AveragingWord(u).word
-
-
 def diamond(u: Union[AveragingWord, BracketedWord],
             v: Union[AveragingWord, BracketedWord]) -> AveragingWord:
     """Product of the free averaging algebra.
@@ -90,7 +82,7 @@ def diamond(u: Union[AveragingWord, BracketedWord],
     Concatenation, except that a bracket meeting a bracket at the junction
     merges by ``[u']^s <> [v']^t = [u' <> [v']]^(s+t-1)``.
     """
-    ru, rv = _ensure_normal(u), _ensure_normal(v)
+    ru, rv = certified(u).word, certified(v).word
     result = _diamond(ru, rv)
     # head/tail preservation holds for every product by construction
     if head_index(result) != head_index(ru) or tail_index(result) != tail_index(rv):
@@ -123,7 +115,7 @@ def _apply_p(u: BracketedWord) -> BracketedWord:
 
 def apply_p(u: Union[AveragingWord, BracketedWord]) -> AveragingWord:
     """The averaging operator on normal forms."""
-    return AveragingWord(_apply_p(_ensure_normal(u)))
+    return AveragingWord(_apply_p(certified(u).word))
 
 
 def reduce(w: Union[BracketedWord, AveragingWord]) -> AveragingWord:
@@ -281,8 +273,7 @@ class LinearCombination:
     def from_terms(pairs) -> "LinearCombination":
         acc: dict = {}
         for w, c in pairs:
-            if not isinstance(w, AveragingWord):
-                w = AveragingWord(raw(w))
+            w = certified(w)
             c = Fraction(c)
             if c:
                 acc[w] = acc.get(w, Fraction(0)) + c
@@ -302,8 +293,7 @@ class LinearCombination:
         return not self.terms
 
     def coeff(self, w) -> Fraction:
-        if not isinstance(w, AveragingWord):
-            w = AveragingWord(raw(w))
+        w = certified(w)
         for wi, c in self.terms:
             if wi == w:
                 return c
@@ -463,8 +453,6 @@ def _eval_word(assignment, target, w: BracketedWord):
 def random_lincomb(rng, alphabet=("x", "y"), max_terms: int = 3,
                    max_depth: int = 3) -> LinearCombination:
     """Seeded random combination for property tests."""
-    from .words import random_averaging_word
-
     pairs = []
     for _ in range(rng.randint(1, max_terms)):
         w = random_averaging_word(rng, alphabet, max_depth=max_depth)

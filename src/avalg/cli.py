@@ -2,8 +2,9 @@
 
 JSON payloads go to stdout inside a small envelope; diagnostics go to
 stderr.  Exit codes: 0 ok, 1 usage, 2 input parse error, 3 budget exceeded,
-4 internal invariant failure.  Tabular subcommands accept
-``--format {json,csv,text}``.
+4 internal invariant failure, 5 resource exhausted (an input nested too
+deeply for the recursion limit, or out of memory).  Tabular subcommands
+accept ``--format {json,csv,text}``.
 """
 
 from __future__ import annotations
@@ -16,27 +17,20 @@ import sys
 
 from . import enumeration, instances, operad, trees
 from .algebra import (
-    LinCombSyntaxError,
     StepBudgetExceeded,
     apply_p,
     parse_lincomb,
     reduce,
     rewrite_reduce,
 )
-from .words import (
-    AveragingWord,
-    InvalidAveragingWord,
-    WordSyntaxError,
-    analyze,
-    parse_word,
-    render_word,
-)
+from .words import AveragingWord, analyze, parse_word, render_word, word
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+EXIT_RESOURCE = 5
 
 
 class UsageError(Exception):
@@ -157,7 +151,7 @@ def _handle(args) -> tuple:
             "head": info.head,
             "tail": info.tail,
             "standard_factors": [
-                render_word(_factor_word(f)) for f in info.standard_factors
+                render_word(word(f)) for f in info.standard_factors
             ],
             "blocks": [render_word(b) for b in info.block_factors],
         }, "json"
@@ -251,12 +245,6 @@ def _handle(args) -> tuple:
     raise UsageError(f"unknown command {cmd!r}")
 
 
-def _factor_word(f):
-    from .words import BracketedWord
-
-    return BracketedWord((f,))
-
-
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps({"status": "ok", "payload": payload}, indent=2))
@@ -280,11 +268,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (WordSyntaxError, LinCombSyntaxError, trees.TreeSyntaxError,
-            json.JSONDecodeError, FileNotFoundError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InvalidAveragingWord, ValueError, IndexError, KeyError) as exc:
+    except (ValueError, IndexError, KeyError, FileNotFoundError) as exc:
+        # every input-layer error (word, lincomb, tree and JSON syntax, and
+        # non-averaging words) is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (enumeration.BudgetExceeded, StepBudgetExceeded) as exc:
@@ -293,6 +279,9 @@ def main(argv=None) -> int:
     except AssertionError as exc:  # an invariant failed; never expected
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except (RecursionError, MemoryError) as exc:
+        print(f"resource exhausted: {exc or type(exc).__name__}", file=sys.stderr)
+        return EXIT_RESOURCE
     _emit(payload, fmt)
     return EXIT_OK
 

@@ -35,6 +35,7 @@ from .words import (
     head_index,
     raw,
     render_word,
+    substitute_letters,
     tail_index,
 )
 
@@ -290,20 +291,13 @@ def expand_runs(w: Union[BracketedWord, AveragingWord], parts: Sequence[int]) ->
         raise ValueError("run lengths must be positive")
     it = iter(parts)
 
-    def walk(v: BracketedWord) -> BracketedWord:
-        factors = []
-        for f in v.factors:
-            if isinstance(f, Letter):
-                try:
-                    r = next(it)
-                except StopIteration:
-                    raise ValueError("composition has fewer parts than letters") from None
-                factors.extend([f] * r)
-            else:
-                factors.append(Bracket(walk(f.core), f.power))
-        return BracketedWord(tuple(factors))
+    def run(f: Letter) -> tuple:
+        try:
+            return (f,) * next(it)
+        except StopIteration:
+            raise ValueError("composition has fewer parts than letters") from None
 
-    out = walk(w)
+    out = substitute_letters(w, run)
     if next(it, None) is not None:
         raise ValueError("composition has more parts than letters")
     return out

@@ -9,6 +9,7 @@ yields a basis tree.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -19,12 +20,11 @@ from .trees import (
     AveragingTree,
     UnreducedBinaryTree,
     _phi_inverse,
+    _tree_key,
     phi,
     phi_inverse,
-    render_binary_tree,
-    uni_count,
 )
-from .words import Bracket, BracketedWord, Letter
+from .words import BracketedWord, substitute_letters
 
 __all__ = [
     "IDENTITY",
@@ -46,23 +46,10 @@ def _as_tree(t: TreeLike) -> AveragingTree:
 
 def _splice(w: BracketedWord, index: int, replacement: BracketedWord) -> BracketedWord:
     """Replace the ``index``-th letter (1-based, reading order) by a word."""
-    counter = 0
-
-    def walk(v: BracketedWord) -> BracketedWord:
-        nonlocal counter
-        factors = []
-        for f in v.factors:
-            if isinstance(f, Letter):
-                counter += 1
-                if counter == index:
-                    factors.extend(replacement.factors)
-                else:
-                    factors.append(f)
-            else:
-                factors.append(Bracket(walk(f.core), f.power))
-        return BracketedWord(tuple(factors))
-
-    return walk(w)
+    position = itertools.count(1)
+    return substitute_letters(
+        w, lambda f: replacement.factors if next(position) == index else (f,)
+    )
 
 
 def compose(tau: TreeLike, index: int, sigma: TreeLike) -> AveragingTree:
@@ -87,10 +74,6 @@ def tree_product(p: TreeLike, q: TreeLike) -> AveragingTree:
 def tree_apply(t: TreeLike) -> AveragingTree:
     """The averaging operator transported to trees."""
     return phi(apply_p(phi_inverse(_as_tree(t))))
-
-
-def _tree_key(t: AveragingTree):
-    return (t.arity, uni_count(t.tree), render_binary_tree(t.tree))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ Text forms: Schroeder trees as ``w(...)`` / ``i`` / ``o``; binary trees as
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -31,6 +32,8 @@ from .words import (
     Bracket,
     BracketedWord,
     Letter,
+    certified,
+    iter_averaging_words,
     letters_of,
     raw,
     word,
@@ -155,11 +158,7 @@ def uni_count(t: UnreducedBinaryTree) -> int:
 
 def bracketed_power(t: UnreducedBinaryTree) -> int:
     """Length of the uni-vertex chain at the root."""
-    power = 0
-    while isinstance(t, Uni):
-        power += 1
-        t = t.child
-    return power
+    return _strip(t)[0]
 
 
 def is_bracketed(t: UnreducedBinaryTree) -> bool:
@@ -310,13 +309,9 @@ def phi(w: Union[AveragingWord, BracketedWord]) -> AveragingTree:
     A raw word is checked to be averaging; an :class:`AveragingWord` already
     is, so it is not scanned again.
     """
-    v = raw(w)
-    symbols = letters_of(v)
-    if symbols != {"x"}:
+    if letters_of(raw(w)) != {"x"}:
         raise ValueError("the tree bijection needs words over the single letter x")
-    if not isinstance(w, AveragingWord):
-        AveragingWord(v)  # reject non-averaging input early
-    return AveragingTree(_phi(v))
+    return AveragingTree(_phi(certified(w).word))
 
 
 # Hash-consing (Filliatre & Conchon, 2006): the vertices ``_phi`` builds are
@@ -413,15 +408,18 @@ def enumerate_unreduced(max_leaves: int, max_unis: int) -> list:
     return out
 
 
+def _tree_key(t: AveragingTree):
+    """Canonical tree order: (arity, uni-vertex count, rendered text)."""
+    return (t.arity, uni_count(t.tree), render_binary_tree(t.tree))
+
+
 def enumerate_averaging_trees(max_leaves: int, max_unis: int) -> list:
     """Averaging trees within the bounds, via the word bijection."""
-    from .words import iter_averaging_words
-
     out = [
         AveragingTree(_phi(raw(w)))
         for w in iter_averaging_words(max_leaves, max_unis)
     ]
-    out.sort(key=lambda t: (t.arity, uni_count(t.tree), render_binary_tree(t.tree)))
+    out.sort(key=_tree_key)
     return out
 
 
@@ -496,7 +494,7 @@ def enumerate_schroeder(n: int) -> tuple:
     for k in range(1, n):
         for parts in compositions(n - 1, k):
             choices = [enumerate_schroeder(p) for p in parts]
-            for picks in _product(choices):
+            for picks in itertools.product(*choices):
                 branches = []
                 for sub in picks:
                     branches.append(_IOTA_LEAF)
@@ -504,15 +502,6 @@ def enumerate_schroeder(n: int) -> tuple:
                 out.append(SNode(tuple(branches)))
                 out.append(SNode(tuple(branches) + (_IOTA_LEAF,)))
     return tuple(out)
-
-
-def _product(choices):
-    if not choices:
-        yield ()
-        return
-    for first in choices[0]:
-        for rest in _product(choices[1:]):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +519,7 @@ def _check_indecomposable(v: BracketedWord) -> Bracket:
 def psi(w: Union[AveragingWord, BracketedWord]) -> SchroederTree:
     """Indecomposable word to Schroeder tree: odd factors x to iota leaves,
     even factors recursively; [x] is the omega leaf."""
-    v = raw(w)
-    AveragingWord(v)
-    b = _check_indecomposable(v)
+    b = _check_indecomposable(certified(w).word)
     core = b.core
     if core.factors == (Letter("x"),):
         return _OMEGA_LEAF

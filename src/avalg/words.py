@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 __all__ = [
     "Letter",
@@ -142,8 +142,7 @@ def word(*factors: Factor) -> BracketedWord:
 
 def bracket(core: Union[BracketedWord, Factor, "AveragingWord"], power: int = 1) -> Bracket:
     """Bracket ``core`` ``power`` times; accepts a word or a single factor."""
-    if isinstance(core, AveragingWord):
-        core = core.word
+    core = raw(core)
     if isinstance(core, (Letter, Bracket)):
         core = word(core)
     return Bracket(core, power)
@@ -203,8 +202,7 @@ def letters_of(w: BracketedWord) -> set:
 
 def word_key(w: Union[BracketedWord, "AveragingWord"]):
     """Canonical sort key: (degree, arity, rendered text)."""
-    if isinstance(w, AveragingWord):
-        w = w.word
+    w = raw(w)
     return (degree(w), arity(w), render_word(w))
 
 
@@ -266,8 +264,7 @@ def render_word(w: Union[BracketedWord, "AveragingWord"]) -> str:
     A space separates two adjacent letters; everything else is unspaced and
     nested brackets collapse into ``^s``.
     """
-    if isinstance(w, AveragingWord):
-        w = w.word
+    w = raw(w)
     parts = []
     prev_letter = False
     for f in w.factors:
@@ -414,6 +411,22 @@ def validate_averaging(w: BracketedWord) -> Union[AveragingWord, Violation]:
 
 def raw(w: Union[BracketedWord, AveragingWord]) -> BracketedWord:
     return w.word if isinstance(w, AveragingWord) else w
+
+
+def certified(w: Union[BracketedWord, AveragingWord]) -> AveragingWord:
+    """``w`` itself if already certified; a plain word is scanned first."""
+    return w if isinstance(w, AveragingWord) else AveragingWord(w)
+
+
+def substitute_letters(w: BracketedWord, factors_for: Callable) -> BracketedWord:
+    """Replace each letter of ``w``, in reading order, by ``factors_for(letter)``."""
+    factors = []
+    for f in w.factors:
+        if isinstance(f, Letter):
+            factors.extend(factors_for(f))
+        else:
+            factors.append(Bracket(substitute_letters(f.core, factors_for), f.power))
+    return BracketedWord(tuple(factors))
 
 
 def peel(w: Union[AveragingWord, BracketedWord]) -> tuple:

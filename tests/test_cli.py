@@ -193,3 +193,28 @@ class TestExitCodes:
 
     def test_non_averaging_input_to_apply_p(self):
         assert run_cli("apply-p", "[x][x]").returncode == 2
+
+    def test_diamond_head_tail_check_is_internal_under_O(self):
+        # a product that loses its right factor is caught with asserts stripped
+        script = (
+            "import sys, avalg.cli as cli, avalg.algebra as alg\n"
+            "alg._diamond = lambda u, v: u\n"
+            "sys.exit(cli.main(['product', 'x', '[x]']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 4, proc.stdout
+        assert "diamond changed the head or tail index" in proc.stderr
+
+    def test_deep_nesting_is_resource_exhaustion(self):
+        proc = run_cli("normalize", "[" * 1200 + "x" + "]" * 1200)
+        assert proc.returncode == 5
+        assert proc.stderr.startswith("resource exhausted: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_long_word_to_tree_is_resource_exhaustion(self):
+        proc = run_cli("word2tree", "x[x]" * 1200)
+        assert proc.returncode == 5
+        assert proc.stderr.startswith("resource exhausted: ")
+        assert "Traceback" not in proc.stderr
