@@ -24,6 +24,7 @@ from .words import (
     BracketedWord,
     Letter,
     WordSyntaxError,
+    _normal,
     certified,
     head_index,
     parse_word,
@@ -87,7 +88,7 @@ def diamond(u: Union[AveragingWord, BracketedWord],
     # head/tail preservation holds for every product by construction
     if head_index(result) != head_index(ru) or tail_index(result) != tail_index(rv):
         raise AssertionError(f"diamond changed the head or tail index: {render_word(result)}")
-    return AveragingWord(result)
+    return _normal(result)
 
 
 def _apply_p(u: BracketedWord) -> BracketedWord:
@@ -115,7 +116,7 @@ def _apply_p(u: BracketedWord) -> BracketedWord:
 
 def apply_p(u: Union[AveragingWord, BracketedWord]) -> AveragingWord:
     """The averaging operator on normal forms."""
-    return AveragingWord(_apply_p(certified(u).word))
+    return _normal(_apply_p(certified(u).word))
 
 
 def reduce(w: Union[BracketedWord, AveragingWord]) -> AveragingWord:
@@ -125,7 +126,7 @@ def reduce(w: Union[BracketedWord, AveragingWord]) -> AveragingWord:
     becomes the product and each bracket layer one operator application.
     Identity on averaging words.
     """
-    return AveragingWord(_reduce(raw(w)))
+    return _normal(_reduce(raw(w)))
 
 
 def _reduce(w: BracketedWord) -> BracketedWord:

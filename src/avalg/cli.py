@@ -23,7 +23,7 @@ from .algebra import (
     reduce,
     rewrite_reduce,
 )
-from .words import AveragingWord, analyze, parse_word, render_word, word
+from .words import analyze, parse_word, render_word, word
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -141,7 +141,7 @@ def _handle(args) -> tuple:
         return (left * right).to_json(), "json"
 
     if cmd == "apply-p":
-        return _word_payload(apply_p(AveragingWord(parse_word(args.word)))), "json"
+        return _word_payload(apply_p(parse_word(args.word))), "json"
 
     if cmd == "analyze":
         info = analyze(parse_word(args.word))

@@ -416,12 +416,7 @@ def square_zero_derivation(basis, mul, d) -> FiniteAlgebra:
     return probe
 
 
-_KINDS = {
-    "GroupAverage": "group",
-    "CentralMultiplier": "central",
-    "SuperProjection": "super",
-    "SquareZeroDerivation": "derivation",
-}
+_KINDS = ("GroupAverage", "CentralMultiplier", "SuperProjection", "SquareZeroDerivation")
 
 
 def build_instance(kind: str, **params) -> FiniteAlgebra:

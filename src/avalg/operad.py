@@ -19,6 +19,7 @@ from .trees import (
     LEAF,
     AveragingTree,
     UnreducedBinaryTree,
+    _phi,
     _phi_inverse,
     _tree_key,
     phi,
@@ -58,7 +59,8 @@ def compose(tau: TreeLike, index: int, sigma: TreeLike) -> AveragingTree:
     if not 1 <= index <= tau.arity:
         raise IndexError(f"leaf index {index} out of range 1..{tau.arity}")
     spliced = _splice(_phi_inverse(tau.tree), index, _phi_inverse(sigma.tree))
-    result = phi(reduce(spliced))
+    # the reduced word is normal; the tree check certifies it and counts leaves
+    result = AveragingTree(_phi(reduce(spliced).word))
     if result.arity != tau.arity + sigma.arity - 1:
         raise AssertionError(
             f"composition has {result.arity} leaves, expected {tau.arity + sigma.arity - 1}"

@@ -32,6 +32,7 @@ from .words import (
     Bracket,
     BracketedWord,
     Letter,
+    _normal,
     certified,
     iter_averaging_words,
     letters_of,
@@ -295,10 +296,6 @@ class AveragingTree:
         return render_binary_tree(self.tree)
 
 
-def _tree_of(t: Union[AveragingTree, UnreducedBinaryTree]) -> UnreducedBinaryTree:
-    return t.tree if isinstance(t, AveragingTree) else t
-
-
 # ---------------------------------------------------------------------------
 # The bijection with averaging words on one generator
 
@@ -354,8 +351,11 @@ def _phi(v: BracketedWord) -> UnreducedBinaryTree:
 
 
 def phi_inverse(t: Union[AveragingTree, UnreducedBinaryTree]) -> AveragingWord:
-    """Tree to word; total on averaging trees by construction."""
-    return AveragingWord(_phi_inverse(_tree_of(t)))
+    """Tree to word; total on averaging trees by construction, so only the
+    word of a raw tree is scanned."""
+    if isinstance(t, AveragingTree):
+        return _normal(_phi_inverse(t.tree))
+    return AveragingWord(_phi_inverse(t))
 
 
 _X = Letter("x")
@@ -507,21 +507,21 @@ def enumerate_schroeder(n: int) -> tuple:
 # ---------------------------------------------------------------------------
 # The bijection with indecomposable words (cap 1, powers all 1)
 
-def _check_indecomposable(v: BracketedWord) -> Bracket:
-    if len(v.factors) != 1 or not isinstance(v.factors[0], Bracket):
-        raise ValueError("the word must be a single bracket (indecomposable)")
-    b = v.factors[0]
-    if b.power != 1:
-        raise ValueError("bracket powers must all be 1 under the idempotent convention")
-    return b
-
-
 def psi(w: Union[AveragingWord, BracketedWord]) -> SchroederTree:
     """Indecomposable word to Schroeder tree: odd factors x to iota leaves,
     even factors recursively; [x] is the omega leaf."""
-    b = _check_indecomposable(certified(w).word)
+    v = certified(w).word
+    if len(v.factors) != 1 or not isinstance(v.factors[0], Bracket):
+        raise ValueError("the word must be a single bracket (indecomposable)")
+    return _psi(v.factors[0])
+
+
+def _psi(b: Bracket) -> SchroederTree:
+    # the brackets of a certified word are certified, so they are not rescanned
+    if b.power != 1:
+        raise ValueError("bracket powers must all be 1 under the idempotent convention")
     core = b.core
-    if core.factors == (Letter("x"),):
+    if core.factors == (_X,):
         return _OMEGA_LEAF
     branches = []
     for pos, f in enumerate(core.factors):
@@ -532,14 +532,14 @@ def psi(w: Union[AveragingWord, BracketedWord]) -> SchroederTree:
         else:
             if not isinstance(f, Bracket):
                 raise ValueError("even positions of the content must be brackets")
-            branches.append(psi(word(f)))
+            branches.append(_psi(f))
     return SNode(tuple(branches))
 
 
 def psi_inverse(t: SchroederTree) -> AveragingWord:
     if not is_schroeder(t):
         raise ValueError("not a Schroeder tree")
-    return AveragingWord(_psi_inverse(t))
+    return _normal(_psi_inverse(t))
 
 
 def _psi_inverse(t: SchroederTree) -> BracketedWord:

@@ -406,7 +406,7 @@ def validate_averaging(w: BracketedWord) -> Union[AveragingWord, Violation]:
     found = _scan_violation(w)
     if found is not None:
         return found
-    return AveragingWord(w)
+    return _normal(w)
 
 
 def raw(w: Union[BracketedWord, AveragingWord]) -> BracketedWord:
@@ -416,6 +416,13 @@ def raw(w: Union[BracketedWord, AveragingWord]) -> BracketedWord:
 def certified(w: Union[BracketedWord, AveragingWord]) -> AveragingWord:
     """``w`` itself if already certified; a plain word is scanned first."""
     return w if isinstance(w, AveragingWord) else AveragingWord(w)
+
+
+def _normal(w: BracketedWord) -> AveragingWord:
+    """Wrap a word that is normal by construction, without scanning it."""
+    out = object.__new__(AveragingWord)
+    object.__setattr__(out, "word", w)
+    return out
 
 
 def substitute_letters(w: BracketedWord, factors_for: Callable) -> BracketedWord:
@@ -435,11 +442,11 @@ def peel(w: Union[AveragingWord, BracketedWord]) -> tuple:
     The core of a canonical averaging bracket always has head index 0, so the
     pair is unique.
     """
-    v = raw(w)
+    v = certified(w).word
     if len(v.factors) != 1 or not isinstance(v.factors[0], Bracket):
         raise ValueError("peel needs a word that is a single bracket factor")
     b = v.factors[0]
-    return AveragingWord(b.core), b.power
+    return _normal(b.core), b.power
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +532,7 @@ def iter_averaging_words(
         for d in range(0, max_degree + 1):
             for head in (0, 1):
                 for factors in _averaging_factors(symbol, a, d, math.inf, math.inf, head):
-                    yield AveragingWord(BracketedWord(factors))
+                    yield _normal(BracketedWord(factors))
 
 
 # ---------------------------------------------------------------------------

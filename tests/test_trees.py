@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from avalg import words
 from avalg.trees import (
     LEAF,
     AveragingTree,
@@ -37,7 +38,7 @@ from avalg.trees import (
     uni_count,
 )
 from avalg.enumeration import indecomposable_words_v, schroeder, univariate
-from avalg.words import iter_averaging_words, parse_word
+from avalg.words import AveragingWord, iter_averaging_words, parse_word
 
 # eight small trees probing every clause of the averaging-tree conditions
 TAU = {
@@ -224,8 +225,31 @@ class TestPsi:
             psi(parse_word("[x]x[x]"))
 
     def test_rejects_powers(self):
-        with pytest.raises(ValueError):
-            psi(parse_word("[x]^2"))
+        for text in ("[x]^2", "[x[x[x]^2x]x]"):
+            with pytest.raises(ValueError, match="bracket powers must all be 1"):
+                psi(parse_word(text))
+
+    def test_nested_brackets_are_scanned_once(self, monkeypatch):
+        d = 400
+        plain = parse_word("[x" * (d - 1) + "[x]" + "x]" * (d - 1))
+        cert = AveragingWord(plain)
+        calls = []
+        scan = words._scan_violation
+
+        def counting(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(words, "_scan_violation", counting)
+        for w, limit in ((cert, 0), (plain, d + 1)):
+            calls.clear()
+            t = psi(w)
+            assert len(calls) <= limit
+            levels = 0
+            while isinstance(t, SNode):
+                t = t.branches[1]
+                levels += 1
+            assert (levels, t) == (d - 1, SLeaf("omega"))
 
     def test_counts_match_schroeder_numbers(self):
         ui = univariate("I", 7)

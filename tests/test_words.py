@@ -205,6 +205,10 @@ class TestPeel:
         with pytest.raises(ValueError):
             peel(bw("x[x]"))
 
+    def test_plain_word_is_certified_whole(self):
+        with pytest.raises(InvalidAveragingWord):
+            peel(bw("[[x]x]"))
+
     def test_core_has_head_zero(self):
         rng = random.Random(5)
         for _ in range(300):
