@@ -49,31 +49,105 @@ __all__ = [
 ]
 
 
-def _plain_wrap(w: BracketedWord) -> bool:
-    """True when applying the operator to ``w`` just adds one bracket.
+# ---------------------------------------------------------------------------
+# Evaluation core.  A value under construction is a list of factors that it
+# alone owns; its brackets are _Node cells, so the two rules below edit in
+# place and cost O(1).  Frozen factors (letters, and the unedited parts of
+# certified operands) may sit in those lists and pass through _freeze as they
+# are.
 
-    Holds for a single bracket, and for a word with head index 0 whose tail
-    is a letter or a power-1 bracket: the shape of every bracket core in a
-    normal-form word.
+class _Node:
+    """A bracket ``[core]^power`` under construction.
+
+    ``core`` is a list of factors, or a frozen word that is not edited.
+    ``bottom`` is the core list at the foot of the bracket's right spine, the
+    one that ends in a letter: the place where a merge appends.  It is None
+    when the spine below was left frozen, which only happens where no merge
+    into this node follows.
     """
-    if isinstance(w.factors[0], Bracket):
-        return len(w.factors) == 1
-    last = w.factors[-1]
-    return isinstance(last, Letter) or last.power == 1
+
+    __slots__ = ("core", "power", "bottom")
+
+    def __init__(self, core: Union[list, BracketedWord], power: int, bottom):
+        self.core = core
+        self.power = power
+        self.bottom = bottom
 
 
-def _merge_brackets(left: Bracket, right: Bracket) -> Bracket:
-    # [u]^s <> [v]^t = [u <> [v]]^(s+t-1)
-    inner = _diamond(left.core, word(Bracket(right.core, 1)))
-    return Bracket(inner, left.power + right.power - 1)
+def _merge(left: _Node, right: _Node) -> None:
+    # [u]^s <> [v]^t = [u <> [v]]^(s+t-1); u <> [v] appends [v] at the foot of
+    # u's right spine, and [v] takes over as the new foot
+    left.power += right.power - 1
+    right.power = 1
+    left.bottom.append(right)
+    left.bottom = right.bottom
+
+
+def _apply_p(u: list) -> _Node:
+    """The operator on a normal value ``u``, which it consumes."""
+    first, last = u[0], u[-1]
+    if isinstance(first, Letter):
+        if isinstance(last, Letter):
+            # plain wrap: u -> [u]
+            return _Node(u, 1, u)
+        # u1[u2]^s -> [u1[u2]]^s; s = 1 is the plain wrap again
+        power, last.power = last.power, 1
+        return _Node(u, power, last.bottom)
+    if len(u) == 1:
+        # [u1]^s -> [u1]^(s+1)
+        first.power += 1
+        return first
+    # [u1]^s u2 -> [u1 <> [u2]]^s and [u1]^s u2[u3]^t -> [u1 <> [u2[u3]]]^(s+t-1):
+    # the head-0 case on the rest, merged into the first bracket
+    _merge(first, _apply_p(u[1:]))
+    return first
+
+
+def _thaw(b: Bracket, spine: bool = False) -> _Node:
+    """A node for ``b`` whose core stays frozen and only whose power may
+    change; with ``spine``, a copy of its right spine whose foot a merge can
+    append to."""
+    if not spine:
+        return _Node(b.core, b.power, None)
+    node = cell = _Node(list(b.core.factors), b.power, None)
+    while isinstance(cell.core[-1], Bracket):
+        inner = cell.core[-1]
+        cell.core[-1] = cell = _Node(list(inner.core.factors), inner.power, None)
+    node.bottom = cell.core
+    return node
+
+
+def _freeze(value: list) -> tuple:
+    """The factor tuple of an owned value, built without recursion.
+
+    Each node is frozen after the nodes in its core and then takes its own
+    place in the list that holds it; the lists are used up.
+    """
+    places = []  # (list, index) of every node, after the node that holds it
+    todo = [value]
+    while todo:
+        factors = todo.pop()
+        for i, f in enumerate(factors):
+            if isinstance(f, _Node):
+                places.append((factors, i))
+                if isinstance(f.core, list):
+                    todo.append(f.core)
+    for factors, i in reversed(places):
+        node = factors[i]
+        core = node.core
+        if isinstance(core, list):
+            core = BracketedWord(tuple(core))
+        factors[i] = Bracket(core, node.power)
+    return tuple(value)
 
 
 def _diamond(u: BracketedWord, v: BracketedWord) -> BracketedWord:
     last, first = u.factors[-1], v.factors[0]
-    if isinstance(last, Bracket) and isinstance(first, Bracket):
-        merged = _merge_brackets(last, first)
-        return BracketedWord(u.factors[:-1] + (merged,) + v.factors[1:])
-    return BracketedWord(u.factors + v.factors)
+    if isinstance(last, Letter) or isinstance(first, Letter):
+        return BracketedWord(u.factors + v.factors)
+    left = _thaw(last, spine=True)
+    _merge(left, _thaw(first))
+    return BracketedWord(u.factors[:-1] + _freeze([left]) + v.factors[1:])
 
 
 def diamond(u: Union[AveragingWord, BracketedWord],
@@ -81,7 +155,8 @@ def diamond(u: Union[AveragingWord, BracketedWord],
     """Product of the free averaging algebra.
 
     Concatenation, except that a bracket meeting a bracket at the junction
-    merges by ``[u']^s <> [v']^t = [u' <> [v']]^(s+t-1)``.
+    merges by ``[u']^s <> [v']^t = [u' <> [v']]^(s+t-1)``.  Copies only the
+    left operand's right spine, where the merge appends.
     """
     ru, rv = certified(u).word, certified(v).word
     result = _diamond(ru, rv)
@@ -91,58 +166,47 @@ def diamond(u: Union[AveragingWord, BracketedWord],
     return _normal(result)
 
 
-def _apply_p(u: BracketedWord) -> BracketedWord:
-    if _plain_wrap(u):
-        return word(Bracket(u, 1))
-    factors = u.factors
-    if head_index(u) == 0:
-        # tail is a bracket of power >= 2: u1'[u2']^s -> [u1'[u2']]^s
-        tail = factors[-1]
-        core = BracketedWord(factors[:-1] + (Bracket(tail.core, 1),))
-        return word(Bracket(core, tail.power))
-    first = factors[0]
-    if tail_index(u) == 0:
-        # [u1]^s u2 -> [u1 <> [u2]]^s
-        rest = BracketedWord(factors[1:])
-        inner = _diamond(first.core, word(Bracket(rest, 1)))
-        return word(Bracket(inner, first.power))
-    # [u1]^s u2 [u3]^t -> [u1 <> [u2[u3]]]^(s+t-1)
-    tail = factors[-1]
-    middle = factors[1:-1]
-    inner_core = BracketedWord(middle + (Bracket(tail.core, 1),))
-    inner = _diamond(first.core, word(Bracket(inner_core, 1)))
-    return word(Bracket(inner, first.power + tail.power - 1))
-
-
 def apply_p(u: Union[AveragingWord, BracketedWord]) -> AveragingWord:
-    """The averaging operator on normal forms."""
-    return _normal(_apply_p(certified(u).word))
+    """The averaging operator on normal forms.
+
+    Copies the top level and, when the word has more than one factor, the
+    first bracket's right spine: the places the operator edits.
+    """
+    factors = certified(u).word.factors
+    value = list(factors)
+    first, last = factors[0], factors[-1]
+    if isinstance(first, Bracket):
+        value[0] = _thaw(first, spine=len(factors) > 1)
+    if isinstance(last, Bracket) and len(factors) > 1:
+        value[-1] = _thaw(last)
+    return _normal(BracketedWord(_freeze([_apply_p(value)])))
 
 
 def reduce(w: Union[BracketedWord, AveragingWord]) -> AveragingWord:
-    """Normal form of an arbitrary bracketed word.
+    """Normal form of an arbitrary bracketed word, in time linear in its size.
 
     Evaluates ``w`` inside the free averaging algebra itself: concatenation
     becomes the product and each bracket layer one operator application.
     Identity on averaging words.
     """
-    return _normal(_reduce(raw(w)))
+    return _normal(BracketedWord(_freeze(_value(raw(w)))))
 
 
-def _reduce(w: BracketedWord) -> BracketedWord:
-    # the product of the factors' values, folded left to right: a bracket's
-    # value is one bracket factor, which merges with a bracket before it
-    factors = []
+def _value(w: BracketedWord) -> list:
+    # the product of the factors' values, folded left to right.  [w]^s is P
+    # applied s times; past the first the value is one bracket, so the rest
+    # add to its power, and it merges with a bracket before it
+    value = []
     for f in w.factors:
         if isinstance(f, Bracket):
-            value = _reduce(f.core)
-            for _ in range(f.power):
-                value = _apply_p(value)
-            f = value.factors[0]
-            if factors and isinstance(factors[-1], Bracket):
-                f = _merge_brackets(factors.pop(), f)
-        factors.append(f)
-    return BracketedWord(tuple(factors))
+            node = _apply_p(_value(f.core))
+            node.power += f.power - 1
+            if value and isinstance(value[-1], _Node):
+                _merge(value[-1], node)
+                continue
+            f = node
+        value.append(f)
+    return value
 
 
 # ---------------------------------------------------------------------------

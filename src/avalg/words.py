@@ -262,25 +262,29 @@ def render_word(w: Union[BracketedWord, "AveragingWord"]) -> str:
     """Deterministic inverse of :func:`parse_word`.
 
     A space separates two adjacent letters; everything else is unspaced and
-    nested brackets collapse into ``^s``.
+    nested brackets collapse into ``^s``.  Iterative, so any depth renders.
     """
-    w = raw(w)
     parts = []
+    stack = []  # (factors left to render, text that closes their bracket)
+    factors, close = iter(raw(w).factors), ""
     prev_letter = False
-    for f in w.factors:
-        if isinstance(f, Letter):
-            if prev_letter:
-                parts.append(" ")
-            parts.append(f.symbol)
-            prev_letter = True
+    while True:
+        for f in factors:
+            if isinstance(f, Letter):
+                parts.append(" " + f.symbol if prev_letter else f.symbol)
+                prev_letter = True
+            else:
+                parts.append("[")
+                stack.append((factors, close))
+                factors, close = iter(f.core.factors), "]" if f.power == 1 else f"]^{f.power}"
+                prev_letter = False
+                break
         else:
-            parts.append("[")
-            parts.append(render_word(f.core))
-            parts.append("]")
-            if f.power > 1:
-                parts.append(f"^{f.power}")
+            parts.append(close)
+            if not stack:
+                return "".join(parts)
+            factors, close = stack.pop()
             prev_letter = False
-    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

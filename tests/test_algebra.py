@@ -123,6 +123,48 @@ class TestReduce:
             concat = BracketedWord(u.word.factors + v.word.factors)
             assert diamond(u, v) == reduce(concat)
 
+    def test_long_merge_chain(self):
+        # every merge appends at the foot of a 20000-deep spine; a core that
+        # rebuilt the spine per merge would be quadratic and recurse per level
+        L = 20000
+        assert render_word(reduce(parse_word("[x]" * L))) == "[x" * L + "]" * L
+
+
+class TestInputsUnchanged:
+    """The evaluation core edits its values in place; no input may change."""
+
+    def test_reduce_twice(self):
+        for text in ("[x][x]^2[[y]x]^3", "[x]" * 30, "[[x]y]^2x[x[y]^3][y]", "x[[x]]y[x][y]^2"):
+            w = parse_word(text)
+            before = render_word(w)
+            first, second = reduce(w), reduce(w)
+            assert render_word(w) == before
+            assert first == second == rewrite_reduce(w)
+
+    def test_reused_bracket_object(self):
+        from avalg.words import bracket, letter, word
+
+        b = bracket(parse_word("x[y]^2"))
+        for w in (word(b, letter("x"), b, b), word(bracket(word(b, b)), b)):
+            before = render_word(w)
+            nf = reduce(w)
+            assert render_word(w) == before
+            assert render_word(word(b)) == "[x[y]^2]"
+            assert nf == rewrite_reduce(w)
+
+    def test_diamond_and_apply_p_on_certified_words(self):
+        from avalg.words import Bracket, BracketedWord
+
+        rng = random.Random(29)
+        texts = ["[x[y]]", "[x[y[x]]]^2", "[x]y[x[y]]", "[x[y]]^3x[y]^2"]
+        texts += [render_word(random_averaging_word(rng, max_depth=4)) for _ in range(150)]
+        for text in texts:
+            u = aw(text)
+            product, applied = diamond(u, u), apply_p(u)
+            assert render_word(u) == text
+            assert product == rewrite_reduce(BracketedWord(u.word.factors * 2))
+            assert applied == rewrite_reduce(BracketedWord((Bracket(u.word, 1),)))
+
 
 class TestRewriteReduce:
     def test_power_tail_rule(self):

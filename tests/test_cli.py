@@ -213,6 +213,12 @@ class TestExitCodes:
         assert proc.stderr.startswith("resource exhausted: ")
         assert "Traceback" not in proc.stderr
 
+    def test_long_merge_chain_normalizes(self):
+        # the normal form is 5000 brackets deep; evaluation and rendering
+        # must not recurse per level of it
+        proc = run_cli("normalize", "[x]" * 5000)
+        assert payload_of(proc) == {"word": "[x" * 5000 + "]" * 5000}
+
     def test_long_word_to_tree_is_resource_exhaustion(self):
         proc = run_cli("word2tree", "x[x]" * 1200)
         assert proc.returncode == 5
