@@ -32,7 +32,6 @@ from .words import (
     raw,
     render_word,
     tail_index,
-    word,
     word_key,
     word_size,
 )
@@ -216,77 +215,195 @@ class StepBudgetExceeded(RuntimeError):
     """The rewrite loop ran past its step budget; signals a termination bug."""
 
 
-def _unwrap(b: Bracket) -> BracketedWord:
-    """Content of the outermost literal layer of ``b``."""
-    return b.core if b.power == 1 else word(Bracket(b.core, b.power - 1))
+class _Cell:
+    """A bracket ``[core]^power`` that the rewrite engine owns.
+
+    ``core`` is a list of factors: letters, frozen brackets and cells.
+    ``clean`` records that no redex lies inside the core, so a search need
+    not enter it again.
+    """
+
+    __slots__ = ("core", "power", "clean")
+
+    def __init__(self, core: list, power: int, clean: bool = False):
+        self.core = core
+        self.power = power
+        self.clean = clean
 
 
-def _rule_adjacent(left: Bracket, right: Bracket) -> Bracket:
-    # [U][V] -> [U[V]] applied to the outermost layer of the left factor
-    return Bracket(BracketedWord(_unwrap(left).factors + (right,)), 1)
+def _owned(f, clean: bool = False) -> _Cell:
+    """``f`` itself if it is a cell; a frozen bracket is copied one level deep."""
+    if type(f) is _Cell:
+        return f
+    return _Cell(list(f.core.factors), f.power, clean)
 
 
-def _rule_bracket_headed(b: Bracket):
-    # [[U]v] -> [U[v]] with v nonempty, at the innermost layer of b
-    core = b.core
-    if len(core.factors) < 2 or not isinstance(core.factors[0], Bracket):
-        return None
-    head = core.factors[0]
-    rest = BracketedWord(core.factors[1:])
-    new_core = BracketedWord(_unwrap(head).factors + (Bracket(rest, 1),))
-    return Bracket(new_core, b.power)
+def _frozen(top: list) -> tuple:
+    """The factor tuple of the engine's word; cells are replaced bottom-up by
+    brackets, without recursion, and frozen factors pass through."""
+    cells = []  # (list, index) of every cell, after the cell that holds it
+    todo = [top]
+    while todo:
+        factors = todo.pop()
+        for k, f in enumerate(factors):
+            if type(f) is _Cell:
+                cells.append((factors, k))
+                todo.append(f.core)
+    for factors, k in reversed(cells):
+        cell = factors[k]
+        factors[k] = Bracket(BracketedWord(tuple(cell.core)), cell.power)
+    return tuple(top)
 
 
-def _rule_power_tail(b: Bracket):
-    # [u[v]^s] -> [u[v]]^s with s >= 2, u nonempty, at the innermost layer
-    core = b.core
-    if len(core.factors) < 2:
-        return None
-    last = core.factors[-1]
-    if not isinstance(last, Bracket) or last.power < 2:
-        return None
-    new_core = BracketedWord(core.factors[:-1] + (Bracket(last.core, 1),))
-    return Bracket(new_core, last.power + b.power - 1)
+def _rewrite(w: BracketedWord, innermost: bool, budget: Union[int, None]):
+    """Rewrite ``w`` at its leftmost redex until none is left.
 
+    Returns the normal form's factor tuple, or None when ``w`` has no redex.
+    The search walks ``w`` with an explicit stack of ``(factors, index,
+    owner)`` frames; ``owner`` is the bracket whose core is ``factors``.  The
+    innermost strategy searches a bracket's core before its own rules, the
+    outermost one after; the rules of ``factors[i]`` come in the order R2, R3,
+    then R1 with ``factors[i+1]``.  A rewrite thaws the frozen brackets on its
+    path into cells, and the search resumes where the rewrite can have made a
+    redex: innermost, at the junction the rule made inside the rewritten
+    bracket; outermost, at the rewritten bracket, after R3 of each owner whose
+    last factor gained a power and the rules of an owner that R1 left with a
+    one-bracket core.  Every verdict passed before a rewrite still holds, so
+    the redexes are those that restarting at the top would find.
+    """
+    factors, i, owner = w.factors, 0, None
+    stack = []
+    local = not innermost  # at factors[i], the bracket's rules come next
+    steps = 0
 
-def _step(w: BracketedWord, innermost: bool):
-    """One rewrite at the leftmost redex; None when ``w`` is a normal form."""
-    factors = w.factors
+    def spend():
+        nonlocal budget, steps
+        if budget is None:
+            budget = 10 * word_size(w) ** 2
+        if steps >= budget:
+            raise StepBudgetExceeded(f"no normal form within {budget} steps")
+        steps += 1
 
-    def local(idx: int):
-        f = factors[idx]
-        if isinstance(f, Bracket):
-            replaced = _rule_bracket_headed(f)
-            if replaced is None:
-                replaced = _rule_power_tail(f)
-            if replaced is not None:
-                return BracketedWord(factors[:idx] + (replaced,) + factors[idx + 1:])
-        if (
-            idx + 1 < len(factors)
-            and isinstance(f, Bracket)
-            and isinstance(factors[idx + 1], Bracket)
-        ):
-            merged = _rule_adjacent(f, factors[idx + 1])
-            return BracketedWord(factors[:idx] + (merged,) + factors[idx + 2:])
-        return None
+    def climb(factors, i, owner, depth):
+        # factors[i] gained a power: R3 at each owner it now ends with a power
+        # >= 2 (R2 there was ruled out before the search entered that owner)
+        while owner is not None and i == len(factors) - 1 and i and factors[i].power > 1:
+            spend()
+            f = factors[i]
+            owner.power += f.power - 1
+            f.power = 1
+            depth -= 1
+            factors, i, owner = stack[depth]
 
-    def descend(idx: int):
-        f = factors[idx]
-        if isinstance(f, Bracket):
-            stepped = _step(f.core, innermost)
-            if stepped is not None:
-                return BracketedWord(
-                    factors[:idx] + (Bracket(stepped, f.power),) + factors[idx + 1:]
-                )
-        return None
+    while True:
+        if i == len(factors):
+            if not stack:
+                return None if type(factors) is tuple else _frozen(factors)
+            if type(owner) is _Cell:
+                owner.clean = True
+            factors, i, owner = stack.pop()
+            i += not innermost
+            local = True
+            continue
+        f = factors[i]
+        if type(f) is Letter:
+            i += 1
+            local = not innermost
+            continue
+        core = f.core if type(f) is _Cell else f.core.factors
+        if not local:
+            if type(f) is not _Cell or not f.clean:
+                stack.append((factors, i, owner))
+                factors, i, owner = core, 0, f
+                local = not innermost
+                continue
+            i += not innermost
+            local = True
+            continue
+        if len(core) > 1 and type(core[0]) is not Letter:
+            rule = 2
+        elif len(core) > 1 and type(core[-1]) is not Letter and core[-1].power > 1:
+            rule = 3
+        elif i + 1 < len(factors) and type(factors[i + 1]) is not Letter:
+            rule = 1
+        else:
+            i += innermost
+            local = False
+            continue
 
-    order = (descend, local) if innermost else (local, descend)
-    for idx in range(len(factors)):
-        for attempt in order:
-            result = attempt(idx)
-            if result is not None:
-                return result
-    return None
+        spend()
+        if type(factors) is tuple:
+            # thaw the frozen frames at the foot of the path, top down
+            stack.append((factors, i, owner))
+            d = len(stack) - 1
+            while d and type(stack[d - 1][0]) is tuple:
+                d -= 1
+            for k in range(d, len(stack)):
+                frozen, at, b = stack[k]
+                if k == 0:
+                    stack[k] = (list(frozen), at, None)
+                else:
+                    up, up_at, _ = stack[k - 1]
+                    cell = up[up_at] = _owned(b)
+                    stack[k] = (cell.core, at, cell)
+            factors, i, owner = stack.pop()
+
+        if rule == 1:
+            # [u]^s [v] -> [u'[v]] with u' = u, or [u]^(s-1) when s >= 2
+            f, right = factors[i], factors.pop(i + 1)
+            if f.power == 1:
+                node = _owned(f)
+                node.clean = False
+                node.core.append(right)
+            else:
+                f = _owned(f, innermost)
+                f.power -= 1
+                node = _Cell([f, right], 1)
+            factors[i] = node
+            junction = len(node.core) - 2
+            if owner is not None and len(factors) == 1:
+                # the owner's core is the one bracket [u'[v]]: they collapse
+                owner.core = node.core
+                owner.power += 1
+                owner.clean = False
+                if innermost:
+                    factors, i = node.core, junction
+                else:
+                    factors, i, owner = stack.pop()
+                    climb(factors, i, owner, len(stack))
+            elif innermost:
+                stack.append((factors, i, owner))
+                factors, i, owner = node.core, junction, node
+        elif rule == 2:
+            # [[u]^t v]^s -> [u'[v]]^s with u' = u, or [u]^(t-1) when t >= 2
+            f = factors[i] = _owned(f)
+            rest = f.core
+            head = rest.pop(0)
+            if len(rest) == 1 and type(rest[0]) is not Letter:
+                tail = _owned(rest[0])  # [[v]^r] is [v]^(r+1)
+                tail.power += 1
+            else:
+                tail = _Cell(rest, 1, innermost)
+            if head.power == 1:
+                f.core = _owned(head).core
+            else:
+                head = _owned(head, innermost)
+                head.power -= 1
+                f.core = [head]
+            f.core.append(tail)
+            f.clean = False
+            if innermost:
+                stack.append((factors, i, owner))
+                factors, i, owner = f.core, len(f.core) - 2, f
+        else:
+            # [u[v]^t]^s -> [u[v]]^(t+s-1)
+            f = factors[i] = _owned(f)
+            last = f.core[-1] = _owned(f.core[-1], innermost)
+            f.power += last.power - 1
+            last.power = 1
+            if not innermost:
+                climb(factors, i, owner, len(stack))
+        local = True
 
 
 def rewrite_reduce(w: Union[BracketedWord, AveragingWord], strategy: str = "innermost",
@@ -297,22 +414,17 @@ def rewrite_reduce(w: Union[BracketedWord, AveragingWord], strategy: str = "inne
     R2: [[u]v] -> [u[v]]        (v nonempty)
     R3: [u[v]^s] -> [u[v]]^s    (s >= 2, u nonempty)
 
-    Independent of :func:`reduce`; the two must agree on every input.
+    Each step rewrites the leftmost redex in the chosen strategy's search
+    order, at O(1) amortised cost after the first scan.  At most ``budget``
+    steps are made (default ``10 * size^2``).  Independent of
+    :func:`reduce`; the two must agree on every input, and the result is
+    certified by a scan.
     """
     if strategy not in ("innermost", "outermost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     current = raw(w)
-    if budget is None:
-        budget = 10 * word_size(current) ** 2
-    innermost = strategy == "innermost"
-    for _ in range(budget):
-        stepped = _step(current, innermost)
-        if stepped is None:
-            return AveragingWord(current)
-        current = stepped
-    if _step(current, innermost) is None:
-        return AveragingWord(current)
-    raise StepBudgetExceeded(f"no normal form within {budget} steps")
+    factors = _rewrite(current, strategy == "innermost", budget)
+    return AveragingWord(current if factors is None else BracketedWord(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -185,8 +185,17 @@ def arity(w: BracketedWord) -> int:
 
 
 def word_size(w: BracketedWord) -> int:
-    """Letters plus bracket pairs; the node count of the word."""
-    return arity(w) + degree(w)
+    """Letters plus bracket pairs; the node count of the word.  Iterative, so
+    any depth counts."""
+    size, todo = 0, [w]
+    while todo:
+        for f in todo.pop().factors:
+            if isinstance(f, Bracket):
+                size += f.power
+                todo.append(f.core)
+            else:
+                size += 1
+    return size
 
 
 def letters_of(w: BracketedWord) -> set:

@@ -45,6 +45,11 @@ class TestGoldenOutputs:
         )
         assert proc.returncode == 3
 
+    def test_normalize_rewrite_deep_word(self):
+        # the default step budget is computed without recursion
+        proc = run_cli("normalize", "[x" * 600 + "[x][x]" + "]" * 600, "--method", "rewrite")
+        assert payload_of(proc) == {"word": "[x" * 602 + "]" * 602}
+
     def test_product_words(self):
         payload = payload_of(run_cli("product", "[x[x]]^2", "[x]^3"))
         assert payload == {"terms": [{"coeff": "1", "word": "[x[x[x]]]^4"}]}
