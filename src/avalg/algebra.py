@@ -168,12 +168,17 @@ def diamond(u: Union[AveragingWord, BracketedWord],
 def apply_p(u: Union[AveragingWord, BracketedWord]) -> AveragingWord:
     """The averaging operator on normal forms.
 
-    Copies the top level and, when the word has more than one factor, the
-    first bracket's right spine: the places the operator edits.
+    A word that starts with a letter and ends in a letter or a power-1
+    bracket is wrapped as it is.  Otherwise copies the top level and, when
+    the word has more than one factor, the first bracket's right spine: the
+    places the operator edits.
     """
-    factors = certified(u).word.factors
-    value = list(factors)
+    w = certified(u).word
+    factors = w.factors
     first, last = factors[0], factors[-1]
+    if isinstance(first, Letter) and (isinstance(last, Letter) or last.power == 1):
+        return _normal(BracketedWord((Bracket(w),)))
+    value = list(factors)
     if isinstance(first, Bracket):
         value[0] = _thaw(first, spine=len(factors) > 1)
     if isinstance(last, Bracket) and len(factors) > 1:

@@ -31,12 +31,9 @@ from .words import (
     BracketedWord,
     Letter,
     _averaging_factors,
-    breadth,
-    head_index,
     raw,
     render_word,
     substitute_letters,
-    tail_index,
 )
 
 __all__ = [
@@ -105,15 +102,20 @@ def count_compositions(m: int, k: int, cap: Cap = math.inf) -> int:
 # ---------------------------------------------------------------------------
 # Word generation under the idempotent convention
 
+def _cell_factors(cap: Cap, n: int, m: int) -> tuple:
+    """Factor tuples of the words of degree n and arity m, in generation order."""
+    return (_averaging_factors("x", m, n, 1, cap, 0)
+            + _averaging_factors("x", m, n, 1, cap, 1))
+
+
+def _canonical(found) -> tuple:
+    """Factor tuples as words, in canonical (rendered) order."""
+    return tuple(sorted(map(BracketedWord, found), key=render_word))
+
+
 def averaging_words_v(run_cap: Cap, n: int, m: int) -> tuple:
     """The words of degree n and arity m, canonical order (no trivial word)."""
-    cap = _check_cap(run_cap)
-    found = [
-        BracketedWord(factors)
-        for head in (0, 1)
-        for factors in _averaging_factors("x", m, n, 1, cap, head)
-    ]
-    return tuple(sorted(found, key=render_word))
+    return _canonical(_cell_factors(_check_cap(run_cap), n, m))
 
 
 def indecomposable_words_v(run_cap: Cap, n: int, m: int = -1) -> tuple:
@@ -128,12 +130,8 @@ def indecomposable_words_v(run_cap: Cap, n: int, m: int = -1) -> tuple:
     arities = [m] if m >= 0 else range(1, int(cap) * max(2 * n - 1, 1) + 1)
     out = []
     for mm in arities:
-        found = [
-            BracketedWord(factors)
-            for factors in _averaging_factors("x", mm, n, 1, cap, 1)
-            if len(factors) == 1
-        ]
-        out.extend(sorted(found, key=render_word))
+        found = _averaging_factors("x", mm, n, 1, cap, 1)
+        out.extend(_canonical(f for f in found if len(f) == 1))
     return tuple(out)
 
 
@@ -210,25 +208,25 @@ def census(run_cap: Cap, max_degree: int, max_arity: int, include_one: bool = Fa
     tables = {name: {} for name in "abcdi"}
     words = {} if list_words else None
     for n, m in cells:
-        all_words = averaging_words_v(cap, n, m)
-        if len(all_words) != expected.count(n, m):
+        found = _cell_factors(cap, n, m)
+        if len(found) != expected.count(n, m):
             raise AssertionError(
-                f"census generated {len(all_words)} words of degree {n} and arity {m},"
+                f"census generated {len(found)} words of degree {n} and arity {m},"
                 f" the series predicts {expected.count(n, m)}"
             )
-        brk = [w for w in all_words if head_index(w) == tail_index(w) == 1]
-        ind = sum(1 for w in brk if breadth(w) == 1)
-        if all_words:
-            tables["a"][(n, m)] = len(all_words)
+        brk = [f for f in found if isinstance(f[0], Bracket) and isinstance(f[-1], Bracket)]
+        ind = sum(1 for f in brk if len(f) == 1)
+        if found:
+            tables["a"][(n, m)] = len(found)
         if brk:
             tables["b"][(n, m)] = len(brk)
             tables["i"][(n, m)] = ind
             if len(brk) - ind:
                 tables["d"][(n, m)] = len(brk) - ind
-        if len(all_words) - len(brk):
-            tables["c"][(n, m)] = len(all_words) - len(brk)
-        if words is not None and all_words:
-            words[(n, m)] = all_words
+        if len(found) - len(brk):
+            tables["c"][(n, m)] = len(found) - len(brk)
+        if words is not None and found:
+            words[(n, m)] = _canonical(found)
     if include_one:
         tables["a"][(0, 0)] = 1
 

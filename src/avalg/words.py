@@ -369,26 +369,38 @@ def factor_at(w: BracketedWord, path: Sequence[int]) -> Factor:
     return f
 
 
-def _scan_violation(w: BracketedWord, prefix: tuple = ()) -> Union[Violation, None]:
-    for idx, f in enumerate(w.factors):
-        if isinstance(f, Bracket):
-            found = _scan_violation(f.core, prefix + (idx,))
-            if found is not None:
-                return found
-            core = f.core
-            if len(core.factors) >= 2:
-                if isinstance(core.factors[0], Bracket):
-                    return Violation(ForbiddenPattern.BRACKET_HEADED, prefix + (idx,))
-                last = core.factors[-1]
+def _scan_violation(w: BracketedWord) -> Union[Violation, None]:
+    """The leftmost-innermost violation in ``w``, or None.  Iterative, so any
+    depth scans: a bracket is checked once its core has been scanned clean,
+    before the factor after it is visited."""
+    stack = []  # (factors, their iterator, index of the bracket entered)
+    factors = w.factors
+    it = enumerate(factors)
+    while True:
+        for idx, f in it:
+            if isinstance(f, Bracket):
+                stack.append((factors, it, idx))
+                factors = f.core.factors
+                it = enumerate(factors)
+                break
+        else:
+            if not stack:
+                return None
+            core = factors
+            factors, it, idx = stack.pop()
+            if len(core) >= 2:
+                if isinstance(core[0], Bracket):
+                    pattern = ForbiddenPattern.BRACKET_HEADED
+                    break
+                last = core[-1]
                 if isinstance(last, Bracket) and last.power >= 2:
-                    return Violation(ForbiddenPattern.POWER_TAIL, prefix + (idx,))
-        if (
-            idx + 1 < len(w.factors)
-            and isinstance(f, Bracket)
-            and isinstance(w.factors[idx + 1], Bracket)
-        ):
-            return Violation(ForbiddenPattern.ADJACENT_BRACKETS, prefix + (idx,))
-    return None
+                    pattern = ForbiddenPattern.POWER_TAIL
+                    break
+            if idx + 1 < len(factors) and isinstance(factors[idx + 1], Bracket):
+                pattern = ForbiddenPattern.ADJACENT_BRACKETS
+                break
+    # only a violation leaves the loop; the bracket at idx is where it lies
+    return Violation(pattern, tuple([frame[2] for frame in stack]) + (idx,))
 
 
 class InvalidAveragingWord(ValueError):
@@ -523,18 +535,26 @@ def _averaging_factors(sym: str, a: int, d: int, power_cap: Union[int, float],
         return tuple(out)
     for ba in range(1, a + 1):
         for bd in range(1, d + 1):
-            brackets = [
-                Bracket(BracketedWord(core), s)
-                for s in range(1, min(bd, power_cap) + 1)
-                for core in _averaging_factors(sym, ba, bd - s, power_cap, run_cap, 0)
-                if not (isinstance(core[-1], Bracket) and core[-1].power >= 2)
-            ]
+            brackets = _averaging_brackets(sym, ba, bd, power_cap, run_cap)
             if (ba, bd) == (a, d):
                 out.extend((b,) for b in brackets)
             else:
                 rests = _averaging_factors(sym, a - ba, d - bd, power_cap, run_cap, 0)
                 out.extend((b,) + rest for b in brackets for rest in rests)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _averaging_brackets(sym: str, a: int, d: int, power_cap: Union[int, float],
+                        run_cap: Union[int, float]) -> tuple:
+    """The brackets ``[core]^s`` of arity ``a`` and degree ``d`` that may stand
+    in an averaging word, built once for every word that contains them."""
+    return tuple(
+        Bracket(BracketedWord(core), s)
+        for s in range(1, min(d, power_cap) + 1)
+        for core in _averaging_factors(sym, a, d - s, power_cap, run_cap, 0)
+        if not (isinstance(core[-1], Bracket) and core[-1].power >= 2)
+    )
 
 
 def iter_averaging_words(

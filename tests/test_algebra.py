@@ -77,6 +77,13 @@ class TestApplyP:
         assert apply_p(aw("[x]")) == aw("[x]^2")
         assert apply_p(aw("x[x]")) == aw("[x[x]]")
 
+    @pytest.mark.parametrize("text", ["x", "x y", "x[y]^2x", "x[x]", "x[y[x]]"])
+    def test_plain_wrap_keeps_the_input_word(self, text):
+        # head 0 and a letter or power-1 bracket at the tail: the core of the
+        # result is the certified input word itself, not a copy
+        u = aw(text)
+        assert apply_p(u).word.factors[0].core is u.word
+
     def test_averaging_identities_sampled(self):
         rng = random.Random(23)
         for _ in range(500):

@@ -173,8 +173,8 @@ class TestExitCodes:
         # a word lost by the generator is caught even with asserts stripped
         script = (
             "import sys, avalg.cli as cli, avalg.enumeration as enum\n"
-            "full = enum.averaging_words_v\n"
-            "enum.averaging_words_v = lambda cap, n, m: full(cap, n, m)[1:]\n"
+            "full = enum._cell_factors\n"
+            "enum._cell_factors = lambda cap, n, m: full(cap, n, m)[1:]\n"
             "sys.exit(cli.main(['census', '--max-degree', '2']))\n"
         )
         proc = subprocess.run(

@@ -126,6 +126,19 @@ class TestCensus:
                     assert all(r <= (cap if cap != math.inf else r) for r in runs)
                     assert "^" not in render_word(w)  # powers all 1
 
+    @pytest.mark.parametrize("cap", [1, 2, math.inf])
+    def test_listed_words_are_the_canonical_cells(self, cap):
+        # census counts unsorted and sorts only the words it lists; each
+        # listed cell must be averaging_words_v's cell, in the same order
+        result = census(cap, 4, 9, list_words=True)
+        for n in range(5):
+            for m in range(1, 10):
+                listed = result.words.get((n, m), ())
+                assert listed == averaging_words_v(cap, n, m), (n, m)
+                assert len(listed) == result.a.count(n, m)
+                texts = [render_word(w) for w in listed]
+                assert texts == sorted(texts)
+
     def test_census_agrees_with_validator_filter(self):
         # independent route: every bracketed word of size <= 10 that the
         # validator accepts, with powers 1, classified by its end factors

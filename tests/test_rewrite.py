@@ -103,6 +103,17 @@ class TestDepth:
         w = parse_word("[x" * n + "[x][x]" + "]" * n)
         assert render_word(rewrite_reduce(w, strategy)) == render_word(reduce(w))
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_deeper_than_the_recursion_limit(self, strategy):
+        # x[x[...[x][x]...]] 1,500 levels deep, built without the recursive
+        # parser; the result is certified by the iterative scan
+        n, x = 1500, Letter("x")
+        w = BracketedWord((Bracket(BracketedWord((x,))), Bracket(BracketedWord((x,)))))
+        for _ in range(n):
+            w = BracketedWord((x, Bracket(w)))
+        expected = "x[" * n + "x[x]" + "]" * (n - 1) + "]^2"
+        assert render_word(rewrite_reduce(w, strategy)) == expected
+
     def test_adjacent_400(self):
         # 79,800 steps; each costs O(1) amortised, so this takes well under 1 s
         w = parse_word(adjacent_text(400))

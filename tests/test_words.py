@@ -189,6 +189,52 @@ class TestValidate:
         with pytest.raises(InvalidAveragingWord):
             AveragingWord(bw("[x][x]"))
 
+    def test_scan_matches_recursive_definition(self):
+        # the scan is iterative; this recursive definition of the
+        # leftmost-innermost order is its reference
+        def reference(w, prefix=()):
+            for idx, f in enumerate(w.factors):
+                if isinstance(f, Bracket):
+                    found = reference(f.core, prefix + (idx,))
+                    if found is not None:
+                        return found
+                    core = f.core.factors
+                    if len(core) >= 2 and isinstance(core[0], Bracket):
+                        return Violation(ForbiddenPattern.BRACKET_HEADED, prefix + (idx,))
+                    if len(core) >= 2 and isinstance(core[-1], Bracket) and core[-1].power >= 2:
+                        return Violation(ForbiddenPattern.POWER_TAIL, prefix + (idx,))
+                    if idx + 1 < len(w.factors) and isinstance(w.factors[idx + 1], Bracket):
+                        return Violation(ForbiddenPattern.ADJACENT_BRACKETS, prefix + (idx,))
+            return None
+
+        rng = random.Random(1401)
+        samples = [random_bracketed_word(rng, max_size=30) for _ in range(3000)]
+        samples += [random_averaging_word(rng).word for _ in range(500)]
+        kinds = set()
+        for w in samples:
+            expected, got = reference(w), validate_averaging(w)
+            if expected is None:
+                assert isinstance(got, AveragingWord)
+            else:
+                assert got == expected
+                kinds.add((got.pattern, len(got.path) > 1))
+        assert len(kinds) == 6  # every pattern, at the top level and nested
+
+    def test_deeper_than_the_recursion_limit(self):
+        # x[x[...[x][x]...]] and its normal form x[x[...x[x]...]]^2, 1,500
+        # levels each, built without the recursive parser
+        n = 1500
+        w = word(Bracket(word(x)), Bracket(word(x)))
+        normal = word(x, Bracket(word(x)))
+        for _ in range(n):
+            w = word(x, Bracket(w))
+        for _ in range(n - 1):
+            normal = word(x, Bracket(normal))
+        normal = word(x, Bracket(normal, 2))
+        got = validate_averaging(w)
+        assert got == Violation(ForbiddenPattern.ADJACENT_BRACKETS, (1,) * n + (0,))
+        assert validate_averaging(normal).word is normal
+
 
 class TestPeel:
     def test_power_two(self):
