@@ -439,6 +439,18 @@ class LinCombSyntaxError(ValueError):
     pass
 
 
+def _collect(pairs, certify: Callable, key: Callable) -> tuple:
+    """Formal-sum terms: each item certified by ``certify`` before its coefficient
+    is made a Fraction; equal items add, zeros drop, sorted by ``key``."""
+    acc: dict = {}
+    for x, c in pairs:
+        x = certify(x)
+        c = Fraction(c)
+        if c:
+            acc[x] = acc.get(x, Fraction(0)) + c
+    return tuple(sorted(((x, c) for x, c in acc.items() if c), key=lambda xc: key(xc[0])))
+
+
 @dataclass(frozen=True)
 class LinearCombination:
     """Finite formal sum of averaging words, zero coefficients dropped.
@@ -453,15 +465,7 @@ class LinearCombination:
 
     @staticmethod
     def from_terms(pairs) -> "LinearCombination":
-        acc: dict = {}
-        for w, c in pairs:
-            w = certified(w)
-            c = Fraction(c)
-            if c:
-                acc[w] = acc.get(w, Fraction(0)) + c
-        items = [(w, c) for w, c in acc.items() if c]
-        items.sort(key=lambda wc: word_key(wc[0]))
-        return LinearCombination(tuple(items))
+        return LinearCombination(_collect(pairs, certified, word_key))
 
     @staticmethod
     def of(w, coeff=1) -> "LinearCombination":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .algebra import apply_p, diamond, reduce
+from .algebra import _collect, apply_p, diamond, reduce
 from .trees import (
     LEAF,
     AveragingTree,
@@ -94,15 +94,7 @@ class OperadElement:
 
     @staticmethod
     def from_terms(arity: int, pairs) -> "OperadElement":
-        acc: dict = {}
-        for t, c in pairs:
-            t = _as_tree(t)
-            c = Fraction(c)
-            if c:
-                acc[t] = acc.get(t, Fraction(0)) + c
-        items = [(t, c) for t, c in acc.items() if c]
-        items.sort(key=lambda tc: _tree_key(tc[0]))
-        return OperadElement(arity, tuple(items))
+        return OperadElement(arity, _collect(pairs, _as_tree, _tree_key))
 
     @staticmethod
     def of(t: TreeLike, coeff=1) -> "OperadElement":

@@ -566,32 +566,7 @@ def render_binary_tree(t: UnreducedBinaryTree) -> str:
 
 
 def parse_binary_tree(text: str) -> UnreducedBinaryTree:
-    tree, pos = _parse_binary(text, _skip(text, 0))
-    pos = _skip(text, pos)
-    if pos != len(text):
-        raise TreeSyntaxError(f"trailing input at position {pos}")
-    return tree
-
-
-def _parse_binary(text: str, pos: int):
-    if pos >= len(text):
-        raise TreeSyntaxError("unexpected end of tree term")
-    ch = text[pos]
-    if ch == "L":
-        return LEAF, pos + 1
-    if ch == "U":
-        pos = _expect(text, pos + 1, "(")
-        child, pos = _parse_binary(text, _skip(text, pos))
-        pos = _expect(text, _skip(text, pos), ")")
-        return Uni(child), pos
-    if ch == "B":
-        pos = _expect(text, pos + 1, "(")
-        left, pos = _parse_binary(text, _skip(text, pos))
-        pos = _expect(text, _skip(text, pos), ",")
-        right, pos = _parse_binary(text, _skip(text, pos))
-        pos = _expect(text, _skip(text, pos), ")")
-        return Bi(left, right), pos
-    raise TreeSyntaxError(f"unexpected character {ch!r} at position {pos}")
+    return _read_term(text, {"L": LEAF}, {"U": (1, Uni), "B": (2, Bi)})
 
 
 def render_schroeder_tree(t: SchroederTree) -> str:
@@ -601,35 +576,46 @@ def render_schroeder_tree(t: SchroederTree) -> str:
 
 
 def parse_schroeder_tree(text: str) -> SchroederTree:
-    tree, pos = _parse_schroeder(text, _skip(text, 0))
-    pos = _skip(text, pos)
-    if pos != len(text):
-        raise TreeSyntaxError(f"trailing input at position {pos}")
-    return tree
+    return _read_term(
+        text, {"i": _IOTA_LEAF, "o": _OMEGA_LEAF}, {"w": (None, lambda *bs: SNode(bs))}
+    )
 
 
-def _parse_schroeder(text: str, pos: int):
-    if pos >= len(text):
-        raise TreeSyntaxError("unexpected end of tree term")
-    ch = text[pos]
-    if ch == "i":
-        return _IOTA_LEAF, pos + 1
-    if ch == "o":
-        return _OMEGA_LEAF, pos + 1
-    if ch == "w":
-        pos = _expect(text, pos + 1, "(")
-        branches = []
-        while True:
-            branch, pos = _parse_schroeder(text, _skip(text, pos))
-            branches.append(branch)
-            pos = _skip(text, pos)
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-                continue
-            pos = _expect(text, pos, ")")
-            break
-        return SNode(tuple(branches)), pos
-    raise TreeSyntaxError(f"unexpected character {ch!r} at position {pos}")
+def _read_term(text: str, leaves: dict, heads: dict):
+    """Read the whole of ``text`` as one term ``leaf | head(term, ...)``.
+
+    ``leaves`` maps a character to its value; ``heads`` maps a character to
+    its arity (None for any number of terms) and the constructor its terms
+    are passed to.  One loop with an explicit stack, so any depth reads.
+    """
+    stack = []  # (arity, constructor, terms read so far) of each open head
+    pos = _skip(text, 0)
+    while True:
+        if pos >= len(text):
+            raise TreeSyntaxError("unexpected end of tree term")
+        ch = text[pos]
+        if ch in heads:
+            arity, make = heads[ch]
+            stack.append((arity, make, []))
+            pos = _skip(text, _expect(text, pos + 1, "("))
+            continue
+        if ch not in leaves:
+            raise TreeSyntaxError(f"unexpected character {ch!r} at position {pos}")
+        term, pos = leaves[ch], _skip(text, pos + 1)
+        # a finished term closes each head it completes, innermost first
+        while stack:
+            arity, make, terms = stack[-1]
+            terms.append(term)
+            if (len(terms) < arity) if arity else text.startswith(",", pos):
+                pos = _skip(text, _expect(text, pos, ","))
+                break
+            stack.pop()
+            pos = _skip(text, _expect(text, pos, ")"))
+            term = make(*terms)
+        if not stack:
+            if pos != len(text):
+                raise TreeSyntaxError(f"trailing input at position {pos}")
+            return term
 
 
 def _skip(text: str, pos: int) -> int:

@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_POWER_RE = re.compile(r"\d+")
 
 
 class WordSyntaxError(ValueError):
@@ -219,49 +220,45 @@ def word_key(w: Union[BracketedWord, "AveragingWord"]):
 # Parsing and rendering
 
 def parse_word(text: str) -> BracketedWord:
-    """Parse the concrete syntax into a canonical-power-form word."""
-    pos = 0
-    n = len(text)
-
-    def skip_ws(i: int) -> int:
-        while i < n and text[i].isspace():
+    """Parse the concrete syntax into a canonical-power-form word.  One loop
+    with an explicit stack, so any depth parses."""
+    stack = []  # (factors enclosing an open bracket, offset of its '[')
+    factors = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
             i += 1
-        return i
-
-    def parse_factors(i: int) -> tuple:
-        factors = []
-        i = skip_ws(i)
-        while i < n and text[i] != "]":
-            if text[i] == "[":
-                start = i
-                inner, i = parse_factors(i + 1)
-                if i >= n or text[i] != "]":
-                    raise WordSyntaxError("unclosed '['", start)
-                if not inner:
-                    raise WordSyntaxError("empty bracket content", i)
-                i += 1
-                power = 1
-                if i < n and text[i] == "^":
-                    m = re.match(r"\d+", text[i + 1:])
-                    if not m:
-                        raise WordSyntaxError("expected an integer after '^'", i + 1)
-                    power = int(m.group())
-                    if power == 0:
-                        raise WordSyntaxError("zero power", i + 1)
-                    i += 1 + m.end()
-                factors.append(Bracket(BracketedWord(tuple(inner)), power))
-            else:
-                m = _IDENT_RE.match(text, i)
+        elif ch == "[":
+            stack.append((factors, i))
+            factors = []
+            i += 1
+        elif ch == "]":
+            if not stack:
+                raise WordSyntaxError("unmatched ']'", i)
+            if not factors:
+                raise WordSyntaxError("empty bracket content", i)
+            core = BracketedWord(tuple(factors))
+            factors = stack.pop()[0]
+            i += 1
+            power = 1
+            if i < n and text[i] == "^":
+                m = _POWER_RE.match(text, i + 1)
                 if not m:
-                    raise WordSyntaxError(f"unexpected character {text[i]!r}", i)
-                factors.append(Letter(m.group()))
+                    raise WordSyntaxError("expected an integer after '^'", i + 1)
+                power = int(m.group())
+                if power == 0:
+                    raise WordSyntaxError("zero power", i + 1)
                 i = m.end()
-            i = skip_ws(i)
-        return factors, i
-
-    factors, pos = parse_factors(pos)
-    if pos < n:
-        raise WordSyntaxError("unmatched ']'", pos)
+            factors.append(Bracket(core, power))
+        else:
+            m = _IDENT_RE.match(text, i)
+            if not m:
+                raise WordSyntaxError(f"unexpected character {ch!r}", i)
+            factors.append(Letter(m.group()))
+            i = m.end()
+    if stack:
+        raise WordSyntaxError("unclosed '['", stack[-1][1])
     if not factors:
         raise WordSyntaxError("empty word", 0)
     return BracketedWord(tuple(factors))
@@ -364,7 +361,8 @@ def factor_at(w: BracketedWord, path: Sequence[int]) -> Factor:
     """Resolve a :class:`Violation` path to the factor it addresses."""
     f = w.factors[path[0]]
     for idx in path[1:]:
-        assert isinstance(f, Bracket)
+        if not isinstance(f, Bracket):
+            raise ValueError(f"path {tuple(path)} passes through the letter {f.symbol!r}")
         f = f.core.factors[idx]
     return f
 

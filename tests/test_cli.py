@@ -213,10 +213,19 @@ class TestExitCodes:
         assert "diamond changed the head or tail index" in proc.stderr
 
     def test_deep_nesting_is_resource_exhaustion(self):
+        # 1200 nested brackets parse without recursion and are one bracket power
         proc = run_cli("normalize", "[" * 1200 + "x" + "]" * 1200)
+        assert payload_of(proc) == {"word": "[x]^1200"}
+        # evaluation still recurses once per bracket level of the input
+        proc = run_cli("normalize", "[x" * 1200 + "]" * 1200)
         assert proc.returncode == 5
+        assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("resource exhausted: ")
         assert "Traceback" not in proc.stderr
+
+    def test_apply_p_on_deep_nesting(self):
+        proc = run_cli("apply-p", "[" * 1200 + "x" + "]" * 1200)
+        assert payload_of(proc) == {"word": "[x]^1201"}
 
     def test_long_merge_chain_normalizes(self):
         # the normal form is 5000 brackets deep; evaluation and rendering

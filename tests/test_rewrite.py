@@ -1,5 +1,7 @@
 """The rewrite oracle: its step counts, its depth range and its agreement with
-``reduce`` past the sizes of the seeded tests.
+``reduce`` past the sizes of the seeded tests, where it also checks the laws of
+the product and the operator; the bijection and text round trips are
+property-tested on the same words.
 
 A word that needs ``s`` rewrites returns under ``budget=s`` and raises
 ``StepBudgetExceeded`` under ``budget=s-1``, so the budget boundary pins the
@@ -15,8 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avalg.algebra import StepBudgetExceeded, reduce, rewrite_reduce
-from avalg.words import Bracket, BracketedWord, Letter, parse_word, render_word, word_size
+from avalg.algebra import StepBudgetExceeded, apply_p, diamond, reduce, rewrite_reduce
+from avalg.trees import phi, phi_inverse
+from avalg.words import (
+    Bracket,
+    BracketedWord,
+    Letter,
+    bracket,
+    parse_word,
+    render_word,
+    substitute_letters,
+    word,
+    word_size,
+)
 
 STRATEGIES = ("innermost", "outermost")
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "rewrite_steps.json").read_text())
@@ -164,3 +177,43 @@ def test_families_agree_with_reduce(n, family):
     expected = render_word(reduce(w))
     for strategy in STRATEGIES:
         assert render_word(rewrite_reduce(w, strategy)) == expected
+
+
+# reduce keeps the size (letters plus bracket pairs), so these normal forms
+# have size about 30-140
+_normal_words = _words.map(reduce)
+_x_words = _words.map(lambda w: reduce(substitute_letters(w, lambda f: (Letter("x"),))))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_normal_words, _normal_words, _normal_words)
+def test_diamond_is_associative(u, v, w):
+    assert diamond(diamond(u, v), w) == diamond(u, diamond(v, w))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_normal_words, _normal_words)
+def test_averaging_identities(u, v):
+    # P(u)<>P(v) = P(u<>P(v)) = P(P(u)<>v), each side against the unreduced
+    # word it stands for: [u][v], [u[v]] and [[u]v]
+    pu, pv = apply_p(u), apply_p(v)
+    sides = [
+        (diamond(pu, pv), word(bracket(u), bracket(v))),
+        (apply_p(diamond(u, pv)), word(bracket(word(*u.word.factors, bracket(v))))),
+        (apply_p(diamond(pu, v)), word(bracket(word(bracket(u), *v.word.factors)))),
+    ]
+    for side, unreduced in sides:
+        assert side == rewrite_reduce(unreduced)
+    assert sides[0][0] == sides[1][0] == sides[2][0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_x_words)
+def test_tree_bijection_round_trip(w):
+    assert phi_inverse(phi(w)) == w
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_normal_words)
+def test_text_round_trip(w):
+    assert parse_word(render_word(w)) == w.word

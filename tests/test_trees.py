@@ -277,6 +277,67 @@ class TestTextForms:
             else:
                 parse_binary_tree(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "unexpected end of tree term"),
+            ("  ", "unexpected end of tree term"),
+            ("Q", "unexpected character 'Q' at position 0"),
+            ("i", "unexpected character 'i' at position 0"),
+            ("U L", "expected '(' at position 1"),
+            (" U ( L)", "expected '(' at position 2"),
+            ("U(", "unexpected end of tree term"),
+            ("U(L,L)", "expected ')' at position 3"),
+            ("B(L)", "expected ',' at position 3"),
+            ("B(L L)", "expected ',' at position 4"),
+            ("B(L,", "unexpected end of tree term"),
+            ("B(L,L))", "trailing input at position 6"),
+            ("U( L )x", "trailing input at position 6"),
+        ],
+    )
+    def test_binary_error_messages(self, text, message):
+        with pytest.raises(TreeSyntaxError) as err:
+            parse_binary_tree(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "unexpected end of tree term"),
+            ("L", "unexpected character 'L' at position 0"),
+            ("w()", "unexpected character ')' at position 2"),
+            ("w(i,,o)", "unexpected character ',' at position 4"),
+            ("w (i,o)", "expected '(' at position 1"),
+            ("w(i", "expected ')' at position 3"),
+            ("w(i o)", "expected ')' at position 4"),
+            ("w(i,o", "expected ')' at position 5"),
+            ("w(i,o) o", "trailing input at position 7"),
+        ],
+    )
+    def test_schroeder_error_messages(self, text, message):
+        with pytest.raises(TreeSyntaxError) as err:
+            parse_schroeder_tree(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", ["w(o)", "w(o)x", "w(i,w(o))"])
+    def test_one_branch_vertex_fails_in_the_node(self, text):
+        # the vertex is built when its ')' is read, before any trailing input
+        with pytest.raises(ValueError, match="at least two branches"):
+            parse_schroeder_tree(text)
+
+    def test_whitespace_between_tokens(self):
+        assert parse_schroeder_tree(" w( i , o ) ") == SNode((SLeaf("iota"), SLeaf("omega")))
+        assert parse_binary_tree(" B( L ,U( L ) ) ") == Bi(LEAF, Uni(LEAF))
+
+    def test_any_depth(self):
+        tree = AveragingTree(parse_binary_tree("U(B(L," * 5000 + "L" + "))" * 5000))
+        assert tree.arity == 5001
+        deep, levels = parse_schroeder_tree("w(i," * 3000 + "o" + ")" * 3000), 0
+        while isinstance(deep, SNode):
+            assert deep.branches[0] == SLeaf("iota")
+            deep, levels = deep.branches[1], levels + 1
+        assert (levels, deep) == (3000, SLeaf("omega"))
+
     def test_averaging_tree_wrapper_validates(self):
         from avalg.trees import InvalidAveragingTree
 

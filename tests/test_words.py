@@ -68,6 +68,40 @@ class TestParse:
             bw(text)
         assert err.value.position >= 0
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty word (at position 0)"),
+            ("  \n", "empty word (at position 0)"),
+            ("]", "unmatched ']' (at position 0)"),
+            ("x ] [", "unmatched ']' (at position 2)"),
+            ("[x]]", "unmatched ']' (at position 3)"),
+            ("[", "unclosed '[' (at position 0)"),
+            ("x[y[z]", "unclosed '[' (at position 1)"),
+            ("[ ]", "empty bracket content (at position 2)"),
+            ("x[[]x]", "empty bracket content (at position 3)"),
+            ("[]x", "empty bracket content (at position 1)"),
+            ("[x]^", "expected an integer after '^' (at position 4)"),
+            ("[x]^ 2", "expected an integer after '^' (at position 4)"),
+            ("[x]^00", "zero power (at position 4)"),
+            ("1x", "unexpected character '1' (at position 0)"),
+            ("x^2", "unexpected character '^' (at position 1)"),
+            ("[x]^2^3", "unexpected character '^' (at position 5)"),
+            ("[x \u00e9]", "unexpected character '\u00e9' (at position 3)"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(WordSyntaxError) as err:
+            bw(text)
+        assert str(err.value) == message
+
+    def test_unicode_digits_are_a_power(self):
+        assert bw("[x]^\u0663") == word(Bracket(word(x), 3))
+
+    def test_any_depth(self):
+        text = "[x" * 10**4 + "]" * 10**4
+        assert render_word(bw(text)) == text
+
 
 class TestRender:
     def test_examples(self):
@@ -176,6 +210,13 @@ class TestValidate:
         assert isinstance(got, Violation)
         assert got.pattern is ForbiddenPattern.ADJACENT_BRACKETS
         assert got.path == (1, 1)
+
+    def test_factor_at_rejects_a_path_through_a_letter(self):
+        # a ValueError with or without -O, not an assertion or attribute error
+        w = bw("x[y]")
+        assert factor_at(w, (1, 0)) == Letter("y")
+        with pytest.raises(ValueError, match=r"path \(0, 0\) passes through the letter 'x'"):
+            factor_at(w, (0, 0))
 
     def test_innermost_violation_wins(self):
         # the content is both bracket-headed and has adjacent brackets one
