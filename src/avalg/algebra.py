@@ -25,6 +25,7 @@ from .words import (
     Letter,
     WordSyntaxError,
     _normal,
+    _trusted,
     certified,
     head_index,
     parse_word,
@@ -135,7 +136,7 @@ def _freeze(value: list) -> tuple:
         node = factors[i]
         core = node.core
         if isinstance(core, list):
-            core = BracketedWord(tuple(core))
+            core = _trusted(tuple(core))
         factors[i] = Bracket(core, node.power)
     return tuple(value)
 
@@ -143,10 +144,10 @@ def _freeze(value: list) -> tuple:
 def _diamond(u: BracketedWord, v: BracketedWord) -> BracketedWord:
     last, first = u.factors[-1], v.factors[0]
     if isinstance(last, Letter) or isinstance(first, Letter):
-        return BracketedWord(u.factors + v.factors)
+        return _trusted(u.factors + v.factors)
     left = _thaw(last, spine=True)
     _merge(left, _thaw(first))
-    return BracketedWord(u.factors[:-1] + _freeze([left]) + v.factors[1:])
+    return _trusted(u.factors[:-1] + _freeze([left]) + v.factors[1:])
 
 
 def diamond(u: Union[AveragingWord, BracketedWord],
@@ -177,13 +178,13 @@ def apply_p(u: Union[AveragingWord, BracketedWord]) -> AveragingWord:
     factors = w.factors
     first, last = factors[0], factors[-1]
     if isinstance(first, Letter) and (isinstance(last, Letter) or last.power == 1):
-        return _normal(BracketedWord((Bracket(w),)))
+        return _normal(_trusted((Bracket(w),)))
     value = list(factors)
     if isinstance(first, Bracket):
         value[0] = _thaw(first, spine=len(factors) > 1)
     if isinstance(last, Bracket) and len(factors) > 1:
         value[-1] = _thaw(last)
-    return _normal(BracketedWord(_freeze([_apply_p(value)])))
+    return _normal(_trusted(_freeze([_apply_p(value)])))
 
 
 def reduce(w: Union[BracketedWord, AveragingWord]) -> AveragingWord:
@@ -193,7 +194,7 @@ def reduce(w: Union[BracketedWord, AveragingWord]) -> AveragingWord:
     becomes the product and each bracket layer one operator application.
     Identity on averaging words.
     """
-    return _normal(BracketedWord(_freeze(_value(raw(w)))))
+    return _normal(_trusted(_freeze(_value(raw(w)))))
 
 
 def _value(w: BracketedWord) -> list:
@@ -256,7 +257,7 @@ def _frozen(top: list) -> tuple:
                 todo.append(f.core)
     for factors, k in reversed(cells):
         cell = factors[k]
-        factors[k] = Bracket(BracketedWord(tuple(cell.core)), cell.power)
+        factors[k] = Bracket(_trusted(tuple(cell.core)), cell.power)
     return tuple(top)
 
 
@@ -429,7 +430,7 @@ def rewrite_reduce(w: Union[BracketedWord, AveragingWord], strategy: str = "inne
         raise ValueError(f"unknown strategy {strategy!r}")
     current = raw(w)
     factors = _rewrite(current, strategy == "innermost", budget)
-    return AveragingWord(current if factors is None else BracketedWord(factors))
+    return AveragingWord(current if factors is None else _trusted(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .words import (
     BracketedWord,
     Letter,
     _normal,
+    _trusted,
     certified,
     iter_averaging_words,
     letters_of,
@@ -108,8 +109,15 @@ class TLeaf:
 
 @dataclass(frozen=True, slots=True)
 class Uni(_Node):
+    """A uni-vertex.  ``_bracket`` caches the bracket that the uni-chain from
+    here down stands for.  That depends on the subtree alone, so a vertex that
+    tops the chain in one tree and sits mid-chain in another holds the right
+    bracket in both.  ``_phi`` and ``_phi_inverse`` fill it, only ever with
+    brackets over the letter ``x``, which every caller of ``_phi`` guarantees."""
+
     child: "UnreducedBinaryTree"
     _hash: int = field(init=False, repr=False, compare=False)
+    _bracket: Union[Bracket, None] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((1, self.child._hash)))
@@ -346,6 +354,8 @@ def _phi(v: BracketedWord) -> UnreducedBinaryTree:
             t = _phi(f.core)
             for _ in range(f.power):
                 t = _uni(t)
+            if t._bracket is None:
+                object.__setattr__(t, "_bracket", f)
         acc = t if acc is None else _bi(acc, t)
     return acc
 
@@ -362,7 +372,12 @@ _X = Letter("x")
 
 
 def _phi_inverse(t: UnreducedBinaryTree) -> BracketedWord:
-    # bi-vertices concatenate, read left to right; bracket cores recurse
+    """The word of ``t``.  Walks only the bi-vertices and leaves outside
+    brackets, left to right; a uni-chain's bracket is read from its top
+    vertex's cache, or computed once (the core recursively) and stored there,
+    so hash-consed vertices share their words across trees.  Only brackets
+    over ``x`` are stored, which all callers of ``_phi`` guarantee: a word
+    over another letter must never reach ``_phi``."""
     factors = []
     stack = [t]
     while stack:
@@ -371,11 +386,15 @@ def _phi_inverse(t: UnreducedBinaryTree) -> BracketedWord:
             stack.append(s.right)
             stack.append(s.left)
         elif isinstance(s, Uni):
-            power, core = _strip(s)
-            factors.append(Bracket(_phi_inverse(core), power))
+            b = s._bracket
+            if b is None:
+                power, core = _strip(s)
+                b = Bracket(_phi_inverse(core), power)
+                object.__setattr__(s, "_bracket", b)
+            factors.append(b)
         else:
             factors.append(_X)
-    return BracketedWord(tuple(factors))
+    return _trusted(tuple(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +577,23 @@ def _psi_inverse(t: SchroederTree) -> BracketedWord:
 # Text forms
 
 def render_binary_tree(t: UnreducedBinaryTree) -> str:
-    if isinstance(t, TLeaf):
-        return "L"
-    if isinstance(t, Uni):
-        return f"U({render_binary_tree(t.child)})"
-    return f"B({render_binary_tree(t.left)},{render_binary_tree(t.right)})"
+    """``L`` / ``U(t)`` / ``B(l,r)``.  Iterative: the stack holds the subtrees
+    and the closing text still to write, so any depth renders."""
+    parts = []
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, str):
+            parts.append(s)
+        elif isinstance(s, Uni):
+            parts.append("U(")
+            stack += (")", s.child)
+        elif isinstance(s, Bi):
+            parts.append("B(")
+            stack += (")", s.right, ",", s.left)
+        else:
+            parts.append("L")
+    return "".join(parts)
 
 
 def parse_binary_tree(text: str) -> UnreducedBinaryTree:
@@ -570,9 +601,27 @@ def parse_binary_tree(text: str) -> UnreducedBinaryTree:
 
 
 def render_schroeder_tree(t: SchroederTree) -> str:
-    if isinstance(t, SLeaf):
-        return "i" if t.decoration == IOTA else "o"
-    return "w(" + ",".join(render_schroeder_tree(b) for b in t.branches) + ")"
+    """``i`` / ``o`` / ``w(b,...)``.  Iterative: the stack holds the branch
+    iterators of the open vertices, so any depth renders."""
+    parts = []
+    stack = []
+    branches = enumerate((t,))
+    while True:
+        for k, s in branches:
+            if k:
+                parts.append(",")
+            if isinstance(s, SLeaf):
+                parts.append("i" if s.decoration == IOTA else "o")
+            else:
+                parts.append("w(")
+                stack.append(branches)
+                branches = enumerate(s.branches)
+                break
+        else:
+            if not stack:
+                return "".join(parts)
+            parts.append(")")
+            branches = stack.pop()
 
 
 def parse_schroeder_tree(text: str) -> SchroederTree:

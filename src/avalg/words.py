@@ -80,7 +80,7 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Letter:
     symbol: str
 
@@ -92,7 +92,7 @@ class Letter:
         return self.symbol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bracket:
     """``power``-fold bracket around ``core``, kept in canonical power form."""
 
@@ -113,7 +113,7 @@ class Bracket:
         return render_word(word(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BracketedWord:
     factors: tuple  # tuple[Factor, ...], nonempty
 
@@ -131,6 +131,18 @@ class BracketedWord:
 
 
 Factor = Union[Letter, Bracket]
+
+
+_set_factors = BracketedWord.factors.__set__  # the slot's setter, past the frozen __setattr__
+
+
+def _trusted(factors: tuple) -> BracketedWord:
+    """The word on ``factors``, a nonempty tuple of letters and canonical
+    brackets that is well-formed by construction; the public constructor's
+    copy and checks are skipped."""
+    w = object.__new__(BracketedWord)
+    _set_factors(w, factors)
+    return w
 
 
 def letter(symbol: str) -> Letter:
@@ -167,27 +179,44 @@ def tail_index(w: BracketedWord) -> int:
 
 
 def depth(w: BracketedWord) -> int:
-    """Maximal bracket nesting; a power-``s`` bracket adds ``s`` levels."""
-    return max(
-        (f.power + depth(f.core)) if isinstance(f, Bracket) else 0 for f in w.factors
-    )
+    """Maximal bracket nesting; a power-``s`` bracket adds ``s`` levels.
+    Iterative, like the other measures, so any depth counts."""
+    deepest, todo = 0, [(w, 0)]
+    while todo:
+        v, above = todo.pop()
+        for f in v.factors:
+            if isinstance(f, Bracket):
+                level = above + f.power
+                deepest = max(deepest, level)
+                todo.append((f.core, level))
+    return deepest
 
 
 def degree(w: BracketedWord) -> int:
     """Total number of balanced bracket pairs (powers count with multiplicity)."""
-    return sum(f.power + degree(f.core) for f in w.factors if isinstance(f, Bracket))
+    pairs, todo = 0, [w]
+    while todo:
+        for f in todo.pop().factors:
+            if isinstance(f, Bracket):
+                pairs += f.power
+                todo.append(f.core)
+    return pairs
 
 
 def arity(w: BracketedWord) -> int:
     """Total number of letter occurrences."""
-    return sum(
-        arity(f.core) if isinstance(f, Bracket) else 1 for f in w.factors
-    )
+    letters, todo = 0, [w]
+    while todo:
+        for f in todo.pop().factors:
+            if isinstance(f, Bracket):
+                todo.append(f.core)
+            else:
+                letters += 1
+    return letters
 
 
 def word_size(w: BracketedWord) -> int:
-    """Letters plus bracket pairs; the node count of the word.  Iterative, so
-    any depth counts."""
+    """Letters plus bracket pairs; the node count of the word."""
     size, todo = 0, [w]
     while todo:
         for f in todo.pop().factors:
@@ -201,12 +230,13 @@ def word_size(w: BracketedWord) -> int:
 
 def letters_of(w: BracketedWord) -> set:
     """The set of letter symbols occurring in ``w``."""
-    out: set = set()
-    for f in w.factors:
-        if isinstance(f, Letter):
-            out.add(f.symbol)
-        else:
-            out |= letters_of(f.core)
+    out, todo = set(), [w]
+    while todo:
+        for f in todo.pop().factors:
+            if isinstance(f, Bracket):
+                todo.append(f.core)
+            else:
+                out.add(f.symbol)
     return out
 
 
@@ -449,14 +479,15 @@ def _normal(w: BracketedWord) -> AveragingWord:
 
 
 def substitute_letters(w: BracketedWord, factors_for: Callable) -> BracketedWord:
-    """Replace each letter of ``w``, in reading order, by ``factors_for(letter)``."""
+    """Replace each letter of ``w``, in reading order, by ``factors_for(letter)``,
+    a nonempty tuple of factors."""
     factors = []
     for f in w.factors:
         if isinstance(f, Letter):
             factors.extend(factors_for(f))
         else:
             factors.append(Bracket(substitute_letters(f.core, factors_for), f.power))
-    return BracketedWord(tuple(factors))
+    return _trusted(tuple(factors))
 
 
 def peel(w: Union[AveragingWord, BracketedWord]) -> tuple:
@@ -487,7 +518,7 @@ def _all_words_exact(sym: str, size: int) -> tuple:
                 out.append(word(f))
             else:
                 for rest in _all_words_exact(sym, size - k):
-                    out.append(BracketedWord((f,) + rest.factors))
+                    out.append(_trusted((f,) + rest.factors))
     return tuple(out)
 
 
@@ -548,7 +579,7 @@ def _averaging_brackets(sym: str, a: int, d: int, power_cap: Union[int, float],
     """The brackets ``[core]^s`` of arity ``a`` and degree ``d`` that may stand
     in an averaging word, built once for every word that contains them."""
     return tuple(
-        Bracket(BracketedWord(core), s)
+        Bracket(_trusted(core), s)
         for s in range(1, min(d, power_cap) + 1)
         for core in _averaging_factors(sym, a, d - s, power_cap, run_cap, 0)
         if not (isinstance(core[-1], Bracket) and core[-1].power >= 2)
@@ -563,7 +594,7 @@ def iter_averaging_words(
         for d in range(0, max_degree + 1):
             for head in (0, 1):
                 for factors in _averaging_factors(symbol, a, d, math.inf, math.inf, head):
-                    yield _normal(BracketedWord(factors))
+                    yield _normal(_trusted(factors))
 
 
 # ---------------------------------------------------------------------------

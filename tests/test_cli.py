@@ -233,8 +233,14 @@ class TestExitCodes:
         proc = run_cli("normalize", "[x]" * 5000)
         assert payload_of(proc) == {"word": "[x" * 5000 + "]" * 5000}
 
-    def test_long_word_to_tree_is_resource_exhaustion(self):
+    def test_long_word_and_deep_ladder_round_trip(self):
+        # the tree renderer is iterative, so trees 2400 bi-vertices or 1200
+        # uni-vertices deep echo back
+        tree = "L"
+        for k in range(1, 2400):
+            tree = f"B({tree},{'U(L)' if k % 2 else 'L'})"
         proc = run_cli("word2tree", "x[x]" * 1200)
-        assert proc.returncode == 5
-        assert proc.stderr.startswith("resource exhausted: ")
-        assert "Traceback" not in proc.stderr
+        assert payload_of(proc) == {"tree": tree, "word": "x[x]" * 1200}
+        ladder = "U(" * 1200 + "L" + ")" * 1200
+        proc = run_cli("tree2word", ladder)
+        assert payload_of(proc) == {"word": "[x]^1200", "tree": ladder}

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avalg.operad import (
     IDENTITY,
@@ -10,7 +12,7 @@ from avalg.operad import (
     tree_apply,
     tree_product,
 )
-from avalg.algebra import apply_p, diamond
+from avalg.algebra import apply_p, diamond, reduce
 from avalg.trees import (
     LEAF,
     Bi,
@@ -125,3 +127,60 @@ class TestOperadElements:
     def test_cancellation(self):
         a = OperadElement.of(T_MU, 1) + OperadElement.of(T_MU, -1)
         assert a.terms == ()
+
+
+# ---------------------------------------------------------------------------
+# The axioms as properties, on random trees with up to about 20 leaves and 20
+# uni-vertices, past the families of the seeded tests (at most 5 leaves)
+
+def _tree_of(tokens):
+    # 0: a letter x; 1: open a bracket; 2: close one (skipped with nothing to
+    # close, or around nothing); the tree of the word's normal form
+    parts, filled = [], [False]
+    for t in tokens:
+        if t == 0:
+            parts.append("x ")
+            filled[-1] = True
+        elif t == 1:
+            parts.append("[")
+            filled.append(False)
+        elif len(filled) > 1 and filled[-1]:
+            parts.append("]")
+            filled.pop()
+            filled[-1] = True
+    while len(filled) > 1:
+        parts.append("]" if filled.pop() else "x]")
+        filled[-1] = True
+    return phi(reduce(parse_word("".join(parts) or "x")))
+
+
+_trees = st.lists(st.integers(0, 2), min_size=10, max_size=60).map(_tree_of)
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(_trees, _trees, _trees, st.data())
+def test_sequential_axiom_on_random_trees(lam, mu, nu, data):
+    i = data.draw(st.integers(1, lam.arity))
+    j = data.draw(st.integers(1, mu.arity))
+    lhs = compose(compose(lam, i, mu), i - 1 + j, nu)
+    assert lhs == compose(lam, i, compose(mu, j, nu))
+    assert lhs.arity == lam.arity + mu.arity + nu.arity - 2
+
+
+@_PROPERTY
+@given(_trees, _trees, _trees, st.data())
+def test_parallel_axiom_on_random_trees(lam, mu, nu, data):
+    lam = compose(T_MU, 1, lam)  # at least two leaves
+    i = data.draw(st.integers(1, lam.arity - 1))
+    k = data.draw(st.integers(i + 1, lam.arity))
+    lhs = compose(compose(lam, i, mu), k - 1 + mu.arity, nu)
+    assert lhs == compose(compose(lam, k, nu), i, mu)
+
+
+@_PROPERTY
+@given(_trees, st.data())
+def test_unit_axioms_on_random_trees(tau, data):
+    assert compose(IDENTITY, 1, tau) == tau
+    assert compose(tau, data.draw(st.integers(1, tau.arity)), IDENTITY) == tau
+

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 import weakref
@@ -37,8 +38,9 @@ from avalg.trees import (
     subtrees,
     uni_count,
 )
+from avalg.trees import _phi_inverse
 from avalg.enumeration import indecomposable_words_v, schroeder, univariate
-from avalg.words import AveragingWord, iter_averaging_words, parse_word
+from avalg.words import AveragingWord, iter_averaging_words, parse_word, word
 
 # eight small trees probing every clause of the averaging-tree conditions
 TAU = {
@@ -170,6 +172,87 @@ class TestPhi:
         }
         by_bijection = {t.tree for t in enumerate_averaging_trees(5, 4)}
         assert by_bijection == by_filter
+
+
+def word_by_definition(t):
+    """The word of ``t`` read off the definition, as text, without the vertex
+    cache: a leaf is x, a uni-vertex brackets, a bi-vertex juxtaposes."""
+    parts, stack = [], [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, str):
+            parts.append(s)
+        elif isinstance(s, Uni):
+            parts.append("[")
+            stack += ("]", s.child)
+        elif isinstance(s, Bi):
+            stack += (s.right, " ", s.left)
+        else:
+            parts.append("x")
+    return parse_word("".join(parts))
+
+
+def assert_cache_agrees(t):
+    """The word of ``t`` and every bracket cached on one of its vertices are
+    the ones the definition gives."""
+    assert _phi_inverse(t) == word_by_definition(t)
+    for s in subtrees(t):
+        if isinstance(s, Uni) and s._bracket is not None:
+            assert word(s._bracket) == word_by_definition(s)
+
+
+class TestWordCache:
+    def test_parsed_trees(self):
+        for t in enumerate_unreduced(4, 3):
+            fresh = parse_binary_tree(render_binary_tree(t))
+            assert_cache_agrees(fresh)
+            assert_cache_agrees(fresh)  # now read from the cache
+
+    def test_trees_from_phi_and_enumeration(self):
+        for t in enumerate_averaging_trees(5, 3):
+            assert_cache_agrees(t.tree)
+        w = parse_word("[x x[x]^3 x[x x]]^5 x[x]")
+        assert_cache_agrees(phi(w).tree)
+
+    def test_compositions(self):
+        from avalg.operad import compose
+
+        family = enumerate_averaging_trees(3, 2)
+        for tau in family[::3]:
+            for sigma in family[::4]:
+                for i in range(1, tau.arity + 1):
+                    assert_cache_agrees(compose(tau, i, sigma).tree)
+
+    def test_chain_top_in_one_tree_is_mid_chain_in_another(self):
+        # U(L) is the whole chain of the first tree and the lower half of the
+        # chain of the second; the cached bracket belongs to the vertex
+        top_first = parse_binary_tree("U(U(L))")
+        assert _phi_inverse(top_first) == parse_word("[x]^2")
+        assert _phi_inverse(top_first.child) == parse_word("[x]")
+        mid_first = parse_binary_tree("U(U(L))")
+        assert _phi_inverse(mid_first.child) == parse_word("[x]")
+        assert _phi_inverse(mid_first) == parse_word("[x]^2")
+        shared = phi(parse_word("[x]")).tree
+        ladder = phi(parse_word("[x]^2")).tree
+        assert ladder.child is shared
+        assert phi_inverse(AveragingTree(shared)).word == parse_word("[x]")
+        assert phi_inverse(AveragingTree(ladder)).word == parse_word("[x]^2")
+        assert phi_inverse(phi(parse_word("x[x]^2"))).word == parse_word("x[x]^2")
+
+    def test_pickled_tree_keeps_its_cached_brackets(self):
+        t = phi(parse_word("[x[x[x]^2 x]]^3"))
+        assert t.tree._bracket is not None
+        loaded = pickle.loads(pickle.dumps(t))
+        assert loaded == t and hash(loaded) == hash(t)
+        assert loaded.tree._bracket == t.tree._bracket
+        assert phi_inverse(loaded) == phi_inverse(t)
+        assert_cache_agrees(loaded.tree)
+
+    def test_cache_is_not_compared_or_shown(self):
+        cached, bare = phi(parse_word("[x]^2")).tree, Uni(Uni(LEAF))
+        assert cached._bracket is not None and bare._bracket is None
+        assert cached == bare and hash(cached) == hash(bare)
+        assert repr(cached) == repr(bare)
 
 
 class TestSchroederTrees:
@@ -330,9 +413,15 @@ class TestTextForms:
         assert parse_binary_tree(" B( L ,U( L ) ) ") == Bi(LEAF, Uni(LEAF))
 
     def test_any_depth(self):
-        tree = AveragingTree(parse_binary_tree("U(B(L," * 5000 + "L" + "))" * 5000))
+        text = "U(B(L," * 5000 + "L" + "))" * 5000
+        tree = AveragingTree(parse_binary_tree(text))
         assert tree.arity == 5001
-        deep, levels = parse_schroeder_tree("w(i," * 3000 + "o" + ")" * 3000), 0
+        assert str(tree) == render_binary_tree(tree.tree) == text
+        ladder = "U(" * 5000 + "L" + ")" * 5000
+        assert phi_inverse(parse_binary_tree(ladder)).word == parse_word("[x]^5000")
+        text = "w(i," * 3000 + "o" + ")" * 3000
+        assert render_schroeder_tree(parse_schroeder_tree(text)) == text
+        deep, levels = parse_schroeder_tree(text), 0
         while isinstance(deep, SNode):
             assert deep.branches[0] == SLeaf("iota")
             deep, levels = deep.branches[1], levels + 1

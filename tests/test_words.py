@@ -19,6 +19,7 @@ from avalg.words import (
     factor_at,
     iter_averaging_words,
     iter_bracketed_words,
+    letters_of,
     parse_word,
     peel,
     random_averaging_word,
@@ -28,6 +29,7 @@ from avalg.words import (
     word,
     word_size,
 )
+from avalg.words import _trusted
 
 x = Letter("x")
 
@@ -161,6 +163,29 @@ class TestAnalyze:
         assert depth(bw("[x[x]]^2")) == 3
         assert degree(bw("[x[x]]^2")) == 3
         assert arity(bw("[x[x]]^2")) == 2
+
+    def test_measures_at_any_depth(self):
+        w = bw("[x" * 5000 + "]" * 5000 + " y[y]^3")
+        assert (depth(w), degree(w), arity(w)) == (5000, 5003, 5002)
+        assert letters_of(w) == {"x", "y"}
+        assert analyze(w).depth == 5000
+
+    def test_measures_match_their_definitions(self):
+        def by_definition(v):
+            # (depth, degree, arity, letters), by recursion on the factors
+            out = (0, 0, 0, frozenset())
+            for f in v.factors:
+                if isinstance(f, Letter):
+                    out = (out[0], out[1], out[2] + 1, out[3] | {f.symbol})
+                else:
+                    d, g, a, ls = by_definition(f.core)
+                    out = (max(out[0], d + f.power), out[1] + g + f.power, out[2] + a, out[3] | ls)
+            return out
+
+        rng = random.Random(17)
+        for _ in range(500):
+            w = random_bracketed_word(rng, max_size=30)
+            assert (depth(w), degree(w), arity(w), letters_of(w)) == by_definition(w)
 
 
 class TestValidate:
@@ -370,3 +395,47 @@ class TestInvariants:
             if word_size(aw.word) <= 6
         }
         assert by_construction == by_filter
+
+
+class TestWordCore:
+    def test_word_values_have_no_instance_dict(self):
+        w = bw("x[y x]^2")
+        for value in (w, w.factors[0], w.factors[1]):
+            assert not hasattr(value, "__dict__")
+
+    def test_trusted_words_equal_and_hash_like_public_ones(self):
+        from avalg.algebra import apply_p, diamond, reduce
+
+        rng = random.Random(19)
+        for _ in range(300):
+            w = random_bracketed_word(rng, max_size=25)
+            u, v = random_averaging_word(rng), random_averaging_word(rng)
+            built = (
+                _trusted(w.factors),
+                reduce(w).word,
+                diamond(u, v).word,
+                apply_p(u).word,
+            )
+            for got in built:
+                public = parse_word(render_word(got))
+                assert got == public and public == got
+                assert hash(got) == hash(public)
+                assert type(got) is BracketedWord
+            assert _trusted(w.factors).factors is w.factors
+
+    def test_public_constructors_keep_their_checks(self):
+        with pytest.raises(ValueError, match="at least one factor"):
+            BracketedWord(())
+        with pytest.raises(ValueError, match="at least one factor"):
+            word()
+        with pytest.raises(TypeError, match="not a word factor"):
+            BracketedWord((x, "y"))
+        with pytest.raises(TypeError, match="not a word factor"):
+            word(x, bw("y"))
+        with pytest.raises(ValueError, match="power must be >= 1"):
+            Bracket(bw("x"), 0)
+        with pytest.raises(ValueError, match="not an identifier"):
+            Letter("1x")
+        # the public constructor copies any sequence into a tuple
+        assert BracketedWord([x, x]).factors == (x, x)
+
