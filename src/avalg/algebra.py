@@ -517,9 +517,6 @@ class LinearCombination:
             (apply_p(w), c) for w, c in self.terms
         )
 
-    def map_words(self, fn: Callable) -> "LinearCombination":
-        return LinearCombination.from_terms((fn(w), c) for w, c in self.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -104,8 +104,7 @@ def count_compositions(m: int, k: int, cap: Cap = math.inf) -> int:
 
 def _cell_factors(cap: Cap, n: int, m: int) -> tuple:
     """Factor tuples of the words of degree n and arity m, in generation order."""
-    return (_averaging_factors("x", m, n, 1, cap, 0)
-            + _averaging_factors("x", m, n, 1, cap, 1))
+    return _averaging_factors(m, n, 1, cap, 0) + _averaging_factors(m, n, 1, cap, 1)
 
 
 def _canonical(found) -> tuple:
@@ -130,7 +129,7 @@ def indecomposable_words_v(run_cap: Cap, n: int, m: int = -1) -> tuple:
     arities = [m] if m >= 0 else range(1, int(cap) * max(2 * n - 1, 1) + 1)
     out = []
     for mm in arities:
-        found = _averaging_factors("x", mm, n, 1, cap, 1)
+        found = _averaging_factors(mm, n, 1, cap, 1)
         out.extend(_canonical(f for f in found if len(f) == 1))
     return tuple(out)
 

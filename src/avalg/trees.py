@@ -32,6 +32,7 @@ from .words import (
     Bracket,
     BracketedWord,
     Letter,
+    _X,
     _normal,
     _trusted,
     certified,
@@ -91,9 +92,42 @@ class TreeSyntaxError(ValueError):
 # not depend on PYTHONHASHSEED, so an unpickled tree hashes as a fresh one.
 
 class _Node:
-    """Gives the slotted vertex classes a weak-reference slot (see ``_NODES``)."""
+    """What the slotted vertex classes share: a weak-reference slot (see
+    ``_NODES``), the stored hash, one equality and the text form."""
 
     __slots__ = ("__weakref__",)
+
+    def __eq__(self, other) -> bool:
+        """Structural equality.  A pair whose children are shared (one vertex
+        twice, or two vertices built over the same children) is equal at
+        once; otherwise the pairs go on an explicit stack, so any depth
+        compares, and a pair whose stored hashes differ is unequal at once."""
+        kind = self.__class__
+        if other.__class__ is not kind:
+            return NotImplemented
+        if kind is Uni:
+            if self.child is other.child:
+                return True
+        elif self.left is other.left and self.right is other.right:
+            return True
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
+                return False
+            if isinstance(a, Uni):
+                stack.append((a.child, b.child))
+            elif isinstance(a, Bi):
+                stack += ((a.right, b.right), (a.left, b.left))
+        return True
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __str__(self) -> str:
+        return render_binary_tree(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,39 +142,26 @@ class TLeaf:
         return "L"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Uni(_Node):
-    """A uni-vertex.  ``_bracket`` caches the bracket that the uni-chain from
-    here down stands for.  That depends on the subtree alone, so a vertex that
-    tops the chain in one tree and sits mid-chain in another holds the right
-    bracket in both.  ``_phi`` and ``_phi_inverse`` fill it, only ever with
-    brackets over the letter ``x``, which every caller of ``_phi`` guarantees.
-
-    ``_leaves`` (on ``Bi`` too) is the certification mark: 0 until the
-    subtree from here down has passed the averaging conditions as a whole,
-    then its leaf count, which :func:`_averaging_leaves` reads instead of
-    walking the subtree again.  Only that walk sets it, and only after the
-    whole tree it was asked about passed.  Like the hash, the mark depends
-    on the immutable subtree alone, so it is pickled with the vertex; a
-    vertex built by the constructors starts unmarked.  Neither slot is
-    compared or shown."""
+    """A uni-vertex.  ``_leaves`` (on ``Bi`` too) is the certification mark:
+    0 until the subtree from here down has passed the averaging conditions
+    as a whole, then its leaf count, which :func:`_averaging_leaves` reads
+    instead of walking the subtree again.  Only that walk sets it, and only
+    after the whole tree it was asked about passed.  Like the hash, the mark
+    depends on the immutable subtree alone, so it is pickled with the
+    vertex; a vertex built by the constructors starts unmarked.  Neither
+    slot is compared or shown."""
 
     child: "UnreducedBinaryTree"
     _hash: int = field(init=False, repr=False, compare=False)
-    _bracket: Union[Bracket, None] = field(default=None, init=False, repr=False, compare=False)
     _leaves: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((1, self.child._hash)))
 
-    def __hash__(self) -> int:
-        return self._hash
 
-    def __str__(self) -> str:
-        return render_binary_tree(self)
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Bi(_Node):
     """A bi-vertex.  ``_leaves`` is the certification mark, as on ``Uni``:
     set only once the subtree from here down has passed, and pickled."""
@@ -153,31 +174,17 @@ class Bi(_Node):
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((2, self.left._hash, self.right._hash)))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        return render_binary_tree(self)
-
 
 UnreducedBinaryTree = Union[TLeaf, Uni, Bi]
 LEAF = TLeaf()
 
 
 def leaf_count(t: UnreducedBinaryTree) -> int:
-    if isinstance(t, TLeaf):
-        return 1
-    if isinstance(t, Uni):
-        return leaf_count(t.child)
-    return leaf_count(t.left) + leaf_count(t.right)
+    return sum(isinstance(s, TLeaf) for s in subtrees(t))
 
 
 def uni_count(t: UnreducedBinaryTree) -> int:
-    if isinstance(t, TLeaf):
-        return 0
-    if isinstance(t, Uni):
-        return 1 + uni_count(t.child)
-    return uni_count(t.left) + uni_count(t.right)
+    return sum(isinstance(s, Uni) for s in subtrees(t))
 
 
 def bracketed_power(t: UnreducedBinaryTree) -> int:
@@ -198,13 +205,17 @@ def _strip(t: UnreducedBinaryTree) -> Tuple[int, UnreducedBinaryTree]:
 
 
 def subtrees(t: UnreducedBinaryTree) -> Iterator[UnreducedBinaryTree]:
-    """Every subtree rooted at a vertex or leaf, the whole tree included."""
-    yield t
-    if isinstance(t, Uni):
-        yield from subtrees(t.child)
-    elif isinstance(t, Bi):
-        yield from subtrees(t.left)
-        yield from subtrees(t.right)
+    """Every subtree rooted at a vertex or leaf, the whole tree included, in
+    pre-order.  The stack holds the subtrees still to visit, so any depth
+    walks."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        if isinstance(s, Uni):
+            stack.append(s.child)
+        elif isinstance(s, Bi):
+            stack += (s.right, s.left)
 
 
 def lf(t: UnreducedBinaryTree) -> UnreducedBinaryTree:
@@ -396,31 +407,23 @@ def _phi(v: BracketedWord) -> UnreducedBinaryTree:
             factors, acc, f = stack.pop()
             for _ in range(f.power):
                 t = _uni(t)
-            if t._bracket is None:
-                object.__setattr__(t, "_bracket", f)
             acc = t if acc is None else _bi(acc, t)
 
 
 def phi_inverse(t: Union[AveragingTree, UnreducedBinaryTree]) -> AveragingWord:
-    """Tree to word; total on averaging trees by construction, so only the
-    word of a raw tree is scanned."""
+    """Tree to word, walking the tree once; total on averaging trees by
+    construction, so only the word of a raw tree is scanned."""
     if isinstance(t, AveragingTree):
         return _normal(_phi_inverse(t.tree))
     return AveragingWord(_phi_inverse(t))
 
 
-_X = Letter("x")
-
-
 def _phi_inverse(t: UnreducedBinaryTree) -> BracketedWord:
-    """The word of ``t``.  Walks only the bi-vertices and leaves outside
-    brackets, left to right; a uni-chain's bracket is read from its top
-    vertex's cache, or computed once and stored there, so hash-consed
-    vertices share their words across trees.  A chain whose bracket is not
-    cached yet is entered with an explicit stack, so any depth converts.
-    Only brackets over ``x`` are stored, which all callers of ``_phi``
-    guarantee: a word over another letter must never reach ``_phi``."""
-    frames = []  # (enclosing factors, their subtrees left, the open chain's top)
+    """The word of ``t``: leaves to x, each uni-chain to one bracket whose
+    power is its length, bi-vertices to juxtaposition, read left to right.
+    One walk over every vertex; the stack holds a frame per open chain, so
+    any depth converts."""
+    frames = []  # (enclosing factors, their subtrees left, the open chain's power)
     factors, todo = [], [t]
     while True:
         while todo:
@@ -428,20 +431,16 @@ def _phi_inverse(t: UnreducedBinaryTree) -> BracketedWord:
             if isinstance(s, Bi):
                 todo += (s.right, s.left)
             elif isinstance(s, Uni):
-                if s._bracket is None:
-                    frames.append((factors, todo, s))
-                    factors, todo = [], [_strip(s)[1]]
-                else:
-                    factors.append(s._bracket)
+                power, core = _strip(s)
+                frames.append((factors, todo, power))
+                factors, todo = [], [core]
             else:
                 factors.append(_X)
-        if not frames:
-            return _trusted(tuple(factors))
         core = _trusted(tuple(factors))
-        factors, todo, s = frames.pop()
-        b = Bracket(core, _strip(s)[0])
-        object.__setattr__(s, "_bracket", b)
-        factors.append(b)
+        if not frames:
+            return core
+        factors, todo, power = frames.pop()
+        factors.append(Bracket(core, power))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +475,8 @@ def enumerate_unreduced(max_leaves: int, max_unis: int) -> list:
 
 def _tree_key(t: AveragingTree):
     """Canonical tree order: (arity, uni-vertex count, rendered text)."""
-    return (t.arity, uni_count(t.tree), render_binary_tree(t.tree))
+    text = render_binary_tree(t.tree)
+    return (t.arity, text.count("U"), text)
 
 
 def enumerate_averaging_trees(max_leaves: int, max_unis: int) -> list:

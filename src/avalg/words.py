@@ -506,45 +506,48 @@ def peel(w: Union[AveragingWord, BracketedWord]) -> tuple:
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration (single-letter alphabet)
 
+_X = Letter("x")  # the one generator of the enumerators below and of the tree bijection
+
+
 @lru_cache(maxsize=None)
-def _all_words_exact(sym: str, size: int) -> tuple:
+def _all_words_exact(size: int) -> tuple:
     """All canonical bracketed words with ``arity + degree == size``."""
     if size < 1:
         return ()
     out = []
     for k in range(1, size + 1):
-        for f in _all_factors_exact(sym, k):
+        for f in _all_factors_exact(k):
             if k == size:
                 out.append(word(f))
             else:
-                for rest in _all_words_exact(sym, size - k):
+                for rest in _all_words_exact(size - k):
                     out.append(_trusted((f,) + rest.factors))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _all_factors_exact(sym: str, size: int) -> tuple:
+def _all_factors_exact(size: int) -> tuple:
     out = []
     if size == 1:
-        out.append(Letter(sym))
+        out.append(_X)
     for power in range(1, size):
-        for core in _all_words_exact(sym, size - power):
+        for core in _all_words_exact(size - power):
             if len(core.factors) == 1 and isinstance(core.factors[0], Bracket):
                 continue  # that shape is already produced at a higher power
             out.append(Bracket(core, power))
     return tuple(out)
 
 
-def iter_bracketed_words(max_size: int, symbol: str = "x") -> Iterator[BracketedWord]:
-    """Every canonical bracketed word over one letter with size <= ``max_size``."""
+def iter_bracketed_words(max_size: int) -> Iterator[BracketedWord]:
+    """Every canonical bracketed word over ``x`` with size <= ``max_size``."""
     for size in range(1, max_size + 1):
-        yield from _all_words_exact(symbol, size)
+        yield from _all_words_exact(size)
 
 
 @lru_cache(maxsize=None)
-def _averaging_factors(sym: str, a: int, d: int, power_cap: Union[int, float],
+def _averaging_factors(a: int, d: int, power_cap: Union[int, float],
                        run_cap: Union[int, float], head: int) -> tuple:
-    """Factor tuples of the averaging words over ``sym`` of arity ``a``, degree ``d``.
+    """Factor tuples of the averaging words over ``x`` of arity ``a``, degree ``d``.
 
     A word alternates runs of at most ``run_cap`` letters with brackets
     ``[core]^s``, ``s <= power_cap``, where a core is a word with head 0
@@ -554,46 +557,44 @@ def _averaging_factors(sym: str, a: int, d: int, power_cap: Union[int, float],
     out = []
     if head == 0:
         for r in range(1, min(a, run_cap) + 1):
-            run = (Letter(sym),) * r
+            run = (_X,) * r
             if r == a:
                 if d == 0:
                     out.append(run)
             else:
-                rests = _averaging_factors(sym, a - r, d, power_cap, run_cap, 1)
+                rests = _averaging_factors(a - r, d, power_cap, run_cap, 1)
                 out.extend(run + rest for rest in rests)
         return tuple(out)
     for ba in range(1, a + 1):
         for bd in range(1, d + 1):
-            brackets = _averaging_brackets(sym, ba, bd, power_cap, run_cap)
+            brackets = _averaging_brackets(ba, bd, power_cap, run_cap)
             if (ba, bd) == (a, d):
                 out.extend((b,) for b in brackets)
             else:
-                rests = _averaging_factors(sym, a - ba, d - bd, power_cap, run_cap, 0)
+                rests = _averaging_factors(a - ba, d - bd, power_cap, run_cap, 0)
                 out.extend((b,) + rest for b in brackets for rest in rests)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _averaging_brackets(sym: str, a: int, d: int, power_cap: Union[int, float],
+def _averaging_brackets(a: int, d: int, power_cap: Union[int, float],
                         run_cap: Union[int, float]) -> tuple:
     """The brackets ``[core]^s`` of arity ``a`` and degree ``d`` that may stand
     in an averaging word, built once for every word that contains them."""
     return tuple(
         Bracket(_trusted(core), s)
         for s in range(1, min(d, power_cap) + 1)
-        for core in _averaging_factors(sym, a, d - s, power_cap, run_cap, 0)
+        for core in _averaging_factors(a, d - s, power_cap, run_cap, 0)
         if not (isinstance(core[-1], Bracket) and core[-1].power >= 2)
     )
 
 
-def iter_averaging_words(
-    max_arity: int, max_degree: int, symbol: str = "x"
-) -> Iterator[AveragingWord]:
-    """Every averaging word over one letter within the given arity/degree bounds."""
+def iter_averaging_words(max_arity: int, max_degree: int) -> Iterator[AveragingWord]:
+    """Every averaging word over ``x`` within the given arity/degree bounds."""
     for a in range(1, max_arity + 1):
         for d in range(0, max_degree + 1):
             for head in (0, 1):
-                for factors in _averaging_factors(symbol, a, d, math.inf, math.inf, head):
+                for factors in _averaging_factors(a, d, math.inf, math.inf, head):
                     yield _normal(_trusted(factors))
 
 

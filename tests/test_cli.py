@@ -238,7 +238,7 @@ class TestExitCodes:
         assert payload_of(proc) == {"word": "[x" * 5000 + "]" * 5000}
 
     def test_deep_words_and_trees_convert_and_compose(self):
-        # phi, the uncached phi_inverse and compose keep explicit stacks
+        # phi, phi_inverse and compose keep explicit stacks
         deep = "[x" * 1200 + "]" * 1200
         ladder = "U(B(L," * 1199 + "U(L)" + "))" * 1199
         proc = run_cli("word2tree", deep)

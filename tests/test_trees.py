@@ -43,7 +43,7 @@ from avalg.trees import (
 )
 from avalg.trees import _phi_inverse
 from avalg.enumeration import indecomposable_words_v, schroeder, univariate
-from avalg.words import AveragingWord, iter_averaging_words, parse_word, word
+from avalg.words import AveragingWord, iter_averaging_words, parse_word
 
 # eight small trees probing every clause of the averaging-tree conditions
 TAU = {
@@ -262,8 +262,8 @@ class TestCertificationMarks:
 
 
 def word_by_definition(t):
-    """The word of ``t`` read off the definition, as text, without the vertex
-    cache: a leaf is x, a uni-vertex brackets, a bi-vertex juxtaposes."""
+    """The word of ``t`` read off the definition, as text: a leaf is x, a
+    uni-vertex brackets, a bi-vertex juxtaposes."""
     parts, stack = [], [t]
     while stack:
         s = stack.pop()
@@ -279,27 +279,23 @@ def word_by_definition(t):
     return parse_word("".join(parts))
 
 
-def assert_cache_agrees(t):
-    """The word of ``t`` and every bracket cached on one of its vertices are
-    the ones the definition gives."""
+def assert_word_agrees(t):
+    """The word of ``t`` is the one the definition gives."""
     assert _phi_inverse(t) == word_by_definition(t)
-    for s in subtrees(t):
-        if isinstance(s, Uni) and s._bracket is not None:
-            assert word(s._bracket) == word_by_definition(s)
 
 
 class TestWordCache:
     def test_parsed_trees(self):
         for t in enumerate_unreduced(4, 3):
             fresh = parse_binary_tree(render_binary_tree(t))
-            assert_cache_agrees(fresh)
-            assert_cache_agrees(fresh)  # now read from the cache
+            assert_word_agrees(fresh)
+            assert_word_agrees(fresh)  # the walk leaves nothing behind
 
     def test_trees_from_phi_and_enumeration(self):
         for t in enumerate_averaging_trees(5, 3):
-            assert_cache_agrees(t.tree)
+            assert_word_agrees(t.tree)
         w = parse_word("[x x[x]^3 x[x x]]^5 x[x]")
-        assert_cache_agrees(phi(w).tree)
+        assert_word_agrees(phi(w).tree)
 
     def test_compositions(self):
         from avalg.operad import compose
@@ -308,11 +304,11 @@ class TestWordCache:
         for tau in family[::3]:
             for sigma in family[::4]:
                 for i in range(1, tau.arity + 1):
-                    assert_cache_agrees(compose(tau, i, sigma).tree)
+                    assert_word_agrees(compose(tau, i, sigma).tree)
 
     def test_chain_top_in_one_tree_is_mid_chain_in_another(self):
         # U(L) is the whole chain of the first tree and the lower half of the
-        # chain of the second; the cached bracket belongs to the vertex
+        # chain of the second; its word is the same in both
         top_first = parse_binary_tree("U(U(L))")
         assert _phi_inverse(top_first) == parse_word("[x]^2")
         assert _phi_inverse(top_first.child) == parse_word("[x]")
@@ -328,18 +324,70 @@ class TestWordCache:
 
     def test_pickled_tree_keeps_its_cached_brackets(self):
         t = phi(parse_word("[x[x[x]^2 x]]^3"))
-        assert t.tree._bracket is not None
         loaded = pickle.loads(pickle.dumps(t))
         assert loaded == t and hash(loaded) == hash(t)
-        assert loaded.tree._bracket == t.tree._bracket
         assert phi_inverse(loaded) == phi_inverse(t)
-        assert_cache_agrees(loaded.tree)
+        assert_word_agrees(loaded.tree)
 
     def test_cache_is_not_compared_or_shown(self):
         cached, bare = phi(parse_word("[x]^2")).tree, Uni(Uni(LEAF))
-        assert cached._bracket is not None and bare._bracket is None
         assert cached == bare and hash(cached) == hash(bare)
         assert repr(cached) == repr(bare)
+
+
+def subtrees_by_definition(t):
+    """Pre-order, read off the definition recursively."""
+    yield t
+    if isinstance(t, Uni):
+        yield from subtrees_by_definition(t.child)
+    elif isinstance(t, Bi):
+        yield from subtrees_by_definition(t.left)
+        yield from subtrees_by_definition(t.right)
+
+
+DEEP_WORD = "[x" * 1200 + "]" * 1200
+
+
+class TestDeepTrees:
+    def test_subtrees_in_pre_order(self):
+        for t in enumerate_unreduced(4, 3):
+            assert list(map(id, subtrees(t))) == list(map(id, subtrees_by_definition(t)))
+
+    def test_counts_and_walk_at_depth_1200(self):
+        from avalg.operad import OperadElement
+
+        t = phi(parse_word(DEEP_WORD))
+        assert leaf_count(t.tree) == uni_count(t.tree) == 1200
+        walk = list(subtrees(t.tree))
+        assert len(walk) == 3 * 1200 - 1 and walk[0] is t.tree and walk[-1] is LEAF
+        element = OperadElement.of(t)
+        assert element.arity == 1200 and element.terms == ((t, 1),)
+
+    def test_equality_at_depth_1200(self):
+        t = phi(parse_word(DEEP_WORD))
+        text = render_binary_tree(t.tree)
+        copy = AveragingTree(parse_binary_tree(text))
+        assert copy.tree is not t.tree
+        assert copy == t and t == copy and hash(copy) == hash(t)
+        assert parse_binary_tree(text) == parse_binary_tree(text)
+        other = phi(parse_word("[x" * 1199 + "[x x" + "]" * 1200))
+        assert other != t and other != copy
+
+    def test_equality_is_structural(self):
+        family = enumerate_unreduced(3, 2)
+        copies = [parse_binary_tree(render_binary_tree(t)) for t in family]
+        for a, b in zip(family, copies):
+            assert a == b and b == a
+        for a in family[::3]:
+            for b in copies:
+                assert (a == b) == (render_binary_tree(a) == render_binary_tree(b))
+        assert Uni(LEAF) != Bi(LEAF, LEAF) and Uni(LEAF) != LEAF and Uni(LEAF) != "U(L)"
+
+    def test_equal_hashes_are_not_enough(self):
+        a, b = Uni(Bi(LEAF, Uni(LEAF))), Uni(Bi(Uni(LEAF), LEAF))
+        object.__setattr__(b, "_hash", a._hash)
+        object.__setattr__(b.child, "_hash", a.child._hash)
+        assert a != b and b != a
 
 
 class TestSchroederTrees:
@@ -515,14 +563,13 @@ class TestTextForms:
         assert (levels, deep) == (3000, SLeaf("omega"))
 
     def test_bijection_at_any_depth(self):
-        # phi and the uncached phi_inverse keep explicit stacks
+        # phi and phi_inverse keep explicit stacks
         text = "[x" * 3000 + "]" * 3000  # compared as text: word equality recurses
         t = phi(parse_word(text))
         assert t.arity == 3000 and words.render_word(phi_inverse(t)) == text
         parsed = AveragingTree(parse_binary_tree(render_binary_tree(t.tree)))
-        assert parsed.tree._bracket is None
         assert words.render_word(phi_inverse(parsed)) == text
-        assert_cache_agrees(parse_binary_tree("U(B(L," * 50 + "L" + "))" * 50))
+        assert_word_agrees(parse_binary_tree("U(B(L," * 50 + "L" + "))" * 50))
 
     def test_averaging_tree_wrapper_validates(self):
         from avalg.trees import InvalidAveragingTree
