@@ -54,7 +54,7 @@ __all__ = [
 # alone owns; its brackets are _Node cells, so the two rules below edit in
 # place and cost O(1).  Frozen factors (letters, and the unedited parts of
 # certified operands) may sit in those lists and pass through _freeze as they
-# are.  operad._graft runs the same two rules over tree vertices.
+# are.  operad._graft runs the two rules and _freeze over tree vertices.
 
 class _Node:
     """A bracket ``[core]^power`` under construction.
@@ -119,28 +119,28 @@ def _thaw(b: Bracket, spine: bool = False) -> _Node:
     return node
 
 
-def _freeze(value: list) -> tuple:
-    """The factor tuple of an owned value, built without recursion.
-
-    Each node is frozen after the nodes in its core and then takes its own
-    place in the list that holds it; the lists are used up.
-    """
+def _freeze(value: list, close: Callable) -> tuple:
+    """The entry tuple of an owned value, built without recursion: each node
+    becomes ``close(core, power)`` after the nodes in its core, in the list
+    that holds it; the lists are used up."""
     places = []  # (list, index) of every node, after the node that holds it
     todo = [value]
     while todo:
         factors = todo.pop()
         for i, f in enumerate(factors):
-            if isinstance(f, _Node):
+            if type(f) is _Node:
                 places.append((factors, i))
                 if isinstance(f.core, list):
                     todo.append(f.core)
     for factors, i in reversed(places):
         node = factors[i]
-        core = node.core
-        if isinstance(core, list):
-            core = _trusted(tuple(core))
-        factors[i] = Bracket(core, node.power)
+        factors[i] = close(node.core, node.power)
     return tuple(value)
+
+
+def _bracket(core: Union[list, BracketedWord], power: int) -> Bracket:
+    # close for words; a core that was never thawed comes frozen
+    return Bracket(_trusted(tuple(core)) if isinstance(core, list) else core, power)
 
 
 def _diamond(u: BracketedWord, v: BracketedWord) -> BracketedWord:
@@ -149,7 +149,7 @@ def _diamond(u: BracketedWord, v: BracketedWord) -> BracketedWord:
         return _trusted(u.factors + v.factors)
     left = _thaw(last, spine=True)
     _merge(left, _thaw(first))
-    return _trusted(u.factors[:-1] + _freeze([left]) + v.factors[1:])
+    return _trusted(u.factors[:-1] + _freeze([left], _bracket) + v.factors[1:])
 
 
 def diamond(u: Union[AveragingWord, BracketedWord],
@@ -186,7 +186,7 @@ def apply_p(u: Union[AveragingWord, BracketedWord]) -> AveragingWord:
         value[0] = _thaw(first, spine=len(factors) > 1)
     if isinstance(last, Bracket) and len(factors) > 1:
         value[-1] = _thaw(last)
-    return _normal(_trusted(_freeze([_apply_p(value)])))
+    return _normal(_trusted(_freeze([_apply_p(value)], _bracket)))
 
 
 def reduce(w: Union[BracketedWord, AveragingWord]) -> AveragingWord:
@@ -196,7 +196,7 @@ def reduce(w: Union[BracketedWord, AveragingWord]) -> AveragingWord:
     becomes the product and each bracket layer one operator application.
     Identity on averaging words.
     """
-    return _normal(_trusted(_freeze(_value(raw(w)))))
+    return _normal(_trusted(_freeze(_value(raw(w)), _bracket)))
 
 
 def _value(w: BracketedWord) -> list:

@@ -174,10 +174,9 @@ class CountTable:
 
 @dataclass
 class Census:
-    run_cap: Cap
-    include_one: bool
-    max_degree: int
-    max_arity: int
+    """The count tables of one census; each table holds the cap and bounds
+    it was counted under."""
+
     a: CountTable
     b: CountTable
     c: CountTable
@@ -233,10 +232,6 @@ def census(run_cap: Cap, max_degree: int, max_arity: int, include_one: bool = Fa
         return CountTable(tables[name], cap, with_one, max_degree, max_arity)
 
     return Census(
-        run_cap=cap,
-        include_one=include_one,
-        max_degree=max_degree,
-        max_arity=max_arity,
         a=table("a", include_one),
         b=table("b"),
         c=table("c"),
@@ -347,25 +342,26 @@ class BivariateSeries:
         }
 
 
+def _t_times(x: list, y: list, n: int, m: int, top: int) -> int:
+    """The (n, m) coefficient of t*X*Y over the terms of X of degree 1 to
+    ``top``; both tables are zero at arity 0, and zero products are skipped."""
+    total = 0
+    for n1 in range(1, top + 1):
+        xrow, yrow = x[n1], y[n - n1]
+        for m1 in range(1, m):
+            if xrow[m1] and yrow[m - 1 - m1]:
+                total += xrow[m1] * yrow[m - 1 - m1]
+    return total
+
+
 @lru_cache(maxsize=None)
 def _i_table(N: int, M: int) -> tuple:
     """Coefficients of I from I = zt + t*I^2 + zt*I, degree by degree."""
     i = [[0] * (M + 1) for _ in range(N + 1)]
     for n in range(1, N + 1):
         for m in range(1, M + 1):
-            val = 1 if (n == 1 and m == 1) else 0
-            if n >= 1 and m >= 1:
-                val += i[n - 1][m - 1]
-            # (t * I^2)[n][m]: products with both factors of degree >= 1
-            for n1 in range(1, n):
-                row1 = i[n1]
-                row2 = i[n - n1]
-                val += sum(
-                    row1[m1] * row2[m - 1 - m1]
-                    for m1 in range(1, m - 1)
-                    if row1[m1] and row2[m - 1 - m1]
-                )
-            i[n][m] = val
+            # t*I^2 has both factors of degree >= 1
+            i[n][m] = (n == m == 1) + i[n - 1][m - 1] + _t_times(i, i, n, m, n - 1)
     return tuple(tuple(row) for row in i)
 
 
@@ -376,16 +372,7 @@ def _b_table(N: int, M: int) -> tuple:
     b = [[0] * (M + 1) for _ in range(N + 1)]
     for n in range(1, N + 1):
         for m in range(1, M + 1):
-            val = i[n][m]
-            for n1 in range(1, n + 1):
-                irow = i[n1]
-                brow = b[n - n1]
-                val += sum(
-                    irow[m1] * brow[m - 1 - m1]
-                    for m1 in range(1, m)
-                    if irow[m1] and brow[m - 1 - m1]
-                )
-            b[n][m] = val
+            b[n][m] = i[n][m] + _t_times(i, b, n, m, n)
     return tuple(tuple(row) for row in b)
 
 

@@ -12,7 +12,9 @@ on nodes that hold vertices.  The factors off the path are normal and come
 through as the vertices they are; relations fire only where ``sigma``'s
 factors meet their neighbours at the graft, and the operator is applied
 once per bracket level on the way up (path copying).  The new vertices are
-hash-consed like those of ``phi``.
+frozen with ``algebra._freeze`` into ``phi``'s hash-consed comb encoding
+(``trees._comb``, ``trees._chain``).  The transported product and operator
+are compositions into the generators ``x x`` and ``[x]``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .algebra import _Node, _apply_p, _collect, _merge, apply_p, diamond
+from .algebra import _Node, _apply_p, _collect, _freeze, _merge
 from .trees import (
     LEAF,
     AveragingTree,
@@ -30,11 +32,11 @@ from .trees import (
     UnreducedBinaryTree,
     _averaging_leaves,
     _bi,
+    _chain,
+    _comb,
     _strip,
     _tree_key,
     _uni,
-    phi,
-    phi_inverse,
 )
 
 __all__ = [
@@ -47,6 +49,8 @@ __all__ = [
 ]
 
 IDENTITY = AveragingTree(LEAF)
+_PRODUCT = AveragingTree(_bi(LEAF, LEAF))  # x x
+_OPERATOR = AveragingTree(_uni(LEAF))  # [x]
 
 TreeLike = Union[AveragingTree, UnreducedBinaryTree]
 
@@ -68,10 +72,6 @@ def compose(tau: TreeLike, index: int, sigma: TreeLike) -> AveragingTree:
         )
     return result
 
-
-# A word is a left comb of bi-vertices over its factors, each a leaf (a
-# letter) or the top of a uni-chain (a bracket whose power is the chain's
-# length); a bracket's core begins with a letter and is never one bracket.
 
 def _graft(tree: UnreducedBinaryTree, index: int,
            sigma: UnreducedBinaryTree) -> UnreducedBinaryTree:
@@ -124,7 +124,7 @@ def _graft(tree: UnreducedBinaryTree, index: int,
     while True:
         value = value + suffix if prefix is None else [prefix, *value, *suffix]
         if not power:
-            return _build(value)
+            return _comb(_freeze(value, _chain))
         for end in (0, -1):
             if isinstance(value[end], Uni):
                 value[end] = _thaw(value[end])
@@ -156,40 +156,14 @@ def _merged(a: Union[Uni, _Node], b: Uni) -> _Node:
     return a
 
 
-def _build(value: list) -> UnreducedBinaryTree:
-    """The vertex of a value: each node becomes a uni-chain over the comb of
-    its core, after the nodes inside it and without recursion."""
-    places = []  # (list, index) of every node, after the node that holds it
-    lists = [value]
-    for entries in lists:  # grows while it is read
-        for i, f in enumerate(entries):
-            if type(f) is _Node:
-                places.append((entries, i))
-                lists.append(f.core)
-    for entries, i in reversed(places):
-        node = entries[i]
-        t = _comb(node.core)
-        for _ in range(node.power):
-            t = _uni(t)
-        entries[i] = t
-    return _comb(value)
-
-
-def _comb(entries: list) -> UnreducedBinaryTree:
-    t = entries[0]
-    for f in entries[1:]:
-        t = _bi(t, f)
-    return t
-
-
 def tree_product(p: TreeLike, q: TreeLike) -> AveragingTree:
-    """The free-algebra product transported to trees."""
-    return phi(diamond(phi_inverse(_as_tree(p)), phi_inverse(_as_tree(q))))
+    """The free-algebra product transported to trees: ``x x`` o (p, q)."""
+    return compose(compose(_PRODUCT, 2, q), 1, p)
 
 
 def tree_apply(t: TreeLike) -> AveragingTree:
-    """The averaging operator transported to trees."""
-    return phi(apply_p(phi_inverse(_as_tree(t))))
+    """The averaging operator transported to trees: ``[x]`` o t."""
+    return compose(_OPERATOR, 1, t)
 
 
 @dataclass(frozen=True)

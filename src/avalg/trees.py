@@ -129,6 +129,10 @@ class _Node:
     def __str__(self) -> str:
         return render_binary_tree(self)
 
+    def __reduce__(self):
+        """Pickled as its text, which reads and writes at any depth."""
+        return _unpickle, (render_binary_tree(self), bool(self._leaves))
+
 
 @dataclass(frozen=True, slots=True)
 class TLeaf:
@@ -149,9 +153,9 @@ class Uni(_Node):
     as a whole, then its leaf count, which :func:`_averaging_leaves` reads
     instead of walking the subtree again.  Only that walk sets it, and only
     after the whole tree it was asked about passed.  Like the hash, the mark
-    depends on the immutable subtree alone, so it is pickled with the
-    vertex; a vertex built by the constructors starts unmarked.  Neither
-    slot is compared or shown."""
+    depends on the immutable subtree alone, so a marked vertex is certified
+    again when it is unpickled; a vertex built by the constructors starts
+    unmarked.  Neither slot is compared or shown."""
 
     child: "UnreducedBinaryTree"
     _hash: int = field(init=False, repr=False, compare=False)
@@ -164,7 +168,7 @@ class Uni(_Node):
 @dataclass(frozen=True, slots=True, eq=False)
 class Bi(_Node):
     """A bi-vertex.  ``_leaves`` is the certification mark, as on ``Uni``:
-    set only once the subtree from here down has passed, and pickled."""
+    set only once the subtree from here down has passed; pickles keep it."""
 
     left: "UnreducedBinaryTree"
     right: "UnreducedBinaryTree"
@@ -386,28 +390,44 @@ def _bi(left: UnreducedBinaryTree, right: UnreducedBinaryTree) -> Bi:
     return node
 
 
+# A word is a left comb of bi-vertices over its factors (``_comb``), each a
+# leaf (a letter) or the top of a uni-chain (``_chain``: a bracket whose
+# power is the chain's length); a bracket's core begins with a letter and is
+# never one bracket.  An entry of a comb may itself be a comb.
+
+def _comb(entries) -> UnreducedBinaryTree:
+    t = entries[0]
+    for f in entries[1:]:
+        t = _bi(t, f)
+    return t
+
+
+def _chain(core, power: int) -> Uni:
+    t = _comb(core)
+    for _ in range(power):
+        t = _uni(t)
+    return t
+
+
 def _phi(v: BracketedWord) -> UnreducedBinaryTree:
-    """The tree of ``v``, folding each word's factors left to right.  The
-    stack holds the factors still to read around each open bracket, so any
-    depth converts."""
-    stack = []  # (enclosing factors left, their tree so far, the open bracket)
-    factors, acc = iter(v.factors), None
+    """The tree of ``v``: the comb of its factors' trees.  The stack holds
+    the factors still to read around each open bracket, so any depth
+    converts."""
+    stack = []  # (enclosing factors left, their trees so far, the open bracket)
+    factors, entries = iter(v.factors), []
     while True:
         for f in factors:
             if isinstance(f, Letter):
-                acc = LEAF if acc is None else _bi(acc, LEAF)
+                entries.append(LEAF)
             else:
-                stack.append((factors, acc, f))
-                factors, acc = iter(f.core.factors), None
+                stack.append((factors, entries, f))
+                factors, entries = iter(f.core.factors), []
                 break
         else:
             if not stack:
-                return acc
-            t = acc
-            factors, acc, f = stack.pop()
-            for _ in range(f.power):
-                t = _uni(t)
-            acc = t if acc is None else _bi(acc, t)
+                return _comb(entries)
+            core, (factors, entries, f) = entries, stack.pop()
+            entries.append(_chain(core, f.power))
 
 
 def phi_inverse(t: Union[AveragingTree, UnreducedBinaryTree]) -> AveragingWord:
@@ -645,6 +665,13 @@ def render_binary_tree(t: UnreducedBinaryTree) -> str:
 
 def parse_binary_tree(text: str) -> UnreducedBinaryTree:
     return _read_term(text, {"L": LEAF}, {"U": (1, Uni), "B": (2, Bi)})
+
+
+def _unpickle(text: str, marked: bool) -> UnreducedBinaryTree:
+    t = parse_binary_tree(text)
+    if marked:
+        _averaging_leaves(t)
+    return t
 
 
 def render_schroeder_tree(t: SchroederTree) -> str:

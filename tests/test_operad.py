@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from avalg.operad import (
     IDENTITY,
     OperadElement,
-    _build,
     _graft,
     _thaw,
     compose,
@@ -17,12 +16,14 @@ from avalg.operad import (
     tree_apply,
     tree_product,
 )
-from avalg.algebra import apply_p, diamond, reduce
+from avalg.algebra import _freeze, apply_p, diamond, reduce
 from avalg.trees import (
     LEAF,
     AveragingTree,
     Bi,
     Uni,
+    _chain,
+    _comb,
     _phi,
     _phi_inverse,
     enumerate_averaging_trees,
@@ -123,7 +124,7 @@ def unmarked_copy(t):
 def test_thaw_then_build_is_the_same_vertex():
     for t in enumerate_averaging_trees(4, 3):
         if isinstance(t.tree, Uni):
-            assert _build([_thaw(t.tree)]) is t.tree
+            assert _comb(_freeze([_thaw(t.tree)], _chain)) is t.tree
 
 
 class TestUnits:
@@ -167,12 +168,15 @@ class TestTransport:
         assert tree_apply(Bi(LEAF, Uni(LEAF))).tree == Uni(Bi(LEAF, Uni(LEAF)))
 
     def test_transport_consistency(self):
-        family = enumerate_averaging_trees(3, 2)
-        for p in family[::3]:
-            for q in family[::4]:
+        # product and operator are compositions; the free algebra's own
+        # diamond and apply_p are the oracle
+        family = enumerate_averaging_trees(4, 2)
+        for p in family:
+            for q in family:
                 assert phi_inverse(tree_product(p, q)) == diamond(
                     phi_inverse(p), phi_inverse(q)
                 )
+        for p in enumerate_averaging_trees(4, 3):
             assert phi_inverse(tree_apply(p)) == apply_p(phi_inverse(p))
 
 

@@ -373,6 +373,14 @@ class TestDeepTrees:
         other = phi(parse_word("[x" * 1199 + "[x x" + "]" * 1200))
         assert other != t and other != copy
 
+    def test_pickle_at_depth_1200(self):
+        t = phi(parse_word(DEEP_WORD))
+        loaded = pickle.loads(pickle.dumps(t))
+        assert loaded == t and loaded.tree is not t.tree and hash(loaded) == hash(t)
+        assert loaded.arity == loaded.tree._leaves == 1200
+        raw = pickle.loads(pickle.dumps(parse_binary_tree(render_binary_tree(t.tree))))
+        assert raw == t.tree and not raw._leaves  # an unmarked vertex loads unmarked
+
     def test_equality_is_structural(self):
         family = enumerate_unreduced(3, 2)
         copies = [parse_binary_tree(render_binary_tree(t)) for t in family]
