@@ -444,14 +444,18 @@ class LinCombSyntaxError(ValueError):
 
 def _collect(pairs, certify: Callable, key: Callable) -> tuple:
     """Formal-sum terms: each item certified by ``certify`` before its coefficient
-    is made a Fraction; equal items add, zeros drop, sorted by ``key``."""
+    is made a Fraction; items with equal ``key`` add, zeros drop, sorted by
+    ``key``.  The canonical key holds the rendered text, so it tells items
+    apart without hashing them, which recurses once per nesting level."""
     acc: dict = {}
     for x, c in pairs:
         x = certify(x)
         c = Fraction(c)
         if c:
-            acc[x] = acc.get(x, Fraction(0)) + c
-    return tuple(sorted(((x, c) for x, c in acc.items() if c), key=lambda xc: key(xc[0])))
+            k = key(x)
+            first, total = acc.get(k, (x, 0))
+            acc[k] = (first, total + c)
+    return tuple(acc[k] for k in sorted(acc) if acc[k][1])
 
 
 @dataclass(frozen=True)

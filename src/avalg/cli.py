@@ -54,6 +54,14 @@ def _run_cap(text: str):
     return value
 
 
+def _check_sizes(args, *flags: str) -> None:
+    """Table sizes and indices are nonnegative; a negative one is a usage error."""
+    for flag in flags:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value is not None and value < 0:
+            raise UsageError(f"{flag} must be nonnegative")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="avalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -77,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="count idempotent-convention words")
     p.add_argument("--run-cap", default="1", type=_run_cap)
     p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--max-arity", type=int, default=-1)
+    p.add_argument("--max-arity", type=int, default=None)
     p.add_argument("--include-one", action="store_true")
     p.add_argument("--list-words", action="store_true")
     p.add_argument("--budget", type=int, default=10**7)
@@ -157,8 +165,9 @@ def _handle(args) -> tuple:
         }, "json"
 
     if cmd == "census":
+        _check_sizes(args, "--max-degree", "--max-arity")
         max_arity = args.max_arity
-        if max_arity < 0:
+        if max_arity is None:
             if args.run_cap == math.inf:
                 raise UsageError("--max-arity is required when --run-cap is inf")
             max_arity = int(args.run_cap) * (2 * args.max_degree + 1)
@@ -179,12 +188,12 @@ def _handle(args) -> tuple:
         return payload, args.format
 
     if cmd == "series":
+        _check_sizes(args, "--N", "--M")
         s = enumeration.series(args.kind, args.N, args.M)
         return s.to_json(), args.format
 
     if cmd == "schroeder":
-        if args.n < 0:
-            raise UsageError("--n must be nonnegative")
+        _check_sizes(args, "--n")
         return {"n": args.n, "value": enumeration.schroeder(args.n)}, "json"
 
     if cmd == "word2tree":

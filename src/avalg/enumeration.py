@@ -20,7 +20,9 @@ indecomposable column giving the Schroeder numbers themselves.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple, Union
@@ -73,30 +75,40 @@ def _check_cap(cap: Cap) -> Cap:
     raise ValueError("run cap must be a positive integer or math.inf")
 
 
+def _check_sizes(*sizes: int) -> None:
+    if min(sizes) < 0:
+        raise ValueError("table sizes must be nonnegative")
+
+
 # ---------------------------------------------------------------------------
 # Compositions
 
 def compositions(m: int, k: int, cap: Cap = math.inf) -> tuple:
-    """All ways to write m as k ordered positive parts, each part <= cap."""
+    """All ways to write m as k ordered positive parts, each part <= cap, in
+    lexicographic order: the parts between k - 1 cut points of 1..m-1."""
     _check_cap(cap)
     if m < 1 or k < 1:
         return ()
-    top = m if cap == math.inf else min(m, int(cap))
-
-    def rec(remaining: int, parts_left: int):
-        if parts_left == 1:
-            if 1 <= remaining <= top:
-                yield (remaining,)
-            return
-        for first in range(1, min(top, remaining - parts_left + 1) + 1):
-            for rest in rec(remaining - first, parts_left - 1):
-                yield (first,) + rest
-
-    return tuple(rec(m, k))
+    out = []
+    for cuts in itertools.combinations(range(1, m), k - 1):
+        parts = tuple(map(operator.sub, cuts + (m,), (0,) + cuts))
+        if max(parts) <= cap:
+            out.append(parts)
+    return tuple(out)
 
 
 def count_compositions(m: int, k: int, cap: Cap = math.inf) -> int:
-    return len(compositions(m, k, cap))
+    """[t^m] (t + t^2 + ... + t^cap)^k, by inclusion-exclusion over the j
+    parts that exceed the cap (a binomial when the cap is infinite)."""
+    _check_cap(cap)
+    if m < 1 or k < 1 or m > k * cap:
+        return 0
+    if cap == math.inf:
+        return math.comb(m - 1, k - 1)
+    return sum(
+        (-1) ** j * math.comb(k, j) * math.comb(m - j * cap - 1, k - 1)
+        for j in range(min(k, (m - k) // cap) + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +170,7 @@ class CountTable:
         return [self.degree_total(n) for n in range(top + 1)]
 
     def rows(self) -> list:
-        return [
-            (n, m, c) for (n, m), c in sorted(self.counts.items()) if c
-        ]
+        return [(n, m, c) for (n, m), c in sorted(self.counts.items())]
 
     def to_json(self) -> dict:
         return {
@@ -195,6 +205,7 @@ def census(run_cap: Cap, max_degree: int, max_arity: int, include_one: bool = Fa
     Every cell is checked against that prediction.
     """
     cap = _check_cap(run_cap)
+    _check_sizes(max_degree, max_arity)
     cells = [(n, m) for n in range(max_degree + 1) for m in range(1, max_arity + 1)]
     expected = reduce_to_v1(cap, max_degree, max_arity, include_one=False)
     predicted = sum(expected.counts.values())
@@ -213,16 +224,11 @@ def census(run_cap: Cap, max_degree: int, max_arity: int, include_one: bool = Fa
                 f" the series predicts {expected.count(n, m)}"
             )
         brk = [f for f in found if isinstance(f[0], Bracket) and isinstance(f[-1], Bracket)]
-        ind = sum(1 for f in brk if len(f) == 1)
-        if found:
-            tables["a"][(n, m)] = len(found)
-        if brk:
-            tables["b"][(n, m)] = len(brk)
-            tables["i"][(n, m)] = ind
-            if len(brk) - ind:
-                tables["d"][(n, m)] = len(brk) - ind
-        if len(found) - len(brk):
-            tables["c"][(n, m)] = len(found) - len(brk)
+        a, b = len(found), len(brk)
+        i = sum(1 for f in brk if len(f) == 1)
+        for name, count in zip("abcdi", (a, b, a - b, b - i, i)):
+            if count:
+                tables[name][(n, m)] = count
         if words is not None and found:
             words[(n, m)] = tuple(sorted(render_word(BracketedWord(f)) for f in found))
     if include_one:
@@ -387,31 +393,24 @@ def series(kind: str, max_degree: int, max_arity: int) -> BivariateSeries:
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown series kind {kind!r}; expected one of {_KINDS}")
+    _check_sizes(max_degree, max_arity)
     N, M = max_degree, max_arity
     i = _i_table(N, M)
     b = _b_table(N, M)
-    out = [[0] * (M + 1) for _ in range(N + 1)]
-    for n in range(N + 1):
-        for m in range(M + 1):
-            if kind == "I":
-                out[n][m] = i[n][m]
-            elif kind == "B":
-                out[n][m] = b[n][m]
-            elif kind == "D":
-                out[n][m] = b[n][m] - i[n][m]
-            else:
-                c = 0
-                if n == 0 and m == 1:
-                    c = 1
-                if m >= 1:
-                    c += 2 * b[n][m - 1]
-                if m >= 2:
-                    c += b[n][m - 2]
-                if kind == "C":
-                    out[n][m] = c
-                else:  # A = 1 + B + C
-                    out[n][m] = c + b[n][m] + (1 if n == 0 and m == 0 else 0)
-    return BivariateSeries(kind, N, M, tuple(tuple(row) for row in out))
+    shifted = [(0, 0) + row for row in b]  # shifted[n][m + 2] == b[n][m]
+
+    def c(n: int, m: int) -> int:
+        return (n == 0 and m == 1) + 2 * shifted[n][m + 1] + shifted[n][m]
+
+    cell = {
+        "I": lambda n, m: i[n][m],
+        "B": lambda n, m: b[n][m],
+        "D": lambda n, m: b[n][m] - i[n][m],
+        "C": c,
+        "A": lambda n, m: (n == m == 0) + b[n][m] + c(n, m),
+    }[kind]
+    table = tuple(tuple(cell(n, m) for m in range(M + 1)) for n in range(N + 1))
+    return BivariateSeries(kind, N, M, table)
 
 
 def univariate(kind: str, max_degree: int) -> list:
@@ -467,36 +466,15 @@ def reduce_to_v1(run_cap: Cap, max_degree: int, max_arity: int,
     t + t^2 + ... + t^cap (all powers of t when the cap is infinite).
     """
     cap = _check_cap(run_cap)
-    N, M = max_degree, max_arity
-    a1 = series("A", N, M)
-    g = [0] * (M + 1)
-    for m in range(1, M + 1):
-        if cap == math.inf or m <= cap:
-            g[m] = 1
-    # powers of the run series, truncated at M
-    gpow = [[0] * (M + 1) for _ in range(M + 2)]
-    gpow[0][0] = 1
-    for k in range(1, M + 1):
-        prev = gpow[k - 1]
-        cur = gpow[k]
-        for m1 in range(M + 1):
-            if prev[m1]:
-                for m2 in range(1, M + 1 - m1):
-                    if g[m2]:
-                        cur[m1 + m2] += prev[m1]
-    counts: Dict[Tuple[int, int], int] = {}
-    for n in range(N + 1):
-        for m in range(M + 1):
-            total = 0
-            for k in range(M + 1):
-                c = a1.coeff(n, k)
-                if c:
-                    total += c * gpow[k][m]
-            if n == 0 and m == 0 and not include_one:
-                total -= 1
+    a1 = series("A", max_degree, max_arity)
+    counts: Dict[Tuple[int, int], int] = {(0, 0): 1} if include_one else {}
+    for n in range(max_degree + 1):
+        for m in range(1, max_arity + 1):
+            row = a1.table[n][: m + 1]
+            total = sum(c * count_compositions(m, k, cap) for k, c in enumerate(row) if c)
             if total:
                 counts[(n, m)] = total
-    return CountTable(counts, cap, include_one, N, M)
+    return CountTable(counts, cap, include_one, max_degree, max_arity)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,17 @@ class TestExitCodes:
         assert run_cli("bogus-command").returncode == 1
         assert run_cli("schroeder", "--n", "-1").returncode == 1
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("census", "--max-degree", "-1"), "--max-degree"),
+        (("census", "--max-degree", "2", "--max-arity", "-3"), "--max-arity"),
+        (("series", "--kind", "I", "--N", "-1", "--M", "3"), "--N"),
+        (("series", "--kind", "A", "--N", "2", "--M", "-1"), "--M"),
+    ])
+    def test_negative_table_sizes_are_usage_errors(self, argv, flag):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1
+        assert proc.stderr == f"usage error: {flag} must be nonnegative\n"
+
     def test_parse_error_word(self):
         proc = run_cli("normalize", "[x")
         assert proc.returncode == 2
@@ -226,6 +237,12 @@ class TestExitCodes:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("resource exhausted: ")
         assert "Traceback" not in proc.stderr
+
+    def test_product_at_any_depth(self):
+        # terms are collected by their canonical key, so no word is hashed
+        deep = "[x" * 1200 + "]" * 1200
+        proc = run_cli("product", deep, "x")
+        assert payload_of(proc) == {"terms": [{"coeff": "1", "word": deep + "x"}]}
 
     def test_apply_p_on_deep_nesting(self):
         proc = run_cli("apply-p", "[" * 1200 + "x" + "]" * 1200)

@@ -51,7 +51,8 @@ class TestCompositions:
         assert set(compositions(3, 2)) == {(1, 2), (2, 1)}
 
     def test_cap_one_unique(self):
-        for k in range(1, 6):
+        # the cut points are read off one combination, so no recursion limit
+        for k in (1, 2, 3, 4, 5, 1500):
             assert compositions(k, k, 1) == ((1,) * k,)
 
     def test_cap_excludes_large_parts(self):
@@ -59,9 +60,15 @@ class TestCompositions:
 
     def test_counts_match_generating_function(self):
         for cap in (1, 2, 3, math.inf):
-            for m in range(1, 9):
-                for k in range(1, m + 1):
-                    assert count_compositions(m, k, cap) == _gf_coefficient(m, k, cap)
+            for m in range(11):
+                for k in range(11):
+                    expected = _gf_coefficient(m, k, cap) if m and k else 0
+                    listed = compositions(m, k, cap)
+                    assert count_compositions(m, k, cap) == len(listed) == expected, (m, k, cap)
+                    # lexicographic, the order enumerate_schroeder relies on
+                    assert listed == tuple(sorted(listed))
+        # far past what generating the compositions could reach
+        assert count_compositions(60, 30, 3) == _gf_coefficient(60, 30, 3)
 
     def test_parts_obey_cap_and_sum(self):
         for parts in compositions(7, 3, 3):
@@ -332,6 +339,15 @@ class TestRunCapReduction:
         assert [table.count(1, m) for m in (1, 2, 3)] == [1, 3, 6]
         result = census(math.inf, 1, 3, include_one=True)
         assert [result.a.count(1, m) for m in (1, 2, 3)] == [1, 3, 6]
+
+    def test_negative_sizes_are_rejected(self):
+        for sizes in ((-1, 3), (2, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                census(1, *sizes)
+            with pytest.raises(ValueError, match="nonnegative"):
+                series("A", *sizes)
+            with pytest.raises(ValueError, match="nonnegative"):
+                reduce_to_v1(2, *sizes)
 
     @pytest.mark.parametrize("cap", [2, 3, math.inf])
     def test_census_equals_substitution(self, cap):
