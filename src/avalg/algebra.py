@@ -625,19 +625,29 @@ def universal_map(assignment: Mapping[str, object], target, value):
 
 
 def _eval_word(assignment, target, w: BracketedWord):
-    result = None
-    for f in w.factors:
-        if isinstance(f, Letter):
+    # a left fold over the factors; a bracket pushes the word it sits in and
+    # is applied ``power`` times to its core's value once that core ends
+    stack = []
+    factors, result, power = iter(w.factors), None, 0
+    while True:
+        f = next(factors, None)
+        if f is None:
+            piece = result
+            for _ in range(power):
+                piece = target.operator(piece)
+            if not stack:
+                return piece
+            factors, result, power = stack.pop()
+        elif isinstance(f, Letter):
             try:
                 piece = assignment[f.symbol]
             except KeyError:
                 raise KeyError(f"letter {f.symbol!r} has no assigned image") from None
         else:
-            piece = _eval_word(assignment, target, f.core)
-            for _ in range(f.power):
-                piece = target.operator(piece)
+            stack.append((factors, result, power))
+            factors, result, power = iter(f.core.factors), None, f.power
+            continue
         result = piece if result is None else target.multiply(result, piece)
-    return result
 
 
 def random_lincomb(rng, alphabet=("x", "y"), max_terms: int = 3,

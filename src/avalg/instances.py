@@ -2,7 +2,9 @@
 
 Carriers are free modules over exact rationals with multiplication given by
 structure constants and the operator by a matrix.  Elements are coefficient
-tuples.  Four standard constructions are provided:
+tuples of exact rationals (``int`` or ``Fraction``); ``multiply`` and
+``operator`` compute in integers over common denominators and return
+``Fraction`` tuples.  Four standard constructions are provided:
 
 * ``GroupAverage``: sum over a finite group acting by algebra automorphisms
   (basis permutations), or the translation average ``P(g) = (sum of G) g``
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 __all__ = [
@@ -48,7 +51,40 @@ def _frac(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+    raise _inexact(x)
+
+
+def _inexact(x) -> TypeError:
+    return TypeError(f"not an exact rational: {x!r}")
+
+
+def _numerators(x):
+    """The nonzero entries of ``x`` as ``(index, numerator)`` over one common
+    denominator, and that denominator."""
+    try:
+        d = lcm(*[a.denominator for a in x])
+        return [(i, a.numerator * (d // a.denominator)) for i, a in enumerate(x) if a], d
+    except AttributeError:
+        for a in x:
+            if not hasattr(a, "numerator"):
+                raise _inexact(a) from None
+        raise
+
+
+_ZERO = Fraction(0)
+
+
+def _fractions(out, d) -> Vector:
+    return tuple(Fraction(v, d) if v else _ZERO for v in out)
+
+
+def _integer_rows(rows):
+    """Each row's nonzero ``(k, numerator)`` pairs over one common denominator."""
+    d = lcm(*[c.denominator for row in rows for c in row])
+    return d, tuple(
+        tuple((k, c.numerator * (d // c.denominator)) for k, c in enumerate(row) if c)
+        for row in rows
+    )
 
 
 @dataclass(frozen=True)
@@ -78,6 +114,10 @@ class FiniteAlgebra:
             raise ValueError("operator matrix has wrong shape")
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "op", op)
+        # the integer kernel; not a field, so ==, hash and repr ignore it
+        dm, rows = _integer_rows([row for plane in mul for row in plane])
+        object.__setattr__(self, "_mul_int", (dm, tuple(rows[i * n:(i + 1) * n] for i in range(n))))
+        object.__setattr__(self, "_op_int", _integer_rows(op))
         bad = self._associativity_failure()
         if bad is not None:
             raise ValueError(f"multiplication is not associative at basis triple {bad}")
@@ -113,27 +153,26 @@ class FiniteAlgebra:
         return tuple(c * a for a in x)
 
     def multiply(self, x: Vector, y: Vector) -> Vector:
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                coeff = xi * yj
-                for k, c in enumerate(self.mul[i][j]):
-                    if c:
-                        out[k] += coeff * c
-        return tuple(out)
+        dm, table = self._mul_int
+        xs, dx = _numerators(x)
+        ys, dy = _numerators(y)
+        out = [0] * self.dim
+        for i, a in xs:
+            row = table[i]
+            for j, b in ys:
+                ab = a * b
+                for k, c in row[j]:
+                    out[k] += ab * c
+        return _fractions(out, dx * dy * dm)
 
     def operator(self, x: Vector) -> Vector:
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi:
-                for k, c in enumerate(self.op[i]):
-                    if c:
-                        out[k] += xi * c
-        return tuple(out)
+        do, table = self._op_int
+        xs, dx = _numerators(x)
+        out = [0] * self.dim
+        for i, a in xs:
+            for k, c in table[i]:
+                out[k] += a * c
+        return _fractions(out, dx * do)
 
     def element(self, coeffs: Sequence) -> Vector:
         if len(coeffs) != self.dim:

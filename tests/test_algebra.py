@@ -310,6 +310,14 @@ class TestUniversalMap:
             got = universal_map({"x": q}, alg, aw("[x]x"))
             assert got == alg.multiply(alg.operator(q), q)
 
+    def test_deep_nesting_without_recursion(self):
+        # [x[x...[x]...]] 1200 deep is x^1200 under the identity operator,
+        # and (1 + y)^1200 = 1 + 1200y in the dual numbers
+        alg = standard_fixtures()["identity_dual_numbers"]
+        deep = parse_word("[x" * 1200 + "]" * 1200)
+        got = universal_map({"x": alg.element([1, 1])}, alg, deep)
+        assert got == alg.element([1, 1200])
+
     def test_unmapped_letter(self):
         alg = standard_fixtures()["central_dual_numbers"]
         with pytest.raises(KeyError):

@@ -1,8 +1,11 @@
 import itertools
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avalg.instances import (
     FiniteAlgebra,
@@ -27,6 +30,51 @@ BASIS2, MUL2 = truncated_polynomial_algebra(2)  # k[y]/(y^2), basis 1, y
 
 def dual_numbers_with(op):
     return FiniteAlgebra(BASIS2, MUL2, op)
+
+
+def multiply_by_definition(alg, x, y):
+    """The product as the structure constants define it, in Fraction arithmetic."""
+    out = [Fraction(0)] * alg.dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            coeff = xi * yj
+            for k, c in enumerate(alg.mul[i][j]):
+                if c:
+                    out[k] += coeff * c
+    return tuple(out)
+
+
+def operator_by_definition(alg, x):
+    out = [Fraction(0)] * alg.dim
+    for i, xi in enumerate(x):
+        if xi:
+            for k, c in enumerate(alg.op[i]):
+                if c:
+                    out[k] += xi * c
+    return tuple(out)
+
+
+# e e = e/2, e n = n e = n/2, n n = 0 (the dual numbers with unit 2e), with a
+# rational operator: both kernel denominators exceed 1
+HALF = Fraction(1, 2)
+RATIONAL = FiniteAlgebra(
+    ("e", "n"), [[[HALF, 0], [0, HALF]], [[0, HALF], [0, 0]]], [[0, 0], [0, 0]]
+).with_operator([[Fraction(1, 3), Fraction(-2, 5)], [Fraction(3, 4), 0]])
+ALGEBRAS = {**standard_fixtures(), "rational": RATIONAL}
+
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+)
+
+
+def _vectors(dim):
+    return st.tuples(*[_entries] * dim)
 
 
 class TestBuilders:
@@ -116,6 +164,43 @@ class TestBuilderValidation:
         ]
         with pytest.raises(ValueError, match="associative"):
             FiniteAlgebra(basis, mul, [[0, 0], [0, 0]])
+
+
+class TestKernel:
+    def test_denominators_are_cleared(self):
+        assert RATIONAL._mul_int[0] == 2 and RATIONAL._op_int[0] == 60
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_agrees_with_the_definition(self, name, data):
+        alg = ALGEBRAS[name]
+        x, y = data.draw(_vectors(alg.dim)), data.draw(_vectors(alg.dim))
+        product, image = alg.multiply(x, y), alg.operator(x)
+        assert product == multiply_by_definition(alg, x, y)
+        assert image == operator_by_definition(alg, x)
+        assert all(type(c) is Fraction for c in product + image)
+
+    def test_inexact_entries_are_type_errors(self):
+        alg = standard_fixtures()["central_dual_numbers"]
+        one_two = (Fraction(1), Fraction(2))
+        for call in (lambda: alg.multiply((1.5, 0.0), one_two),
+                     lambda: alg.multiply(one_two, (Fraction(1), 0.0)),
+                     lambda: alg.operator((Fraction(1), "1/2"))):
+            with pytest.raises(TypeError, match="not an exact rational"):
+                call()
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_kernel_is_not_a_field(self, name):
+        alg = ALGEBRAS[name]
+        copy = pickle.loads(pickle.dumps(alg))
+        assert copy == alg and hash(copy) == hash(alg) == hash((alg.basis, alg.mul, alg.op))
+        assert repr(copy) == repr(alg) == (
+            f"FiniteAlgebra(basis={alg.basis!r}, mul={alg.mul!r}, op={alg.op!r})"
+        )
+        assert algebra_to_json(copy) == algebra_to_json(alg)
+        x = tuple(Fraction(k - 1, k + 1) for k in range(alg.dim))
+        assert copy.multiply(x, x) == multiply_by_definition(alg, x, x)
 
 
 class TestChecks:
