@@ -202,18 +202,28 @@ def reduce(w: Union[BracketedWord, AveragingWord]) -> AveragingWord:
 def _value(w: BracketedWord) -> list:
     # the product of the factors' values, folded left to right.  [w]^s is P
     # applied s times; past the first the value is one bracket, so the rest
-    # add to its power, and it merges with a bracket before it
-    value = []
-    for f in w.factors:
-        if isinstance(f, Bracket):
-            node = _apply_p(_value(f.core))
-            node.power += f.power - 1
+    # add to its power, and it merges with a bracket before it.  The stack
+    # holds the factors still to read around each open bracket, so any
+    # depth evaluates
+    stack = []  # (enclosing factors left, their value so far, the open bracket's power)
+    factors, value = iter(w.factors), []
+    while True:
+        for f in factors:
+            if isinstance(f, Bracket):
+                stack.append((factors, value, f.power))
+                factors, value = iter(f.core.factors), []
+                break
+            value.append(f)
+        else:
+            if not stack:
+                return value
+            core, (factors, value, power) = value, stack.pop()
+            node = _apply_p(core)
+            node.power += power - 1
             if value and isinstance(value[-1], _Node):
                 _merge(value[-1], node)
-                continue
-            f = node
-        value.append(f)
-    return value
+            else:
+                value.append(node)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 JSON payloads go to stdout inside a small envelope; diagnostics go to
 stderr.  Exit codes: 0 ok, 1 usage, 2 input parse error, 3 budget exceeded,
 4 internal invariant failure (or any other internal error), 5 resource
-exhausted (an input nested too deeply for the recursion limit, or out of
-memory).  Tabular subcommands accept ``--format {json,csv,text}``.
+exhausted (a JSON file nested too deeply for the standard library's
+recursive decoder, or out of memory; words and trees of any depth are read
+without recursion).  Tabular subcommands accept ``--format {json,csv,text}``.
 """
 
 from __future__ import annotations

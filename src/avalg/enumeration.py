@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple, Union
@@ -32,7 +33,9 @@ from .words import (
     Bracket,
     BracketedWord,
     Letter,
+    _IDENT_RE,
     _averaging_factors,
+    parse_word,
     raw,
     render_word,
     substitute_letters,
@@ -54,7 +57,6 @@ __all__ = [
     "univariate",
     "schroeder",
     "schroeder_sequence",
-    "indecomposable_recursion",
     "reduce_to_v1",
     "closed_form",
     "series_value",
@@ -250,35 +252,26 @@ def census(run_cap: Cap, max_degree: int, max_arity: int, include_one: bool = Fa
 # ---------------------------------------------------------------------------
 # Run collapse: the bijection behind the run-cap reduction
 
+# A maximal run of letters: the renderer puts one space between two adjacent
+# letters and nowhere else.
+_RUN_RE = re.compile(rf"{_IDENT_RE.pattern}(?: {_IDENT_RE.pattern})*")
+
+
 def collapse_runs(w: Union[BracketedWord, AveragingWord]) -> tuple:
     """Replace each maximal x-run by a single x; return (collapsed, run lengths).
 
-    Runs are read left to right in nesting order, and never span a bracket
-    boundary.  Together with the composition the collapsed word determines
-    the original uniquely.
+    Runs are read left to right in the text, and never span a bracket
+    boundary; a run of mixed letters keeps its last one.  Together with the
+    composition the collapsed word determines the original uniquely.
     """
-    w = raw(w)
     lengths = []
 
-    def walk(v: BracketedWord) -> BracketedWord:
-        factors = []
-        run, sym = 0, ""
-        for f in v.factors:
-            if isinstance(f, Letter):
-                run, sym = run + 1, f.symbol
-            else:
-                if run:
-                    lengths.append(run)
-                    factors.append(Letter(sym))
-                    run = 0
-                factors.append(Bracket(walk(f.core), f.power))
-        if run:
-            lengths.append(run)
-            factors.append(Letter(sym))
-        return BracketedWord(tuple(factors))
+    def last(run) -> str:
+        letters = run.group().split(" ")
+        lengths.append(len(letters))
+        return letters[-1]
 
-    collapsed = walk(w)
-    return collapsed, tuple(lengths)
+    return parse_word(_RUN_RE.sub(last, render_word(w))), tuple(lengths)
 
 
 def expand_runs(w: Union[BracketedWord, AveragingWord], parts: Sequence[int]) -> BracketedWord:
@@ -443,15 +436,6 @@ def schroeder_sequence(count: int) -> list:
         c.append(sum(s[p - 1] * c[n - p] for p in range(1, n + 1)))
         s.append(2 * c[n])
     return s[:count]
-
-
-def indecomposable_recursion(n: int) -> int:
-    """i_n from its composition recursion, which is Schroeder's shifted by one.
-
-    i_1 = 1 and i_n = 2 * sum over (p_1..p_j) |= n - 1 of i_(p_1)...i_(p_j),
-    so i_n = s_(n-1).
-    """
-    return schroeder(n - 1) if n >= 1 else 0
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ from .words import (
     certified,
     iter_averaging_words,
     letters_of,
+    parse_word,
     raw,
-    word,
 )
 
 __all__ = [
@@ -548,25 +548,26 @@ _OMEGA_LEAF = SLeaf(OMEGA)
 
 
 def is_schroeder(t: SchroederTree) -> bool:
-    """The alternating branch condition at every vertex, or the omega leaf."""
+    """The alternating branch condition at every vertex, or the omega leaf.
+    The stack holds the vertices still to check, so any depth checks."""
     if isinstance(t, SLeaf):
         return t.decoration == OMEGA
-    for pos, branch in enumerate(t.branches):
-        if pos % 2 == 0:
-            if branch != _IOTA_LEAF:
+    todo = [t]
+    while todo:
+        for pos, branch in enumerate(todo.pop().branches):
+            if pos % 2 == 0:
+                if branch != _IOTA_LEAF:
+                    return False
+            elif branch == _IOTA_LEAF:
                 return False
-        else:
-            if branch == _IOTA_LEAF:
-                return False
-            if isinstance(branch, SNode) and not is_schroeder(branch):
-                return False
+            elif isinstance(branch, SNode):
+                todo.append(branch)
     return True
 
 
 def omega_count(t: SchroederTree) -> int:
-    if isinstance(t, SLeaf):
-        return 1 if t.decoration == OMEGA else 0
-    return 1 + sum(omega_count(b) for b in t.branches)
+    text = render_schroeder_tree(t)
+    return text.count("w") + text.count("o")
 
 
 @lru_cache(maxsize=None)
@@ -596,6 +597,8 @@ def enumerate_schroeder(n: int) -> tuple:
 def psi(w: Union[AveragingWord, BracketedWord]) -> SchroederTree:
     """Indecomposable word to Schroeder tree: odd factors x to iota leaves,
     even factors recursively; [x] is the omega leaf."""
+    if letters_of(raw(w)) != {"x"}:
+        raise ValueError("the tree bijection needs words over the single letter x")
     v = certified(w).word
     if len(v.factors) != 1 or not isinstance(v.factors[0], Bracket):
         raise ValueError("the word must be a single bracket (indecomposable)")
@@ -603,23 +606,32 @@ def psi(w: Union[AveragingWord, BracketedWord]) -> SchroederTree:
 
 
 def _psi(b: Bracket) -> SchroederTree:
-    # the brackets of a certified word are certified, so they are not rescanned
-    if b.power != 1:
-        raise ValueError("bracket powers must all be 1 under the idempotent convention")
-    core = b.core
-    if core.factors == (_X,):
-        return _OMEGA_LEAF
-    branches = []
-    for pos, f in enumerate(core.factors):
-        if pos % 2 == 0:
-            if not isinstance(f, Letter):
-                raise ValueError("odd positions of the content must be x")
-            branches.append(_IOTA_LEAF)
-        else:
-            if not isinstance(f, Bracket):
+    """The tree of ``b``, read as the one even factor of a content.  The
+    stack holds the content still to read around each open bracket, so any
+    depth converts; the brackets of a certified word are not rescanned."""
+    stack = []  # (enclosing content left, its branches so far)
+    content, branches = enumerate((b,), 1), []
+    while True:
+        for pos, f in content:
+            if pos % 2 == 0:
+                if not isinstance(f, Letter):
+                    raise ValueError("odd positions of the content must be x")
+                branches.append(_IOTA_LEAF)
+            elif not isinstance(f, Bracket):
                 raise ValueError("even positions of the content must be brackets")
-            branches.append(_psi(f))
-    return SNode(tuple(branches))
+            elif f.power != 1:
+                raise ValueError("bracket powers must all be 1 under the idempotent convention")
+            elif f.core.factors == (_X,):
+                branches.append(_OMEGA_LEAF)
+            else:
+                stack.append((content, branches))
+                content, branches = enumerate(f.core.factors), []
+                break
+        else:
+            if not stack:
+                return branches[0]
+            vertex, (content, branches) = SNode(tuple(branches)), stack.pop()
+            branches.append(vertex)
 
 
 def psi_inverse(t: SchroederTree) -> AveragingWord:
@@ -628,16 +640,14 @@ def psi_inverse(t: SchroederTree) -> AveragingWord:
     return _normal(_psi_inverse(t))
 
 
+# The two text forms match token for token, so the word of a Schroeder tree
+# is a translation of its text: w( to [, i to x, o to [x], the comma to a
+# space and ) to ].
+_SCHROEDER_TO_WORD = str.maketrans({"w": "[", "(": None, "i": "x", "o": "[x]", ",": " ", ")": "]"})
+
+
 def _psi_inverse(t: SchroederTree) -> BracketedWord:
-    if isinstance(t, SLeaf):
-        return word(Bracket(word(Letter("x")), 1))
-    content = []
-    for pos, branch in enumerate(t.branches):
-        if pos % 2 == 0:
-            content.append(Letter("x"))
-        else:
-            content.extend(_psi_inverse(branch).factors)
-    return word(Bracket(BracketedWord(tuple(content)), 1))
+    return parse_word(render_schroeder_tree(t).translate(_SCHROEDER_TO_WORD))
 
 
 # ---------------------------------------------------------------------------

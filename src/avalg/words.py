@@ -113,8 +113,11 @@ class Bracket:
         return render_word(word(self))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class BracketedWord:
+    """Equality and hashing read the rendered text, which is unique to the
+    word (``parse_word`` inverts it), so any depth compares and hashes."""
+
     factors: tuple  # tuple[Factor, ...], nonempty
 
     def __post_init__(self):
@@ -125,6 +128,16 @@ class BracketedWord:
             if not isinstance(f, (Letter, Bracket)):
                 raise TypeError(f"not a word factor: {f!r}")
         object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not BracketedWord:
+            return NotImplemented
+        return render_word(self) == render_word(other)
+
+    def __hash__(self) -> int:
+        return hash(render_word(self))
 
     def __str__(self) -> str:
         return render_word(self)
@@ -192,40 +205,34 @@ def depth(w: BracketedWord) -> int:
     return deepest
 
 
-def degree(w: BracketedWord) -> int:
-    """Total number of balanced bracket pairs (powers count with multiplicity)."""
-    pairs, todo = 0, [w]
+def _counts(w: BracketedWord) -> tuple:
+    """(bracket pairs, letters) of ``w`` in one walk; powers count with
+    multiplicity."""
+    pairs = letters = 0
+    todo = [w]
     while todo:
         for f in todo.pop().factors:
             if isinstance(f, Bracket):
                 pairs += f.power
                 todo.append(f.core)
-    return pairs
+            else:
+                letters += 1
+    return pairs, letters
+
+
+def degree(w: BracketedWord) -> int:
+    """Total number of balanced bracket pairs (powers count with multiplicity)."""
+    return _counts(w)[0]
 
 
 def arity(w: BracketedWord) -> int:
     """Total number of letter occurrences."""
-    letters, todo = 0, [w]
-    while todo:
-        for f in todo.pop().factors:
-            if isinstance(f, Bracket):
-                todo.append(f.core)
-            else:
-                letters += 1
-    return letters
+    return _counts(w)[1]
 
 
 def word_size(w: BracketedWord) -> int:
     """Letters plus bracket pairs; the node count of the word."""
-    size, todo = 0, [w]
-    while todo:
-        for f in todo.pop().factors:
-            if isinstance(f, Bracket):
-                size += f.power
-                todo.append(f.core)
-            else:
-                size += 1
-    return size
+    return sum(_counts(w))
 
 
 def letters_of(w: BracketedWord) -> set:
@@ -243,7 +250,7 @@ def letters_of(w: BracketedWord) -> set:
 def word_key(w: Union[BracketedWord, "AveragingWord"]):
     """Canonical sort key: (degree, arity, rendered text)."""
     w = raw(w)
-    return (degree(w), arity(w), render_word(w))
+    return (*_counts(w), render_word(w))
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +487,24 @@ def _normal(w: BracketedWord) -> AveragingWord:
 
 def substitute_letters(w: BracketedWord, factors_for: Callable) -> BracketedWord:
     """Replace each letter of ``w``, in reading order, by ``factors_for(letter)``,
-    a nonempty tuple of factors."""
-    factors = []
-    for f in w.factors:
-        if isinstance(f, Letter):
-            factors.extend(factors_for(f))
+    a nonempty tuple of factors.  The stack holds the factors still to read
+    around each open bracket, so any depth substitutes."""
+    stack = []  # (enclosing factors left, their substitutes so far, the open bracket's power)
+    factors, out = iter(w.factors), []
+    while True:
+        for f in factors:
+            if isinstance(f, Letter):
+                out.extend(factors_for(f))
+            else:
+                stack.append((factors, out, f.power))
+                factors, out = iter(f.core.factors), []
+                break
         else:
-            factors.append(Bracket(substitute_letters(f.core, factors_for), f.power))
-    return _trusted(tuple(factors))
+            core = _trusted(tuple(out))
+            if not stack:
+                return core
+            factors, out, power = stack.pop()
+            out.append(Bracket(core, power))
 
 
 def peel(w: Union[AveragingWord, BracketedWord]) -> tuple:

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,12 +13,21 @@ from avalg.words import render_word
 
 
 def run_cli(*args):
-    proc = subprocess.run(
+    """Run ``cli.main`` in-process on ``args``; the result reads like a
+    finished process (``returncode``, ``stdout``, ``stderr``)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
+
+
+def spawn_cli(*args):
+    """Run ``python -m avalg`` on ``args`` in a fresh process."""
+    return subprocess.run(
         [sys.executable, "-m", "avalg", *args],
         capture_output=True,
         text=True,
     )
-    return proc
 
 
 def payload_of(proc):
@@ -26,20 +38,11 @@ def payload_of(proc):
 
 
 class TestGoldenOutputs:
-    def test_apply_p(self):
-        assert payload_of(run_cli("apply-p", "[x[y]]z")) == {"word": "[x[y[z]]]"}
-
-    def test_schroeder(self):
-        assert payload_of(run_cli("schroeder", "--n", "7")) == {"n": 7, "value": 8558}
-
     def test_census_degree_totals(self):
         payload = payload_of(
             run_cli("census", "--run-cap", "1", "--max-degree", "3", "--include-one")
         )
         assert payload["degree_totals"] == [2, 4, 12, 44]
-
-    def test_normalize(self):
-        assert payload_of(run_cli("normalize", "[x][x]^2")) == {"word": "[x[x]]^2"}
 
     def test_normalize_rewrite_method(self):
         got = payload_of(run_cli("normalize", "[[x]x]", "--method", "rewrite"))
@@ -135,8 +138,9 @@ class TestFormatsAndDeterminism:
         assert "1\t1\t1" in proc.stdout
 
     def test_runs_are_deterministic(self):
-        a = run_cli("census", "--run-cap", "2", "--max-degree", "3", "--list-words")
-        b = run_cli("census", "--run-cap", "2", "--max-degree", "3", "--list-words")
+        # two processes, so two hash seeds
+        a = spawn_cli("census", "--run-cap", "2", "--max-degree", "3", "--list-words")
+        b = spawn_cli("census", "--run-cap", "2", "--max-degree", "3", "--list-words")
         assert a.stdout == b.stdout
 
     def test_infinite_cap_requires_arity(self):
@@ -227,16 +231,26 @@ class TestExitCodes:
         assert proc.returncode == 4, proc.stdout
         assert "diamond changed the head or tail index" in proc.stderr
 
-    def test_deep_nesting_is_resource_exhaustion(self):
+    def test_deep_nesting_is_resource_exhaustion(self, tmp_path):
         # 1200 nested brackets parse without recursion and are one bracket power
         proc = run_cli("normalize", "[" * 1200 + "x" + "]" * 1200)
         assert payload_of(proc) == {"word": "[x]^1200"}
-        # evaluation still recurses once per bracket level of the input
-        proc = run_cli("normalize", "[x" * 1200 + "]" * 1200)
+        # evaluation keeps an explicit stack too
+        deep = "[x" * 1200 + "]" * 1200
+        assert payload_of(run_cli("normalize", deep)) == {"word": deep}
+        # the stdlib JSON decoder still recurses once per level of its input
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        proc = run_cli("check-instance", str(path))
         assert proc.returncode == 5
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("resource exhausted: ")
         assert "Traceback" not in proc.stderr
+
+    def test_deep_input_in_a_fresh_process(self):
+        # the entry point at the interpreter's own recursion limit
+        proc = spawn_cli("normalize", "[x]" + "[x" * 1200 + "]" * 1200)
+        assert payload_of(proc) == {"word": "[x" * 1201 + "]" * 1201}
 
     def test_product_at_any_depth(self):
         # terms are collected by their canonical key, so no word is hashed

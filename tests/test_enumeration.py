@@ -11,7 +11,6 @@ from avalg.enumeration import (
     compositions,
     count_compositions,
     expand_runs,
-    indecomposable_recursion,
     indecomposable_words_v,
     reduce_to_v1,
     schroeder,
@@ -309,11 +308,6 @@ class TestSchroeder:
         ui = univariate("I", 8)
         for n in range(8):
             assert schroeder(n) == ui[n + 1]
-
-    def test_indecomposable_recursion_matches_census(self):
-        ui = univariate("I", 7)
-        for n in range(1, 8):
-            assert indecomposable_recursion(n) == ui[n]
 
 
 class TestRunCapReduction:

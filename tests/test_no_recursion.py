@@ -1,0 +1,134 @@
+"""No function recurses once per level of a user's input.
+
+Two checks keep it so.  A scan of ``src/avalg`` fails on any function that
+calls itself by its bare name, unless the allow-list below names it with the
+reason its depth is bounded.  A depth matrix runs each function that walks
+words or trees on inputs nested 1200 levels deep (words 3000 deep for
+``==`` and ``hash``) with the recursion limit set just above the caller's
+stack, which also catches mutual recursion that the scan cannot see.
+"""
+
+import ast
+import contextlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from avalg.algebra import reduce
+from avalg.enumeration import collapse_runs, expand_runs
+from avalg.trees import (
+    is_schroeder,
+    omega_count,
+    parse_schroeder_tree,
+    psi,
+    psi_inverse,
+    render_schroeder_tree,
+)
+from avalg.words import parse_word, render_word, substitute_letters, word_key
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "avalg"
+
+# qualified name -> why its depth does not grow with the input's nesting
+ALLOWED = {
+    "algebra._apply_p": "recurses once, on a rest that begins with a letter, so its depth is at most 2",
+    "trees.lf": "the definition is_fat reads, run on enumerated trees only",
+    "trees._unreduced_exact": "recursion on the size arguments, memoised",
+    "trees.enumerate_schroeder": "recursion on n, memoised",
+    "words._all_words_exact": "recursion on the size argument, memoised",
+    "words._averaging_factors": "recursion on arity and degree, memoised",
+    "words.random_bracketed_word.gen": "depth bounded by the size budget",
+    "words.random_averaging_word.core_shaped": "depth bounded by max_depth",
+}
+
+
+def self_calls():
+    """Qualified names of the functions in ``src/avalg`` that call themselves
+    by bare name (``module.outer.inner`` for nested ones, ``module.Class.f``
+    for methods)."""
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        todo = [(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+        while todo:
+            node, prefix = todo.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    name = f"{prefix}.{child.name}"
+                    if not isinstance(child, ast.ClassDef) and any(
+                        isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                        and n.func.id == child.name
+                        for n in ast.walk(child)
+                    ):
+                        found.add(name)
+                    todo.append((child, name))
+                else:
+                    todo.append((child, prefix))
+    return found
+
+
+def test_no_function_calls_itself_outside_the_allow_list():
+    found = self_calls()
+    assert found - set(ALLOWED) == set(), "recursive on input depth; keep an explicit stack"
+    assert set(ALLOWED) - found == set(), "allow-list entries that no longer recurse"
+
+
+@contextlib.contextmanager
+def shallow_stack(headroom=100):
+    """Set the recursion limit ``headroom`` frames above the current stack."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+D = 1200
+DEEP = "[x" * D + "]" * D  # indecomposable, and an averaging word
+DOUBLED = "[x x" * D + "]" * D
+TREE = "w(i," * (D - 1) + "o" + ")" * (D - 1)  # the Schroeder tree of DEEP
+BAD_TREE = "w(i," * (D - 1) + "i" + ")" * (D - 1)  # an iota leaf at an odd branch
+WORD, TWICE = parse_word(DEEP), parse_word(DOUBLED)
+SCHROEDER, NOT_SCHROEDER = parse_schroeder_tree(TREE), parse_schroeder_tree(BAD_TREE)
+
+
+def eq_and_hash_3000_deep():
+    a, b = parse_word("[x" * 3000 + "]" * 3000), parse_word("[x" * 3000 + "]" * 3000)
+    c = parse_word("[x" * 3000 + " y" + "]" * 3000)
+    return a == b, a != c, hash(a) == hash(b), len({a, b, c})
+
+
+def collapsed():
+    core, lengths = collapse_runs(TWICE)
+    return render_word(core), lengths
+
+
+# name -> (call on the deep inputs, its value); each value is text or
+# numbers, so comparing it needs no recursion
+MATRIX = {
+    "words.word_key": (lambda: word_key(WORD), (D, D, DEEP)),
+    "words.substitute_letters": (
+        lambda: render_word(substitute_letters(WORD, lambda f: (f, f))), DOUBLED),
+    "words.BracketedWord.__eq__/__hash__": (eq_and_hash_3000_deep, (True, True, True, 2)),
+    "enumeration.collapse_runs": (collapsed, (DEEP, (2,) * D)),
+    "enumeration.expand_runs": (lambda: render_word(expand_runs(WORD, [2] * D)), DOUBLED),
+    "trees.psi": (lambda: render_schroeder_tree(psi(WORD)), TREE),
+    "trees.psi_inverse": (lambda: render_word(psi_inverse(SCHROEDER)), DEEP),
+    "trees.is_schroeder": (
+        lambda: (is_schroeder(SCHROEDER), is_schroeder(NOT_SCHROEDER)), (True, False)),
+    "trees.omega_count": (lambda: omega_count(SCHROEDER), D),
+    "algebra.reduce": (
+        lambda: (render_word(reduce(WORD)), render_word(reduce(parse_word("[x]" + DEEP)))),
+        (DEEP, "[x" * (D + 1) + "]" * (D + 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX))
+def test_deep_inputs_under_a_shallow_recursion_limit(name):
+    call, expected = MATRIX[name]
+    with shallow_stack():
+        got = call()
+    assert got == expected

@@ -450,6 +450,13 @@ class TestPsi:
         with pytest.raises(ValueError):
             psi(parse_word("[x]x[x]"))
 
+    def test_rejects_letters_other_than_x(self):
+        # otherwise psi("[y[x]]") is w(i,o), the image of [x[x]], and psi
+        # is not injective
+        for text in ("[y[x]]", "[x[y]]", "[y]", "[x[x z]]"):
+            with pytest.raises(ValueError, match="over the single letter x"):
+                psi(parse_word(text))
+
     def test_rejects_powers(self):
         for text in ("[x]^2", "[x[x[x]^2x]x]"):
             with pytest.raises(ValueError, match="bracket powers must all be 1"):

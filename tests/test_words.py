@@ -423,6 +423,18 @@ class TestWordCore:
                 assert type(got) is BracketedWord
             assert _trusted(w.factors).factors is w.factors
 
+    def test_equality_and_hash_at_any_depth(self):
+        deep = "[x" * 3000 + "]" * 3000
+        a, b = parse_word(deep), parse_word(deep)
+        c = parse_word("[x" * 3000 + " y" + "]" * 3000)
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != c and not a == c
+        assert len({a, b, c}) == 2
+        assert Bracket(a, 2) == Bracket(b, 2) != Bracket(c, 2)
+        assert AveragingWord(a) == AveragingWord(b)
+        assert (a == "x") is False
+
     def test_public_constructors_keep_their_checks(self):
         with pytest.raises(ValueError, match="at least one factor"):
             BracketedWord(())
