@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-arity", type=int, default=None)
     p.add_argument("--include-one", action="store_true")
     p.add_argument("--list-words", action="store_true")
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=int, default=enumeration.DEFAULT_BUDGET)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
     p = sub.add_parser("series", help="bivariate generating series coefficients")
@@ -214,6 +215,12 @@ def _handle(args) -> tuple:
     if cmd == "schroeder-trees":
         if args.n < 1:
             raise UsageError("--n must be >= 1")
+        # the s_k grow with k, so the first one above the budget settles it
+        budget = enumeration.DEFAULT_BUDGET
+        for count in itertools.islice(enumeration.iter_schroeder_numbers(), args.n):
+            if count > budget:
+                raise enumeration.BudgetExceeded(
+                    f"schroeder-trees would list at least {count} trees (budget {budget})")
         family = trees.enumerate_schroeder(args.n)
         return {
             "n": args.n,

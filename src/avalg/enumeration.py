@@ -26,7 +26,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Iterator, Sequence, Tuple, Union
 
 from .words import (
     AveragingWord,
@@ -57,6 +57,7 @@ __all__ = [
     "univariate",
     "schroeder",
     "schroeder_sequence",
+    "iter_schroeder_numbers",
     "reduce_to_v1",
     "closed_form",
     "series_value",
@@ -67,6 +68,9 @@ Cap = Union[int, float]
 
 class BudgetExceeded(RuntimeError):
     """A census or series request would generate more words than allowed."""
+
+
+DEFAULT_BUDGET = 10**7  # words a census generates, trees schroeder-trees lists
 
 
 def _check_cap(cap: Cap) -> Cap:
@@ -198,7 +202,7 @@ class Census:
 
 
 def census(run_cap: Cap, max_degree: int, max_arity: int, include_one: bool = False,
-           list_words: bool = False, budget: int = 10**7) -> Census:
+           list_words: bool = False, budget: int = DEFAULT_BUDGET) -> Census:
     """Exhaustively generate and count the idempotent-convention words.
 
     The trivial word contributes 1 at cell (0, 0) when ``include_one`` is
@@ -429,13 +433,19 @@ def schroeder(n: int) -> int:
 
 
 def schroeder_sequence(count: int) -> list:
-    """s_0 .. s_(count-1); the inner sum of the recursion is C_0 = 1,
+    """s_0 .. s_(count-1)."""
+    return list(itertools.islice(iter_schroeder_numbers(), count))
+
+
+def iter_schroeder_numbers() -> Iterator[int]:
+    """s_0, s_1, ... without end; the inner sum of the recursion is C_0 = 1,
     C_n = sum_(p=1..n) s_(p-1) * C_(n-p), and s_n = 2 * C_n for n >= 1."""
     s, c = [1], [1]
-    for n in range(1, count):
+    yield 1
+    for n in itertools.count(1):
         c.append(sum(s[p - 1] * c[n - p] for p in range(1, n + 1)))
         s.append(2 * c[n])
-    return s[:count]
+        yield s[n]
 
 
 # ---------------------------------------------------------------------------

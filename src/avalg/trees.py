@@ -21,6 +21,7 @@ Text forms: Schroeder trees as ``w(...)`` / ``i`` / ``o``; binary trees as
 from __future__ import annotations
 
 import itertools
+import re
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -40,6 +41,7 @@ from .words import (
     letters_of,
     parse_word,
     raw,
+    render_word,
 )
 
 __all__ = [
@@ -528,15 +530,32 @@ class SLeaf:
         return render_schroeder_tree(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SNode:
+    """Equality and hashing read the rendered text, which is unique to the
+    tree (``parse_schroeder_tree`` inverts it), so any depth compares and
+    hashes."""
+
     branches: tuple  # >= 2 branches; the vertex itself is decorated omega
 
     def __post_init__(self):
         branches = tuple(self.branches)
         if len(branches) < 2:
             raise ValueError("an internal vertex needs at least two branches")
+        for b in branches:
+            if b.__class__ is not SLeaf and b.__class__ is not SNode:
+                raise TypeError(f"not a Schroeder tree: {b!r}")
         object.__setattr__(self, "branches", branches)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not SNode:
+            return NotImplemented
+        return render_schroeder_tree(self) == render_schroeder_tree(other)
+
+    def __hash__(self) -> int:
+        return hash(render_schroeder_tree(self))
 
     def __str__(self) -> str:
         return render_schroeder_tree(self)
@@ -546,23 +565,17 @@ SchroederTree = Union[SLeaf, SNode]
 _IOTA_LEAF = SLeaf(IOTA)
 _OMEGA_LEAF = SLeaf(OMEGA)
 
+# Under each vertex the branches alternate iota leaf, other, iota leaf, ...
+# In the text that is local: a vertex opens on ``i``, and after a comma comes
+# ``i`` exactly when the branch before it is not ``i``.  A lone ``i`` is not
+# a tree either.
+_BREAKS_ALTERNATION = re.compile(r"^i$|w\((?!i)|i,i|[o)],(?!i)")
+
 
 def is_schroeder(t: SchroederTree) -> bool:
-    """The alternating branch condition at every vertex, or the omega leaf.
-    The stack holds the vertices still to check, so any depth checks."""
-    if isinstance(t, SLeaf):
-        return t.decoration == OMEGA
-    todo = [t]
-    while todo:
-        for pos, branch in enumerate(todo.pop().branches):
-            if pos % 2 == 0:
-                if branch != _IOTA_LEAF:
-                    return False
-            elif branch == _IOTA_LEAF:
-                return False
-            elif isinstance(branch, SNode):
-                todo.append(branch)
-    return True
+    """The alternating branch condition at every vertex, or the omega leaf,
+    read off the rendered text."""
+    return not _BREAKS_ALTERNATION.search(render_schroeder_tree(t))
 
 
 def omega_count(t: SchroederTree) -> int:
@@ -596,58 +609,39 @@ def enumerate_schroeder(n: int) -> tuple:
 
 def psi(w: Union[AveragingWord, BracketedWord]) -> SchroederTree:
     """Indecomposable word to Schroeder tree: odd factors x to iota leaves,
-    even factors recursively; [x] is the omega leaf."""
+    even factors recursively; [x] is the omega leaf.  The tree's text is a
+    token-for-token translation of the word's text, read back as a tree."""
     if letters_of(raw(w)) != {"x"}:
         raise ValueError("the tree bijection needs words over the single letter x")
     v = certified(w).word
     if len(v.factors) != 1 or not isinstance(v.factors[0], Bracket):
         raise ValueError("the word must be a single bracket (indecomposable)")
-    return _psi(v.factors[0])
-
-
-def _psi(b: Bracket) -> SchroederTree:
-    """The tree of ``b``, read as the one even factor of a content.  The
-    stack holds the content still to read around each open bracket, so any
-    depth converts; the brackets of a certified word are not rescanned."""
-    stack = []  # (enclosing content left, its branches so far)
-    content, branches = enumerate((b,), 1), []
-    while True:
-        for pos, f in content:
-            if pos % 2 == 0:
-                if not isinstance(f, Letter):
-                    raise ValueError("odd positions of the content must be x")
-                branches.append(_IOTA_LEAF)
-            elif not isinstance(f, Bracket):
-                raise ValueError("even positions of the content must be brackets")
-            elif f.power != 1:
-                raise ValueError("bracket powers must all be 1 under the idempotent convention")
-            elif f.core.factors == (_X,):
-                branches.append(_OMEGA_LEAF)
-            else:
-                stack.append((content, branches))
-                content, branches = enumerate(f.core.factors), []
-                break
-        else:
-            if not stack:
-                return branches[0]
-            vertex, (content, branches) = SNode(tuple(branches)), stack.pop()
-            branches.append(vertex)
+    text = render_word(v)
+    if "^" in text:
+        raise ValueError("bracket powers must all be 1 under the idempotent convention")
+    # a certified word's contents begin with x and never hold two adjacent
+    # brackets, so they alternate unless two letters meet, the one place
+    # render_word writes a space
+    if " " in text:
+        raise ValueError("even positions of the content must be brackets")
+    text = _FACTOR_GAP.sub(",", text.replace("[x]", "o")).translate(_WORD_TO_SCHROEDER)
+    return parse_schroeder_tree(text)
 
 
 def psi_inverse(t: SchroederTree) -> AveragingWord:
-    if not is_schroeder(t):
+    text = render_schroeder_tree(t)
+    if _BREAKS_ALTERNATION.search(text):
         raise ValueError("not a Schroeder tree")
-    return _normal(_psi_inverse(t))
+    return _normal(parse_word(text.translate(_SCHROEDER_TO_WORD)))
 
 
 # The two text forms match token for token, so the word of a Schroeder tree
 # is a translation of its text: w( to [, i to x, o to [x], the comma to a
-# space and ) to ].
+# space and ) to ].  Back the other way, [x] is o, [ is w(, x is i and ] is
+# ), with a comma between two adjacent factors.
 _SCHROEDER_TO_WORD = str.maketrans({"w": "[", "(": None, "i": "x", "o": "[x]", ",": " ", ")": "]"})
-
-
-def _psi_inverse(t: SchroederTree) -> BracketedWord:
-    return parse_word(render_schroeder_tree(t).translate(_SCHROEDER_TO_WORD))
+_WORD_TO_SCHROEDER = str.maketrans({"[": "w(", "x": "i", "]": ")"})
+_FACTOR_GAP = re.compile(r"(?<=[ox\]])(?=[ox\[])")
 
 
 # ---------------------------------------------------------------------------

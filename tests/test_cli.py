@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -93,6 +94,19 @@ class TestGoldenOutputs:
         payload = payload_of(run_cli("schroeder-trees", "--n", "2"))
         assert payload["count"] == 2
         assert sorted(payload["trees"]) == ["w(i,o)", "w(i,o,i)"]
+
+    def test_schroeder_trees_budget(self, monkeypatch):
+        # s_12 = 27,297,738 trees is past the default budget; the count is
+        # settled from the s_k before any tree is built
+        listed = run_cli("schroeder-trees", "--n", "8")
+        assert hashlib.sha256(listed.stdout.encode()).hexdigest() == (
+            "d48ceb83229d5f25ceabf7da64d0d55e29c56742972c77f7ba5ff261543927ef")
+        monkeypatch.setattr(trees, "enumerate_schroeder", None)
+        for n in ("13", "1000000"):
+            proc = run_cli("schroeder-trees", "--n", n)
+            assert (proc.returncode, proc.stdout) == (3, "")
+            assert proc.stderr == ("budget exceeded: schroeder-trees would list at least"
+                                   " 27297738 trees (budget 10000000)\n")
 
     def test_compose_trees_and_words(self):
         payload = payload_of(run_cli("compose", "B(L,L)", "2", "U(L)"))
@@ -257,6 +271,11 @@ class TestExitCodes:
         deep = "[x" * 1200 + "]" * 1200
         proc = run_cli("product", deep, "x")
         assert payload_of(proc) == {"terms": [{"coeff": "1", "word": deep + "x"}]}
+
+    def test_analyze_at_any_depth(self):
+        deep = "[x" * 1200 + "]" * 1200
+        payload = payload_of(run_cli("analyze", deep))
+        assert (payload["depth"], payload["blocks"]) == (1200, [deep])
 
     def test_apply_p_on_deep_nesting(self):
         proc = run_cli("apply-p", "[" * 1200 + "x" + "]" * 1200)

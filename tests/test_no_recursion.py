@@ -101,6 +101,11 @@ def eq_and_hash_3000_deep():
     return a == b, a != c, hash(a) == hash(b), len({a, b, c})
 
 
+def schroeder_eq_and_hash():
+    copy = parse_schroeder_tree(TREE)
+    return copy == SCHROEDER, hash(copy) == hash(SCHROEDER), copy != NOT_SCHROEDER
+
+
 def collapsed():
     core, lengths = collapse_runs(TWICE)
     return render_word(core), lengths
@@ -120,6 +125,7 @@ MATRIX = {
     "trees.is_schroeder": (
         lambda: (is_schroeder(SCHROEDER), is_schroeder(NOT_SCHROEDER)), (True, False)),
     "trees.omega_count": (lambda: omega_count(SCHROEDER), D),
+    "trees.SNode.__eq__/__hash__": (schroeder_eq_and_hash, (True, True, True)),
     "algebra.reduce": (
         lambda: (render_word(reduce(WORD)), render_word(reduce(parse_word("[x]" + DEEP)))),
         (DEEP, "[x" * (D + 1) + "]" * (D + 1))),

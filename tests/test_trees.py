@@ -7,6 +7,8 @@ import textwrap
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avalg import trees as trees_module
 from avalg import words
@@ -43,7 +45,7 @@ from avalg.trees import (
 )
 from avalg.trees import _phi_inverse
 from avalg.enumeration import indecomposable_words_v, schroeder, univariate
-from avalg.words import AveragingWord, iter_averaging_words, parse_word
+from avalg.words import AveragingWord, degree, iter_averaging_words, parse_word
 
 # eight small trees probing every clause of the averaging-tree conditions
 TAU = {
@@ -398,6 +400,49 @@ class TestDeepTrees:
         assert a != b and b != a
 
 
+def schroeder_by_definition(t):
+    """The alternating branch condition checked vertex by vertex on the
+    values, the oracle for the text check of ``is_schroeder``."""
+    if isinstance(t, SLeaf):
+        return t.decoration == "omega"
+    todo = [t]
+    while todo:
+        for pos, branch in enumerate(todo.pop().branches):
+            if pos % 2 == 0:
+                if branch != SLeaf("iota"):
+                    return False
+            elif branch == SLeaf("iota"):
+                return False
+            elif isinstance(branch, SNode):
+                todo.append(branch)
+    return True
+
+
+def one_leaf_swapped(t):
+    """Each tree that differs from ``t`` in one leaf, iota for omega or back."""
+    text = render_schroeder_tree(t)
+    swap = {"i": "o", "o": "i"}
+    for k, ch in enumerate(text):
+        if ch in swap:
+            yield parse_schroeder_tree(text[:k] + swap[ch] + text[k + 1:])
+
+
+def vertex(subtrees, closing_iota):
+    """The vertex over ``subtrees`` at the odd branches, iota leaves between."""
+    branches = []
+    for sub in subtrees:
+        branches += (SLeaf("iota"), sub)
+    return SNode(tuple(branches) + (SLeaf("iota"),) * closing_iota)
+
+
+# Schroeder trees with up to about 30 omega decorations
+schroeder_trees = st.recursive(
+    st.just(SLeaf("omega")),
+    lambda sub: st.builds(vertex, st.lists(sub, min_size=1, max_size=4), st.booleans()),
+    max_leaves=20,
+)
+
+
 class TestSchroederTrees:
     def test_counts(self):
         assert [len(enumerate_schroeder(n)) for n in range(1, 6)] == [1, 2, 6, 22, 90]
@@ -421,6 +466,16 @@ class TestSchroederTrees:
         assert not is_schroeder(iota)
         assert not is_schroeder(SNode((omega, iota)))  # omega leaf in odd slot
         assert not is_schroeder(SNode((iota, iota)))   # iota leaf in even slot
+
+    def test_text_check_agrees_with_the_branch_walk(self):
+        for n in range(1, 8):
+            for t in enumerate_schroeder(n):
+                for s in (t, *one_leaf_swapped(t)):
+                    assert is_schroeder(s) == schroeder_by_definition(s)
+
+    def test_branches_must_be_trees(self):
+        with pytest.raises(TypeError, match="not a Schroeder tree"):
+            SNode((SLeaf("iota"), 5))
 
 
 class TestPsi:
@@ -446,6 +501,13 @@ class TestPsi:
             assert len(images) == len(words)  # injective
             assert images == set(enumerate_schroeder(n))  # surjective
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(schroeder_trees)
+    def test_round_trip_past_the_enumerated_sizes(self, t):
+        w = psi_inverse(t)
+        assert psi(w) == t
+        assert omega_count(t) == degree(w.word)
+
     def test_rejects_decomposable(self):
         with pytest.raises(ValueError):
             psi(parse_word("[x]x[x]"))
@@ -461,6 +523,24 @@ class TestPsi:
         for text in ("[x]^2", "[x[x[x]^2x]x]"):
             with pytest.raises(ValueError, match="bracket powers must all be 1"):
                 psi(parse_word(text))
+
+    def test_rejects_adjacent_letters(self):
+        for text in ("[x x]", "[x[x]x x]", "[x[x x]]"):
+            with pytest.raises(ValueError, match="even positions of the content must be brackets"):
+                psi(parse_word(text))
+
+    def test_accepts_exactly_the_indecomposable_words(self):
+        indecomposable = {
+            words.render_word(w) for n in range(1, 6) for w in indecomposable_words_v(1, n)
+        }
+        for w in iter_averaging_words(6, 5):
+            try:
+                psi(w)
+            except ValueError:
+                accepted = False
+            else:
+                accepted = True
+            assert accepted == (words.render_word(w) in indecomposable)
 
     def test_nested_brackets_are_scanned_once(self, monkeypatch):
         d = 400
