@@ -625,16 +625,42 @@ def universal_map(assignment: Mapping[str, object], target, value):
     This is the unique averaging homomorphism extending the assignment:
     letters map through ``assignment``, juxtaposition to ``multiply`` and
     each bracket layer to one application of ``operator``.
+
+    A target may also carry an encoded form of its elements:
+    ``encode``/``decode``, ``kernel_multiply``, ``kernel_operator`` and
+    ``kernel_sum`` (a sum of ``(coefficient, value)`` terms), as
+    :class:`~avalg.instances.FiniteAlgebra` does with integer numerators over
+    one denominator.  Then each assigned element is encoded once, the whole
+    evaluation and the sum over a combination's terms run on encoded values,
+    and the result is decoded once.  Any other target is its own encoding:
+    ``multiply`` and ``operator`` act directly and the terms are summed with
+    ``add`` and ``scale`` from ``zero``.
     """
+    if hasattr(target, "encode"):
+        encode, decode, total = target.encode, target.decode, target.kernel_sum
+        multiply, operator = target.kernel_multiply, target.kernel_operator
+    else:
+        encode = decode = _same
+        multiply, operator = target.multiply, target.operator
+
+        def total(terms):
+            out = target.zero
+            for c, x in terms:
+                out = target.add(out, target.scale(c, x))
+            return out
+
+    images = {s: encode(x) for s, x in assignment.items()}
     if isinstance(value, LinearCombination):
-        total = target.zero
-        for w, c in value.terms:
-            total = target.add(total, target.scale(c, _eval_word(assignment, target, raw(w))))
-        return total
-    return _eval_word(assignment, target, raw(value))
+        return decode(total([(c, _eval_word(images, multiply, operator, raw(w)))
+                             for w, c in value.terms]))
+    return decode(_eval_word(images, multiply, operator, raw(value)))
 
 
-def _eval_word(assignment, target, w: BracketedWord):
+def _same(x):
+    return x
+
+
+def _eval_word(images, multiply, operator, w: BracketedWord):
     # a left fold over the factors; a bracket pushes the word it sits in and
     # is applied ``power`` times to its core's value once that core ends
     stack = []
@@ -644,20 +670,20 @@ def _eval_word(assignment, target, w: BracketedWord):
         if f is None:
             piece = result
             for _ in range(power):
-                piece = target.operator(piece)
+                piece = operator(piece)
             if not stack:
                 return piece
             factors, result, power = stack.pop()
         elif isinstance(f, Letter):
             try:
-                piece = assignment[f.symbol]
+                piece = images[f.symbol]
             except KeyError:
                 raise KeyError(f"letter {f.symbol!r} has no assigned image") from None
         else:
             stack.append((factors, result, power))
             factors, result, power = iter(f.core.factors), None, f.power
             continue
-        result = piece if result is None else target.multiply(result, piece)
+        result = piece if result is None else multiply(result, piece)
 
 
 def random_lincomb(rng, alphabet=("x", "y"), max_terms: int = 3,

@@ -5,7 +5,9 @@ stderr.  Exit codes: 0 ok, 1 usage, 2 input parse error, 3 budget exceeded,
 4 internal invariant failure (or any other internal error), 5 resource
 exhausted (a JSON file nested too deeply for the standard library's
 recursive decoder, or out of memory; words and trees of any depth are read
-without recursion).  Tabular subcommands accept ``--format {json,csv,text}``.
+without recursion), 6 stdout closed before the output was written (a reader
+such as ``head`` stopped early).  Tabular subcommands accept
+``--format {json,csv,text}``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 
 from . import enumeration, instances, operad, trees
@@ -33,6 +36,7 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 EXIT_RESOURCE = 5
+EXIT_PIPE = 6
 
 
 class UsageError(Exception):
@@ -301,7 +305,13 @@ def main(argv=None) -> int:
     except Exception as exc:  # any other failure is a bug, never an input error
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    _emit(payload, fmt)
+    try:
+        _emit(payload, fmt)
+    except BrokenPipeError:
+        # the reader closed the pipe; the rest goes to the null device, so
+        # the flush at interpreter exit does not raise again
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_PIPE
     return EXIT_OK
 
 

@@ -3,8 +3,18 @@
 Carriers are free modules over exact rationals with multiplication given by
 structure constants and the operator by a matrix.  Elements are coefficient
 tuples of exact rationals (``int`` or ``Fraction``); ``multiply`` and
-``operator`` compute in integers over common denominators and return
-``Fraction`` tuples.  Four standard constructions are provided:
+``operator`` return ``Fraction`` tuples.
+
+Both compute in integers.  ``encode`` turns a vector into its nonzero
+entries as ``(index, numerator)`` pairs over one common denominator;
+``kernel_multiply`` and ``kernel_operator`` take and return that form, kept
+in lowest terms (the denominator is the lcm of the entries' own), and
+``kernel_sum`` adds rational multiples of such values over one lcm;
+``decode`` builds one ``Fraction`` per nonzero entry.  ``multiply`` and
+``operator`` are encode, kernel, decode.  ``algebra.universal_map`` encodes
+its assignment once and decodes once per call; a target without this
+protocol is treated as its own encoding.  Four standard constructions are
+provided:
 
 * ``GroupAverage``: sum over a finite group acting by algebra automorphisms
   (basis permutations), or the translation average ``P(g) = (sum of G) g``
@@ -21,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 __all__ = [
@@ -58,24 +68,14 @@ def _inexact(x) -> TypeError:
     return TypeError(f"not an exact rational: {x!r}")
 
 
-def _numerators(x):
-    """The nonzero entries of ``x`` as ``(index, numerator)`` over one common
-    denominator, and that denominator."""
-    try:
-        d = lcm(*[a.denominator for a in x])
-        return [(i, a.numerator * (d // a.denominator)) for i, a in enumerate(x) if a], d
-    except AttributeError:
-        for a in x:
-            if not hasattr(a, "numerator"):
-                raise _inexact(a) from None
-        raise
-
-
 _ZERO = Fraction(0)
 
 
-def _fractions(out, d) -> Vector:
-    return tuple(Fraction(v, d) if v else _ZERO for v in out)
+def _lowest(out, d):
+    """The nonzero entries of ``out / d`` as ``(index, numerator)`` pairs and
+    one denominator, with the common gcd divided out."""
+    g = gcd(d, *out)
+    return [(k, v // g) for k, v in enumerate(out) if v], d // g
 
 
 def _integer_rows(rows):
@@ -153,26 +153,62 @@ class FiniteAlgebra:
         return tuple(c * a for a in x)
 
     def multiply(self, x: Vector, y: Vector) -> Vector:
+        return self.decode(self.kernel_multiply(self.encode(x), self.encode(y)))
+
+    def operator(self, x: Vector) -> Vector:
+        return self.decode(self.kernel_operator(self.encode(x)))
+
+    # The encoded protocol (see the module docstring).  Every encoded value
+    # is in lowest terms, so its integers grow only as the rationals do.
+
+    def encode(self, x: Vector):
+        try:
+            d = lcm(*[a.denominator for a in x])
+            return [(i, a.numerator * (d // a.denominator)) for i, a in enumerate(x) if a], d
+        except AttributeError:
+            for a in x:
+                if not hasattr(a, "numerator"):
+                    raise _inexact(a) from None
+            raise
+
+    def decode(self, x) -> Vector:
+        xs, d = x
+        out = [_ZERO] * self.dim
+        for k, a in xs:
+            out[k] = Fraction(a, d)
+        return tuple(out)
+
+    def kernel_multiply(self, x, y):
         dm, table = self._mul_int
-        xs, dx = _numerators(x)
-        ys, dy = _numerators(y)
-        out = [0] * self.dim
+        (xs, dx), (ys, dy) = x, y
+        out = [0] * len(table)
         for i, a in xs:
             row = table[i]
             for j, b in ys:
                 ab = a * b
                 for k, c in row[j]:
                     out[k] += ab * c
-        return _fractions(out, dx * dy * dm)
+        return _lowest(out, dx * dy * dm)
 
-    def operator(self, x: Vector) -> Vector:
+    def kernel_operator(self, x):
         do, table = self._op_int
-        xs, dx = _numerators(x)
-        out = [0] * self.dim
+        xs, dx = x
+        out = [0] * len(table)
         for i, a in xs:
             for k, c in table[i]:
                 out[k] += a * c
-        return _fractions(out, dx * do)
+        return _lowest(out, dx * do)
+
+    def kernel_sum(self, terms):
+        """``sum(c * x for c, x in terms)`` over one lcm, for rational ``c``."""
+        scaled = [(c.numerator, xs, dx * c.denominator) for c, (xs, dx) in terms]
+        d = lcm(*[dx for _, _, dx in scaled])
+        out = [0] * self.dim
+        for c, xs, dx in scaled:
+            f = c * (d // dx)
+            for k, a in xs:
+                out[k] += f * a
+        return _lowest(out, d)
 
     def element(self, coeffs: Sequence) -> Vector:
         if len(coeffs) != self.dim:

@@ -518,7 +518,7 @@ IOTA = "iota"
 OMEGA = "omega"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SLeaf:
     decoration: str
 
@@ -529,12 +529,15 @@ class SLeaf:
     def __str__(self) -> str:
         return render_schroeder_tree(self)
 
+    def __repr__(self) -> str:
+        return f"parse_schroeder_tree({str(self)!r})"
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class SNode:
-    """Equality and hashing read the rendered text, which is unique to the
-    tree (``parse_schroeder_tree`` inverts it), so any depth compares and
-    hashes."""
+    """Equality, hashing and ``repr`` read the rendered text, which is unique
+    to the tree (``parse_schroeder_tree`` inverts it), so any depth compares,
+    hashes and shows."""
 
     branches: tuple  # >= 2 branches; the vertex itself is decorated omega
 
@@ -559,6 +562,9 @@ class SNode:
 
     def __str__(self) -> str:
         return render_schroeder_tree(self)
+
+    def __repr__(self) -> str:
+        return f"parse_schroeder_tree({str(self)!r})"
 
 
 SchroederTree = Union[SLeaf, SNode]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,6 +8,7 @@ from avalg.algebra import (
     LinCombSyntaxError,
     LinearCombination,
     StepBudgetExceeded,
+    _eval_word,
     apply_p,
     diamond,
     parse_lincomb,
@@ -15,16 +17,18 @@ from avalg.algebra import (
     rewrite_reduce,
     universal_map,
 )
-from avalg.instances import standard_fixtures
+from avalg.instances import FiniteAlgebra, standard_fixtures
 from avalg.words import (
     AveragingWord,
     head_index,
     iter_bracketed_words,
     parse_word,
     random_averaging_word,
+    raw,
     render_word,
     tail_index,
 )
+from test_instances import ALGEBRAS, RATIONAL
 
 
 def aw(text):
@@ -290,6 +294,19 @@ class TestLinearCombination:
             assert (a + b) * c == a * c + b * c
 
 
+def universal_map_by_definition(assignment, target, value):
+    """The homomorphism as a fold over the target's ``multiply`` and
+    ``operator``, with a combination's terms summed by ``add`` and ``scale``:
+    no encoded values anywhere."""
+    if isinstance(value, LinearCombination):
+        total = target.zero
+        for w, c in value.terms:
+            image = _eval_word(assignment, target.multiply, target.operator, raw(w))
+            total = target.add(total, target.scale(c, image))
+        return total
+    return _eval_word(assignment, target.multiply, target.operator, raw(value))
+
+
 class TestUniversalMap:
     def test_central_multiplier_bracket(self):
         alg = standard_fixtures()["central_dual_numbers"]
@@ -370,3 +387,43 @@ class TestUniversalMap:
                 assert universal_map(assignment, alg, a * b) == alg.multiply(fa, fb)
                 assert universal_map(assignment, alg, a.operator()) == alg.operator(fa)
                 assert universal_map(assignment, alg, a + b) == alg.add(fa, fb)
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_agrees_with_the_fold_by_definition(self, name):
+        alg = ALGEBRAS[name]
+        rng = random.Random(f"fold:{name}")
+
+        def entry():
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+        assignment = {s: alg.element([entry() for _ in range(alg.dim)]) for s in "xy"}
+        values = [LinearCombination.zero(), aw("x"), aw("[y]^2 x")]
+        values += [random_lincomb(rng, max_terms=4, max_depth=3) for _ in range(60)]
+        for v in values:
+            got = universal_map(assignment, alg, v)
+            assert got == universal_map_by_definition(assignment, alg, v), str(v)
+            assert all(type(c) is Fraction for c in got)
+
+    def test_kernel_values_stay_in_lowest_terms_at_depth(self):
+        # RATIONAL has denominators in both tables; without a gcd per kernel
+        # value the denominators would multiply at every level
+        values = []
+
+        class Recording(FiniteAlgebra):
+            def kernel_multiply(self, x, y):
+                values.append(super().kernel_multiply(x, y))
+                return values[-1]
+
+            def kernel_operator(self, x):
+                values.append(super().kernel_operator(x))
+                return values[-1]
+
+        alg = Recording(RATIONAL.basis, RATIONAL.mul, RATIONAL.op)
+        deep = parse_word("[x" * 300 + "]" * 300)
+        x = alg.element([Fraction(2, 3), Fraction(-1, 5)])
+        values.clear()
+        got = universal_map({"x": x}, alg, deep)
+        assert len(values) == 599  # 300 operators and 299 products
+        assert got == universal_map_by_definition({"x": x}, RATIONAL, deep)
+        for v in values:
+            assert v[1] == lcm(*[c.denominator for c in alg.decode(v)])

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -319,6 +320,21 @@ class TestExitCodes:
         assert cli.main(["word2tree", "x"]) == cli.EXIT_INTERNAL == 4
         out, err = capsys.readouterr()
         assert out == "" and err == "internal error: TypeError: unsupported operand\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_closed_stdout_exits_quietly(self, monkeypatch, capsys, fmt):
+        # a reader that stops early (``| head -c 100``) breaks the pipe
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = cli.main(["census", "--max-degree", "3", "--format", fmt])
+        redirected = sys.stdout
+        redirected.close()
+        assert code == cli.EXIT_PIPE == 6
+        assert redirected.name == os.devnull
+        assert capsys.readouterr().err == ""
 
     def test_listed_census_words_are_rendered_once(self, monkeypatch, capsys):
         calls = []

@@ -180,6 +180,10 @@ class TestKernel:
         assert product == multiply_by_definition(alg, x, y)
         assert image == operator_by_definition(alg, x)
         assert all(type(c) is Fraction for c in product + image)
+        c = data.draw(st.fractions(min_value=-6, max_value=6, max_denominator=12))
+        assert alg.decode(alg.encode(x)) == x
+        combined = alg.kernel_sum([(c, alg.encode(x)), (Fraction(-1), alg.encode(y))])
+        assert alg.decode(combined) == alg.add(alg.scale(c, x), alg.scale(-1, y))
 
     def test_inexact_entries_are_type_errors(self):
         alg = standard_fixtures()["central_dual_numbers"]

@@ -126,6 +126,7 @@ MATRIX = {
         lambda: (is_schroeder(SCHROEDER), is_schroeder(NOT_SCHROEDER)), (True, False)),
     "trees.omega_count": (lambda: omega_count(SCHROEDER), D),
     "trees.SNode.__eq__/__hash__": (schroeder_eq_and_hash, (True, True, True)),
+    "trees.SNode.__repr__": (lambda: repr(SCHROEDER), f"parse_schroeder_tree({TREE!r})"),
     "algebra.reduce": (
         lambda: (render_word(reduce(WORD)), render_word(reduce(parse_word("[x]" + DEEP)))),
         (DEEP, "[x" * (D + 1) + "]" * (D + 1))),
