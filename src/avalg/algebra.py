@@ -24,6 +24,8 @@ from .words import (
     BracketedWord,
     Letter,
     WordSyntaxError,
+    _evaluate,
+    _layers,
     _normal,
     _trusted,
     certified,
@@ -204,7 +206,8 @@ def _value(w: BracketedWord) -> list:
     # applied s times; past the first the value is one bracket, so the rest
     # add to its power, and it merges with a bracket before it.  The stack
     # holds the factors still to read around each open bracket, so any
-    # depth evaluates
+    # depth evaluates.  Not words._evaluate, through which reduce took
+    # 20.4-20.8 ms against 11.4-11.5 ms (426 words of an ``algebra`` pass)
     stack = []  # (enclosing factors left, their value so far, the open bracket's power)
     factors, value = iter(w.factors), []
     while True:
@@ -638,10 +641,10 @@ def universal_map(assignment: Mapping[str, object], target, value):
     """
     if hasattr(target, "encode"):
         encode, decode, total = target.encode, target.decode, target.kernel_sum
-        multiply, operator = target.kernel_multiply, target.kernel_operator
+        multiply, apply = target.kernel_multiply, _layers(target.kernel_operator)
     else:
         encode = decode = _same
-        multiply, operator = target.multiply, target.operator
+        multiply, apply = target.multiply, _layers(target.operator)
 
         def total(terms):
             out = target.zero
@@ -649,41 +652,15 @@ def universal_map(assignment: Mapping[str, object], target, value):
                 out = target.add(out, target.scale(c, x))
             return out
 
-    images = {s: encode(x) for s, x in assignment.items()}
+    image = {s: encode(x) for s, x in assignment.items()}.__getitem__
     if isinstance(value, LinearCombination):
-        return decode(total([(c, _eval_word(images, multiply, operator, raw(w)))
+        return decode(total([(c, _evaluate(raw(w), image, multiply, apply))
                              for w, c in value.terms]))
-    return decode(_eval_word(images, multiply, operator, raw(value)))
+    return decode(_evaluate(raw(value), image, multiply, apply))
 
 
 def _same(x):
     return x
-
-
-def _eval_word(images, multiply, operator, w: BracketedWord):
-    # a left fold over the factors; a bracket pushes the word it sits in and
-    # is applied ``power`` times to its core's value once that core ends
-    stack = []
-    factors, result, power = iter(w.factors), None, 0
-    while True:
-        f = next(factors, None)
-        if f is None:
-            piece = result
-            for _ in range(power):
-                piece = operator(piece)
-            if not stack:
-                return piece
-            factors, result, power = stack.pop()
-        elif isinstance(f, Letter):
-            try:
-                piece = images[f.symbol]
-            except KeyError:
-                raise KeyError(f"letter {f.symbol!r} has no assigned image") from None
-        else:
-            stack.append((factors, result, power))
-            factors, result, power = iter(f.core.factors), None, f.power
-            continue
-        result = piece if result is None else multiply(result, piece)
 
 
 def random_lincomb(rng, alphabet=("x", "y"), max_terms: int = 3,

@@ -61,7 +61,8 @@ def _run_cap(text: str):
 
 
 def _check_sizes(args, *flags: str) -> None:
-    """Table sizes and indices are nonnegative; a negative one is a usage error."""
+    """Table sizes, indices and budgets are nonnegative; a negative one is a
+    usage error."""
     for flag in flags:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
         if value is not None and value < 0:
@@ -142,6 +143,7 @@ def _handle(args) -> tuple:
     cmd = args.command
 
     if cmd == "normalize":
+        _check_sizes(args, "--rewrite-budget")
         parsed = parse_word(args.word)
         if args.method == "rewrite":
             normal = rewrite_reduce(parsed, budget=args.rewrite_budget)
@@ -171,7 +173,7 @@ def _handle(args) -> tuple:
         }, "json"
 
     if cmd == "census":
-        _check_sizes(args, "--max-degree", "--max-arity")
+        _check_sizes(args, "--max-degree", "--max-arity", "--budget")
         max_arity = args.max_arity
         if max_arity is None:
             if args.run_cap == math.inf:
@@ -288,9 +290,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, IndexError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, IndexError, KeyError, OSError) as exc:
         # every input-layer error (word, lincomb, tree and JSON syntax, and
-        # non-averaging words) is a ValueError
+        # non-averaging words) is a ValueError; an instance file that cannot
+        # be read (missing, a directory, no permission) is an OSError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (enumeration.BudgetExceeded, StepBudgetExceeded) as exc:

@@ -60,7 +60,10 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise _inexact(x)
 
 
@@ -550,13 +553,14 @@ def algebra_from_json(data) -> FiniteAlgebra:
 
 
 def _table(value, depth: int, name: str):
-    """``value`` if it is lists nested ``depth`` deep around integers and strings."""
+    """``value`` if it is lists nested ``depth`` deep around integers and
+    strings; JSON's ``true`` and ``false`` are not integers here."""
     level = [value]
     for _ in range(depth):
         if not all(isinstance(v, list) for v in level):
             raise ValueError(f"{name} must be lists nested {depth} deep")
         level = [item for v in level for item in v]
-    if not all(isinstance(item, (int, str)) for item in level):
+    if not all(isinstance(item, (int, str)) and not isinstance(item, bool) for item in level):
         raise ValueError(f"{name} entries must be integers or rational strings")
     return value
 

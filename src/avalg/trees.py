@@ -32,8 +32,9 @@ from .words import (
     AveragingWord,
     Bracket,
     BracketedWord,
-    Letter,
     _X,
+    _evaluate,
+    _layers,
     _normal,
     _trusted,
     certified,
@@ -95,7 +96,8 @@ class TreeSyntaxError(ValueError):
 
 class _Node:
     """What the slotted vertex classes share: a weak-reference slot (see
-    ``_NODES``), the stored hash, one equality and the text form."""
+    ``_NODES``), the stored hash, one equality and the text form (``repr``
+    too, so any depth shows)."""
 
     __slots__ = ("__weakref__",)
 
@@ -131,6 +133,9 @@ class _Node:
     def __str__(self) -> str:
         return render_binary_tree(self)
 
+    def __repr__(self) -> str:
+        return f"parse_binary_tree({render_binary_tree(self)!r})"
+
     def __reduce__(self):
         """Pickled as its text, which reads and writes at any depth."""
         return _unpickle, (render_binary_tree(self), bool(self._leaves))
@@ -148,7 +153,7 @@ class TLeaf:
         return "L"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Uni(_Node):
     """A uni-vertex.  ``_leaves`` (on ``Bi`` too) is the certification mark:
     0 until the subtree from here down has passed the averaging conditions
@@ -167,7 +172,7 @@ class Uni(_Node):
         object.__setattr__(self, "_hash", hash((1, self.child._hash)))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Bi(_Node):
     """A bi-vertex.  ``_leaves`` is the certification mark, as on ``Uni``:
     set only once the subtree from here down has passed; pickles keep it."""
@@ -395,7 +400,8 @@ def _bi(left: UnreducedBinaryTree, right: UnreducedBinaryTree) -> Bi:
 # A word is a left comb of bi-vertices over its factors (``_comb``), each a
 # leaf (a letter) or the top of a uni-chain (``_chain``: a bracket whose
 # power is the chain's length); a bracket's core begins with a letter and is
-# never one bracket.  An entry of a comb may itself be a comb.
+# never one bracket.  An entry of a comb may itself be a comb.  ``_phi``
+# evaluates a word into the same comb; ``operad.compose`` freezes into it.
 
 def _comb(entries) -> UnreducedBinaryTree:
     t = entries[0]
@@ -412,24 +418,9 @@ def _chain(core, power: int) -> Uni:
 
 
 def _phi(v: BracketedWord) -> UnreducedBinaryTree:
-    """The tree of ``v``: the comb of its factors' trees.  The stack holds
-    the factors still to read around each open bracket, so any depth
-    converts."""
-    stack = []  # (enclosing factors left, their trees so far, the open bracket)
-    factors, entries = iter(v.factors), []
-    while True:
-        for f in factors:
-            if isinstance(f, Letter):
-                entries.append(LEAF)
-            else:
-                stack.append((factors, entries, f))
-                factors, entries = iter(f.core.factors), []
-                break
-        else:
-            if not stack:
-                return _comb(entries)
-            core, (factors, entries, f) = entries, stack.pop()
-            entries.append(_chain(core, f.power))
+    """The tree of ``v``: its evaluation with every letter a leaf,
+    juxtaposition a bi-vertex and each bracket layer a uni-vertex."""
+    return _evaluate(v, lambda symbol: LEAF, _bi, _layers(_uni))
 
 
 def phi_inverse(t: Union[AveragingTree, UnreducedBinaryTree]) -> AveragingWord:

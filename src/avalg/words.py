@@ -22,11 +22,16 @@ Concrete text syntax::
 Whitespace between factors is ignored.  The renderer emits a single space
 only between two adjacent letters (otherwise they would lex as one
 identifier), which keeps ``parse_word(render_word(w)) == w`` exact.
+
+Images of the letters extend uniquely along juxtaposition and brackets;
+``_evaluate`` is that one fold, which ``depth``, ``letters_of``,
+``substitute_letters``, ``trees.phi`` and ``algebra.universal_map`` run.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -113,10 +118,11 @@ class Bracket:
         return render_word(word(self))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class BracketedWord:
-    """Equality and hashing read the rendered text, which is unique to the
-    word (``parse_word`` inverts it), so any depth compares and hashes."""
+    """Equality, hashing and ``repr`` read the rendered text, which is unique
+    to the word (``parse_word`` inverts it), so any depth compares, hashes
+    and shows."""
 
     factors: tuple  # tuple[Factor, ...], nonempty
 
@@ -141,6 +147,9 @@ class BracketedWord:
 
     def __str__(self) -> str:
         return render_word(self)
+
+    def __repr__(self) -> str:
+        return f"parse_word({render_word(self)!r})"
 
 
 Factor = Union[Letter, Bracket]
@@ -192,22 +201,15 @@ def tail_index(w: BracketedWord) -> int:
 
 
 def depth(w: BracketedWord) -> int:
-    """Maximal bracket nesting; a power-``s`` bracket adds ``s`` levels.
-    Iterative, like the other measures, so any depth counts."""
-    deepest, todo = 0, [(w, 0)]
-    while todo:
-        v, above = todo.pop()
-        for f in v.factors:
-            if isinstance(f, Bracket):
-                level = above + f.power
-                deepest = max(deepest, level)
-                todo.append((f.core, level))
-    return deepest
+    """Maximal bracket nesting; a power-``s`` bracket adds ``s`` levels."""
+    return _evaluate(w, lambda symbol: 0, max, operator.add)
 
 
 def _counts(w: BracketedWord) -> tuple:
     """(bracket pairs, letters) of ``w`` in one walk; powers count with
-    multiplicity."""
+    multiplicity.  Not :func:`_evaluate`, which took 4.2 ms against 1.1 ms
+    over the 426 words of an ``algebra`` pass (best of 15): every
+    ``rewrite_reduce`` call reads ``word_size`` for its default budget."""
     pairs = letters = 0
     todo = [w]
     while todo:
@@ -237,14 +239,7 @@ def word_size(w: BracketedWord) -> int:
 
 def letters_of(w: BracketedWord) -> set:
     """The set of letter symbols occurring in ``w``."""
-    out, todo = set(), [w]
-    while todo:
-        for f in todo.pop().factors:
-            if isinstance(f, Bracket):
-                todo.append(f.core)
-            else:
-                out.add(f.symbol)
-    return out
+    return _evaluate(w, lambda symbol: {symbol}, operator.ior, lambda letters, power: letters)
 
 
 def word_key(w: Union[BracketedWord, "AveragingWord"]):
@@ -487,24 +482,47 @@ def _normal(w: BracketedWord) -> AveragingWord:
 
 def substitute_letters(w: BracketedWord, factors_for: Callable) -> BracketedWord:
     """Replace each letter of ``w``, in reading order, by ``factors_for(letter)``,
-    a nonempty tuple of factors.  The stack holds the factors still to read
-    around each open bracket, so any depth substitutes."""
-    stack = []  # (enclosing factors left, their substitutes so far, the open bracket's power)
-    factors, out = iter(w.factors), []
+    a nonempty tuple of factors: the evaluation into factor lists, where a
+    bracket closes its core's list (``Bracket`` collapses stacked brackets
+    into one power)."""
+    return _trusted(tuple(_evaluate(
+        w, lambda symbol: list(factors_for(Letter(symbol))), operator.iadd,
+        lambda core, power: [Bracket(_trusted(tuple(core)), power)])))
+
+
+def _evaluate(w: BracketedWord, image: Callable, multiply: Callable, apply: Callable):
+    """The image of ``w`` under the homomorphism that sends each letter to
+    ``image(symbol)``: juxtaposition folds left with ``multiply``, and a
+    bracket ``[u]^s`` is ``apply(image of u, s)``, its ``s`` layers at once
+    (see :func:`_layers`).  An explicit stack, so any depth evaluates."""
+    stack = []
+    factors, result, power = iter(w.factors), None, 0
     while True:
-        for f in factors:
-            if isinstance(f, Letter):
-                out.extend(factors_for(f))
-            else:
-                stack.append((factors, out, f.power))
-                factors, out = iter(f.core.factors), []
-                break
-        else:
-            core = _trusted(tuple(out))
+        f = next(factors, None)
+        if f is None:
             if not stack:
-                return core
-            factors, out, power = stack.pop()
-            out.append(Bracket(core, power))
+                return result
+            piece = apply(result, power)
+            factors, result, power = stack.pop()
+        elif isinstance(f, Letter):
+            try:
+                piece = image(f.symbol)
+            except KeyError:
+                raise KeyError(f"letter {f.symbol!r} has no assigned image") from None
+        else:
+            stack.append((factors, result, power))
+            factors, result, power = iter(f.core.factors), None, f.power
+            continue
+        result = piece if result is None else multiply(result, piece)
+
+
+def _layers(once: Callable) -> Callable:
+    """The ``apply`` of :func:`_evaluate` that runs ``once`` per layer."""
+    def apply(value, power: int):
+        for _ in range(power):
+            value = once(value)
+        return value
+    return apply
 
 
 def peel(w: Union[AveragingWord, BracketedWord]) -> tuple:

@@ -8,7 +8,6 @@ from avalg.algebra import (
     LinCombSyntaxError,
     LinearCombination,
     StepBudgetExceeded,
-    _eval_word,
     apply_p,
     diamond,
     parse_lincomb,
@@ -20,6 +19,8 @@ from avalg.algebra import (
 from avalg.instances import FiniteAlgebra, standard_fixtures
 from avalg.words import (
     AveragingWord,
+    _evaluate,
+    _layers,
     head_index,
     iter_bracketed_words,
     parse_word,
@@ -301,10 +302,12 @@ def universal_map_by_definition(assignment, target, value):
     if isinstance(value, LinearCombination):
         total = target.zero
         for w, c in value.terms:
-            image = _eval_word(assignment, target.multiply, target.operator, raw(w))
+            image = _evaluate(raw(w), assignment.__getitem__, target.multiply,
+                              _layers(target.operator))
             total = target.add(total, target.scale(c, image))
         return total
-    return _eval_word(assignment, target.multiply, target.operator, raw(value))
+    return _evaluate(raw(value), assignment.__getitem__, target.multiply,
+                     _layers(target.operator))
 
 
 class TestUniversalMap:

@@ -178,6 +178,9 @@ class TestExitCodes:
         (("census", "--max-degree", "2", "--max-arity", "-3"), "--max-arity"),
         (("series", "--kind", "I", "--N", "-1", "--M", "3"), "--N"),
         (("series", "--kind", "A", "--N", "2", "--M", "-1"), "--M"),
+        (("census", "--max-degree", "2", "--budget", "-1"), "--budget"),
+        (("normalize", "[x][x]", "--method", "rewrite", "--rewrite-budget", "-5"),
+         "--rewrite-budget"),
     ])
     def test_negative_table_sizes_are_usage_errors(self, argv, flag):
         proc = run_cli(*argv)
@@ -304,10 +307,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text", ["null", "[1]", '{"dim": 2, "basis": 5}',
                                       '{"basis": ["1"], "mul": [[1]], "op": [[1]]}',
-                                      '{"basis": ["1"], "mul": [[[0.5]]], "op": [[1]]}'])
+                                      '{"basis": ["1"], "mul": [[[0.5]]], "op": [[1]]}',
+                                      '{"basis": ["1"], "mul": [[["1/0"]]], "op": [["1"]]}',
+                                      '{"basis": ["1"], "mul": [[["1"]]], "op": [["1/0"]]}',
+                                      '{"basis": ["1"], "mul": [[[false]]], "op": [[true]]}',
+                                      None])  # None: the path is a directory
     def test_malformed_instance_is_an_input_error(self, tmp_path, text):
-        path = tmp_path / "instance.json"
-        path.write_text(text)
+        path = tmp_path
+        if text is not None:
+            path = tmp_path / "instance.json"
+            path.write_text(text)
         proc = run_cli("check-instance", str(path))
         assert proc.returncode == 2
         assert proc.stderr.startswith("input error: ") and len(proc.stderr.splitlines()) == 1

@@ -15,17 +15,28 @@ from pathlib import Path
 
 import pytest
 
-from avalg.algebra import reduce
+from avalg.algebra import LinearCombination, reduce, universal_map
 from avalg.enumeration import collapse_runs, expand_runs
+from avalg.instances import standard_fixtures
+from avalg.operad import OperadElement
 from avalg.trees import (
     is_schroeder,
     omega_count,
     parse_schroeder_tree,
+    phi,
     psi,
     psi_inverse,
+    render_binary_tree,
     render_schroeder_tree,
 )
-from avalg.words import parse_word, render_word, substitute_letters, word_key
+from avalg.words import (
+    depth,
+    letters_of,
+    parse_word,
+    render_word,
+    substitute_letters,
+    word_key,
+)
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "avalg"
 
@@ -91,6 +102,7 @@ DEEP = "[x" * D + "]" * D  # indecomposable, and an averaging word
 DOUBLED = "[x x" * D + "]" * D
 TREE = "w(i," * (D - 1) + "o" + ")" * (D - 1)  # the Schroeder tree of DEEP
 BAD_TREE = "w(i," * (D - 1) + "i" + ")" * (D - 1)  # an iota leaf at an odd branch
+LADDER = "U(B(L," * (D - 1) + "U(L)" + "))" * (D - 1)  # the binary tree of DEEP
 WORD, TWICE = parse_word(DEEP), parse_word(DOUBLED)
 SCHROEDER, NOT_SCHROEDER = parse_schroeder_tree(TREE), parse_schroeder_tree(BAD_TREE)
 
@@ -106,6 +118,18 @@ def schroeder_eq_and_hash():
     return copy == SCHROEDER, hash(copy) == hash(SCHROEDER), copy != NOT_SCHROEDER
 
 
+def mapped_into_dual_numbers():
+    # x^1200 under the identity operator: (1 + y)^1200 = 1 + 1200y
+    alg = standard_fixtures()["identity_dual_numbers"]
+    return universal_map({"x": alg.element([1, 1])}, alg, WORD) == alg.element([1, D])
+
+
+def reprs():
+    tree = phi(WORD)
+    return (repr(WORD), repr(tree), repr(LinearCombination.of(WORD)),
+            repr(OperadElement.of(tree)))
+
+
 def collapsed():
     core, lengths = collapse_runs(TWICE)
     return render_word(core), lengths
@@ -117,6 +141,16 @@ MATRIX = {
     "words.word_key": (lambda: word_key(WORD), (D, D, DEEP)),
     "words.substitute_letters": (
         lambda: render_word(substitute_letters(WORD, lambda f: (f, f))), DOUBLED),
+    "words.depth": (lambda: depth(WORD), D),
+    "words.letters_of": (lambda: letters_of(TWICE), {"x"}),
+    "trees.phi": (lambda: render_binary_tree(phi(WORD).tree), LADDER),
+    "algebra.universal_map": (mapped_into_dual_numbers, True),
+    "words.BracketedWord.__repr__/trees._Node.__repr__": (reprs, (
+        f"parse_word({DEEP!r})",
+        f"AveragingTree(tree=parse_binary_tree({LADDER!r}))",
+        f"LinearCombination(terms=((AveragingWord(word=parse_word({DEEP!r})), Fraction(1, 1)),))",
+        f"OperadElement(arity={D}, terms=((AveragingTree(tree=parse_binary_tree({LADDER!r})),"
+        " Fraction(1, 1)),))")),
     "words.BracketedWord.__eq__/__hash__": (eq_and_hash_3000_deep, (True, True, True, 2)),
     "enumeration.collapse_runs": (collapsed, (DEEP, (2,) * D)),
     "enumeration.expand_runs": (lambda: render_word(expand_runs(WORD, [2] * D)), DOUBLED),

@@ -25,11 +25,12 @@ from avalg.words import (
     random_averaging_word,
     random_bracketed_word,
     render_word,
+    substitute_letters,
     validate_averaging,
     word,
     word_size,
 )
-from avalg.words import _trusted
+from avalg.words import _evaluate, _trusted
 
 x = Letter("x")
 
@@ -169,6 +170,16 @@ class TestAnalyze:
         assert (depth(w), degree(w), arity(w)) == (5000, 5003, 5002)
         assert letters_of(w) == {"x", "y"}
         assert analyze(w).depth == 5000
+
+    def test_a_bracket_is_one_apply_whatever_its_power(self):
+        # the evaluator hands a bracket's whole power to ``apply`` at once, so
+        # the walks on it cost nothing per layer
+        w = bw("[x[y]^3]^1000000000000")
+        powers = []
+        _evaluate(w, str, str.__add__, lambda v, s: powers.append(s) or v)
+        assert powers == [3, 10**12]
+        assert (depth(w), letters_of(w)) == (10**12 + 3, {"x", "y"})
+        assert render_word(substitute_letters(w, lambda f: (f, f))) == "[x x[y y]^3]^1000000000000"
 
     def test_measures_match_their_definitions(self):
         def by_definition(v):
