@@ -566,9 +566,12 @@ def parse_lincomb(text: str) -> LinearCombination:
     stripped = text.strip()
     if stripped == "0":
         return LinearCombination.zero()
+    terms = _split_terms(stripped)
+    if terms and terms[-1][0] == "op":
+        raise LinCombSyntaxError(f"dangling {terms[-1][1]!r}")
     pairs = []
     sign = 1
-    for kind, body in _split_terms(stripped):
+    for kind, body in terms:
         if kind == "op":
             sign = 1 if body == "+" else -1
             continue
@@ -635,16 +638,21 @@ def universal_map(assignment: Mapping[str, object], target, value):
     :class:`~avalg.instances.FiniteAlgebra` does with integer numerators over
     one denominator.  Then each assigned element is encoded once, the whole
     evaluation and the sum over a combination's terms run on encoded values,
-    and the result is decoded once.  Any other target is its own encoding:
-    ``multiply`` and ``operator`` act directly and the terms are summed with
-    ``add`` and ``scale`` from ``zero``.
+    and the result is decoded once.  The kernel operations leave their
+    arguments unchanged, so each bracket object, however many terms share
+    it, is evaluated once per call.  Any other target is its own encoding:
+    ``multiply`` and ``operator`` act directly, a bracket is evaluated
+    wherever it occurs, and the terms are summed with ``add`` and ``scale``
+    from ``zero``.
     """
     if hasattr(target, "encode"):
         encode, decode, total = target.encode, target.decode, target.kernel_sum
         multiply, apply = target.kernel_multiply, _layers(target.kernel_operator)
+        memo = {}  # by bracket id; ``value`` keeps every bracket alive meanwhile
     else:
         encode = decode = _same
         multiply, apply = target.multiply, _layers(target.operator)
+        memo = None
 
         def total(terms):
             out = target.zero
@@ -654,9 +662,9 @@ def universal_map(assignment: Mapping[str, object], target, value):
 
     image = {s: encode(x) for s, x in assignment.items()}.__getitem__
     if isinstance(value, LinearCombination):
-        return decode(total([(c, _evaluate(raw(w), image, multiply, apply))
+        return decode(total([(c, _evaluate(raw(w), image, multiply, apply, memo))
                              for w, c in value.terms]))
-    return decode(_evaluate(raw(value), image, multiply, apply))
+    return decode(_evaluate(raw(value), image, multiply, apply, memo))
 
 
 def _same(x):

@@ -77,6 +77,8 @@ _ZERO = Fraction(0)
 def _lowest(out, d):
     """The nonzero entries of ``out / d`` as ``(index, numerator)`` pairs and
     one denominator, with the common gcd divided out."""
+    if d == 1:  # already lowest terms
+        return [(k, v) for k, v in enumerate(out) if v], 1
     g = gcd(d, *out)
     return [(k, v // g) for k, v in enumerate(out) if v], d // g
 
@@ -547,7 +549,8 @@ def algebra_from_json(data) -> FiniteAlgebra:
         raise ValueError("basis must be a list")
     basis = tuple(data["basis"])
     dim = data.get("dim")
-    if dim is not None and (not isinstance(dim, (int, str)) or int(dim) != len(basis)):
+    if dim is not None and (isinstance(dim, bool) or not isinstance(dim, (int, str))
+                            or int(dim) != len(basis)):
         raise ValueError("dim does not match basis length")
     return FiniteAlgebra(basis, _table(data["mul"], 3, "mul"), _table(data["op"], 2, "op"))
 

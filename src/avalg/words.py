@@ -74,7 +74,11 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_POWER_RE = re.compile(r"\d+")
+# The tokens of parse_word, one per match and numbered by ``lastindex``:
+# 1 an identifier, 2 '[', 3 ']' with an optional '^' and its digits (group
+# 4, possibly empty), 5 any other character.  Whitespace runs match with no
+# group.  Every character belongs to some token, so the matches tile the text.
+_TOKEN_RE = re.compile(rf"({_IDENT_RE.pattern})|(\[)|(\](?:\^(\d*))?)|\s+|(.)", re.DOTALL)
 
 
 class WordSyntaxError(ValueError):
@@ -155,14 +159,19 @@ class BracketedWord:
 Factor = Union[Letter, Bracket]
 
 
-_set_factors = BracketedWord.factors.__set__  # the slot's setter, past the frozen __setattr__
+# the slots' setters, past the frozen __setattr__
+_set_factors = BracketedWord.factors.__set__
+_set_symbol = Letter.symbol.__set__
+_set_core = Bracket.core.__set__
+_set_power = Bracket.power.__set__
+_new = object.__new__
 
 
 def _trusted(factors: tuple) -> BracketedWord:
     """The word on ``factors``, a nonempty tuple of letters and canonical
     brackets that is well-formed by construction; the public constructor's
     copy and checks are skipped."""
-    w = object.__new__(BracketedWord)
+    w = _new(BracketedWord)
     _set_factors(w, factors)
     return w
 
@@ -252,48 +261,56 @@ def word_key(w: Union[BracketedWord, "AveragingWord"]):
 # Parsing and rendering
 
 def parse_word(text: str) -> BracketedWord:
-    """Parse the concrete syntax into a canonical-power-form word.  One loop
-    with an explicit stack, so any depth parses."""
+    """Parse the concrete syntax into a canonical-power-form word.  One pass
+    over :data:`_TOKEN_RE`'s tokens with an explicit stack, so any depth
+    parses.  The tokens are checked as they are read, so the factors are
+    built without the public constructors' checks."""
     stack = []  # (factors enclosing an open bracket, offset of its '[')
     factors = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "[":
-            stack.append((factors, i))
+    letters = {}  # one Letter per distinct symbol
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastindex
+        if kind == 1:
+            symbol = m.group()
+            f = letters.get(symbol)
+            if f is None:
+                f = letters[symbol] = _new(Letter)
+                _set_symbol(f, symbol)
+            factors.append(f)
+        elif kind == 2:
+            stack.append((factors, m.start()))
             factors = []
-            i += 1
-        elif ch == "]":
+        elif kind == 3:
             if not stack:
-                raise WordSyntaxError("unmatched ']'", i)
+                raise WordSyntaxError("unmatched ']'", m.start())
             if not factors:
-                raise WordSyntaxError("empty bracket content", i)
-            core = BracketedWord(tuple(factors))
-            factors = stack.pop()[0]
-            i += 1
+                raise WordSyntaxError("empty bracket content", m.start())
+            digits = m.group(4)
             power = 1
-            if i < n and text[i] == "^":
-                m = _POWER_RE.match(text, i + 1)
-                if not m:
-                    raise WordSyntaxError("expected an integer after '^'", i + 1)
-                power = int(m.group())
+            if digits is not None:
+                if not digits:
+                    raise WordSyntaxError("expected an integer after '^'", m.start(4))
+                power = int(digits)
                 if power == 0:
-                    raise WordSyntaxError("zero power", i + 1)
-                i = m.end()
-            factors.append(Bracket(core, power))
-        else:
-            m = _IDENT_RE.match(text, i)
-            if not m:
-                raise WordSyntaxError(f"unexpected character {ch!r}", i)
-            factors.append(Letter(m.group()))
-            i = m.end()
+                    raise WordSyntaxError("zero power", m.start(4))
+            f = _new(Bracket)
+            if len(factors) == 1 and type(factors[0]) is Bracket:
+                # [[w]^p]^q is [w]^(p+q), as Bracket.__post_init__ folds it
+                inner = factors[0]
+                _set_core(f, inner.core)
+                _set_power(f, inner.power + power)
+            else:
+                _set_core(f, _trusted(tuple(factors)))
+                _set_power(f, power)
+            factors = stack.pop()[0]
+            factors.append(f)
+        elif kind == 5:
+            raise WordSyntaxError(f"unexpected character {m.group()!r}", m.start())
     if stack:
         raise WordSyntaxError("unclosed '['", stack[-1][1])
     if not factors:
         raise WordSyntaxError("empty word", 0)
-    return BracketedWord(tuple(factors))
+    return _trusted(tuple(factors))
 
 
 def render_word(w: Union[BracketedWord, "AveragingWord"]) -> str:
@@ -490,28 +507,39 @@ def substitute_letters(w: BracketedWord, factors_for: Callable) -> BracketedWord
         lambda core, power: [Bracket(_trusted(tuple(core)), power)])))
 
 
-def _evaluate(w: BracketedWord, image: Callable, multiply: Callable, apply: Callable):
+def _evaluate(w: BracketedWord, image: Callable, multiply: Callable, apply: Callable,
+              memo: Union[dict, None] = None):
     """The image of ``w`` under the homomorphism that sends each letter to
     ``image(symbol)``: juxtaposition folds left with ``multiply``, and a
     bracket ``[u]^s`` is ``apply(image of u, s)``, its ``s`` layers at once
-    (see :func:`_layers`).  An explicit stack, so any depth evaluates."""
+    (see :func:`_layers`).  An explicit stack, so any depth evaluates.
+
+    With ``memo``, a dict kept by the caller across calls, each bracket
+    object's image is stored under its ``id`` and reused wherever the same
+    object occurs again.  The caller keeps those brackets alive while the
+    memo lives, and ``multiply`` and ``apply`` must not change their
+    arguments, since an image is then handed out more than once."""
     stack = []
-    factors, result, power = iter(w.factors), None, 0
+    factors, result, bracket = iter(w.factors), None, None
     while True:
         f = next(factors, None)
         if f is None:
             if not stack:
                 return result
-            piece = apply(result, power)
-            factors, result, power = stack.pop()
+            piece = apply(result, bracket.power)
+            if memo is not None:
+                memo[id(bracket)] = piece
+            factors, result, bracket = stack.pop()
         elif isinstance(f, Letter):
             try:
                 piece = image(f.symbol)
             except KeyError:
                 raise KeyError(f"letter {f.symbol!r} has no assigned image") from None
+        elif memo is not None and id(f) in memo:
+            piece = memo[id(f)]
         else:
-            stack.append((factors, result, power))
-            factors, result, power = iter(f.core.factors), None, f.power
+            stack.append((factors, result, bracket))
+            factors, result, bracket = iter(f.core.factors), None, f
             continue
         result = piece if result is None else multiply(result, piece)
 

@@ -19,8 +19,11 @@ from avalg.algebra import (
 from avalg.instances import FiniteAlgebra, standard_fixtures
 from avalg.words import (
     AveragingWord,
+    Bracket,
+    Letter,
     _evaluate,
     _layers,
+    _trusted,
     head_index,
     iter_bracketed_words,
     parse_word,
@@ -28,8 +31,9 @@ from avalg.words import (
     raw,
     render_word,
     tail_index,
+    word,
 )
-from test_instances import ALGEBRAS, RATIONAL
+from test_instances import ALGEBRAS, HALF, RATIONAL
 
 
 def aw(text):
@@ -285,6 +289,13 @@ class TestLinearCombination:
         with pytest.raises(LinCombSyntaxError):
             parse_lincomb("a/b*x")
 
+    @pytest.mark.parametrize("text, sign", [("x +", "+"), ("x -", "-"), ("2*x - ", "-"),
+                                            ("[x] + y -", "-")])
+    def test_dangling_sign(self, text, sign):
+        with pytest.raises(LinCombSyntaxError) as err:
+            parse_lincomb(text)
+        assert str(err.value) == f"dangling '{sign}'"
+
     def test_distributivity_sampled(self):
         rng = random.Random(29)
         for _ in range(100):
@@ -430,3 +441,78 @@ class TestUniversalMap:
         assert got == universal_map_by_definition({"x": x}, RATIONAL, deep)
         for v in values:
             assert v[1] == lcm(*[c.denominator for c in alg.decode(v)])
+
+    @staticmethod
+    def shared_brackets():
+        """Four terms over one ``[x[y]]^2`` object, whose core holds one ``[y]``."""
+        inner = Bracket(word(Letter("y")), 1)
+        b = Bracket(word(Letter("x"), inner), 2)
+        x = Letter("x")
+        terms = [((b,), 1), ((x, b), 2), ((b, x), Fraction(-1, 3)), ((x, b, x), 5)]
+        return LinearCombination.from_terms((_trusted(f), c) for f, c in terms), b
+
+    def test_each_shared_bracket_is_evaluated_once(self):
+        calls = []
+
+        class Counting(FiniteAlgebra):
+            def kernel_operator(self, x):
+                calls.append(x)
+                return super().kernel_operator(x)
+
+        v, b = self.shared_brackets()
+        assert all(any(f is b for f in raw(w).factors) for w, _ in v.terms)
+        alg = Counting(RATIONAL.basis, RATIONAL.mul, RATIONAL.op)
+        assignment = {"x": alg.element([Fraction(2, 3), -1]), "y": alg.element([1, HALF])}
+        got = universal_map(assignment, alg, v)
+        assert len(calls) == 3  # [y] once and the two layers of b once, not 4 x 3
+        assert got == universal_map_by_definition(assignment, RATIONAL, v)
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_shared_brackets_agree_with_the_fold_by_definition(self, name):
+        # products and operators of combinations reuse their inputs' brackets
+        alg = ALGEBRAS[name]
+        rng = random.Random(f"shared:{name}")
+        assignment = {s: alg.element([Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                      for _ in range(alg.dim)]) for s in "xy"}
+        values = [self.shared_brackets()[0]]
+        for _ in range(20):
+            a, b = random_lincomb(rng, max_terms=4), random_lincomb(rng, max_terms=4)
+            values += [a * b, a.operator(), (a * b).operator()]
+        shared = 0
+        for v in values:
+            ids = [id(f) for w, _ in v.terms for f in raw(w).factors if isinstance(f, Bracket)]
+            shared += len(ids) - len(set(ids))
+            assert universal_map(assignment, alg, v) == universal_map_by_definition(assignment, alg, v)
+        assert shared > 20
+
+    def test_a_target_whose_multiply_changes_its_left_argument(self):
+        # a target without the encoded protocol may change what it is handed,
+        # so a shared bracket's image is computed afresh for each term.  Every
+        # product here has a bracket on its left, never an assigned element.
+        class Scalars:
+            zero = [Fraction(0)]
+
+            @staticmethod
+            def multiply(a, b):
+                a[0] *= b[0]
+                return a
+
+            @staticmethod
+            def operator(a):
+                return [a[0] / 2]
+
+            @staticmethod
+            def add(a, b):
+                return [a[0] + b[0]]
+
+            @staticmethod
+            def scale(c, a):
+                return [c * a[0]]
+
+        bx = Bracket(word(Letter("x")), 1)
+        y = Letter("y")
+        terms = [((bx, y), 1), ((bx,), 1), ((bx, y, bx), 2)]
+        v = LinearCombination.from_terms((_trusted(f), c) for f, c in terms)
+        got = universal_map({"x": [Fraction(3)], "y": [Fraction(5)]}, Scalars, v)
+        # P(x) = 3/2: 3/2 * 5 + 3/2 + 2 * (3/2 * 5 * 3/2)
+        assert got == [Fraction(15, 2) + Fraction(3, 2) + Fraction(45, 2)]

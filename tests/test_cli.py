@@ -192,6 +192,12 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "position" in proc.stderr
 
+    @pytest.mark.parametrize("text, sign", [("x +", "+"), ("x -", "-"), ("2*x - ", "-")])
+    def test_dangling_sign_in_a_combination(self, text, sign):
+        proc = run_cli("product", text, "x")
+        assert proc.returncode == 2
+        assert proc.stderr == f"input error: dangling '{sign}'\n"
+
     def test_parse_error_tree(self):
         assert run_cli("tree2word", "B(L").returncode == 2
 
@@ -311,6 +317,7 @@ class TestExitCodes:
                                       '{"basis": ["1"], "mul": [[["1/0"]]], "op": [["1"]]}',
                                       '{"basis": ["1"], "mul": [[["1"]]], "op": [["1/0"]]}',
                                       '{"basis": ["1"], "mul": [[[false]]], "op": [[true]]}',
+                                      '{"dim": true, "basis": ["1"], "mul": [[["1"]]], "op": [["1"]]}',
                                       None])  # None: the path is a directory
     def test_malformed_instance_is_an_input_error(self, tmp_path, text):
         path = tmp_path

@@ -1,6 +1,10 @@
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avalg.words import (
     AveragingWord,
@@ -30,9 +34,92 @@ from avalg.words import (
     word,
     word_size,
 )
-from avalg.words import _evaluate, _trusted
+from avalg.words import _TOKEN_RE, _evaluate, _trusted
 
 x = Letter("x")
+
+IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+POWER_RE = re.compile(r"\d+")
+
+
+def parse_word_by_characters(text):
+    """The character loop ``parse_word`` once was, over the public constructors:
+    the oracle for the token parser's words, messages and positions."""
+    stack = []
+    factors = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch == "[":
+            stack.append((factors, i))
+            factors = []
+            i += 1
+        elif ch == "]":
+            if not stack:
+                raise WordSyntaxError("unmatched ']'", i)
+            if not factors:
+                raise WordSyntaxError("empty bracket content", i)
+            core = BracketedWord(tuple(factors))
+            factors = stack.pop()[0]
+            i += 1
+            power = 1
+            if i < n and text[i] == "^":
+                m = POWER_RE.match(text, i + 1)
+                if not m:
+                    raise WordSyntaxError("expected an integer after '^'", i + 1)
+                power = int(m.group())
+                if power == 0:
+                    raise WordSyntaxError("zero power", i + 1)
+                i = m.end()
+            factors.append(Bracket(core, power))
+        else:
+            m = IDENT_RE.match(text, i)
+            if not m:
+                raise WordSyntaxError(f"unexpected character {ch!r}", i)
+            factors.append(Letter(m.group()))
+            i = m.end()
+    if stack:
+        raise WordSyntaxError("unclosed '['", stack[-1][1])
+    if not factors:
+        raise WordSyntaxError("empty word", 0)
+    return BracketedWord(tuple(factors))
+
+
+def parsed_or_error(parse, text):
+    try:
+        return render_word(parse(text))
+    except WordSyntaxError as exc:
+        return str(exc), exc.position
+
+
+# the pieces of the fuzzed texts; U+0663 is ARABIC-INDIC DIGIT THREE
+WORD_PIECES = ["[", "]", "^", " ", "\n", "\t", "x", "y", "ab_1", "0", "2", "\u0663", "\u00e9", "+", "-"]
+
+
+def _edited(text, edits):
+    for pos, piece in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + piece + text[pos + (not piece):]  # "" deletes a character
+    return text
+
+
+_word_texts = st.recursive(
+    st.sampled_from(["x", "y", "ab_1", " x", "y\t"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["", "", "^2", "^12", "^\u0663", "^0", "^", "^ 2"]))
+        .map(lambda t: f"[{t[0]}]{t[1]}"),
+        st.lists(inner, min_size=2, max_size=4).map("".join)),
+    max_leaves=10)
+
+# texts over the pieces, and well-formed words with up to two pieces
+# inserted or characters deleted
+WORD_TEXTS = st.one_of(
+    st.lists(st.sampled_from(WORD_PIECES), max_size=20).map("".join),
+    st.builds(_edited, _word_texts,
+              st.lists(st.tuples(st.integers(0, 99), st.sampled_from(WORD_PIECES + [""])),
+                       max_size=2)))
 
 
 def bw(text):
@@ -104,6 +191,25 @@ class TestParse:
     def test_any_depth(self):
         text = "[x" * 10**4 + "]" * 10**4
         assert render_word(bw(text)) == text
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(WORD_TEXTS)
+    def test_agrees_with_the_character_loop(self, text):
+        assert parsed_or_error(parse_word, text) == parsed_or_error(parse_word_by_characters, text)
+
+    def test_whitespace_is_what_str_isspace_says(self):
+        # the token regex skips a run of ``\s``; the character loop skipped
+        # ``str.isspace``.  They agree on every code point.
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        skipped = {i for m in _TOKEN_RE.finditer(text) if m.lastindex is None
+                   for i in range(m.start(), m.end())}
+        assert skipped == {i for i, ch in enumerate(text) if ch.isspace()}
+
+    def test_factors_are_canonical_and_share_letters(self):
+        w = bw("x [[x y]^2]^3 x")
+        b = w.factors[1]
+        assert b == Bracket(word(x, Letter("y")), 5)
+        assert w.factors[0] is w.factors[2] is b.core.factors[0]
 
 
 class TestRender:
