@@ -644,6 +644,10 @@ def universal_map(assignment: Mapping[str, object], target, value):
     ``multiply`` and ``operator`` act directly, a bracket is evaluated
     wherever it occurs, and the terms are summed with ``add`` and ``scale``
     from ``zero``.
+
+    ``multiply`` and ``operator`` must not mutate their arguments: they get
+    the assignment's own elements and values they returned earlier, and
+    nothing is copied for them.
     """
     if hasattr(target, "encode"):
         encode, decode, total = target.encode, target.decode, target.kernel_sum

@@ -28,7 +28,7 @@ from .algebra import (
     reduce,
     rewrite_reduce,
 )
-from .words import analyze, parse_word, render_word, word
+from .words import analyze, degree, parse_word, render_word, word
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -131,7 +131,19 @@ def _parse_tree_or_word(text: str) -> trees.AveragingTree:
     stripped = text.strip()
     if stripped and stripped[0] in "LUB":
         return trees.AveragingTree(trees.parse_binary_tree(stripped))
-    return trees.phi(parse_word(stripped))
+    return _phi(parse_word(stripped))
+
+
+def _phi(w) -> trees.AveragingTree:
+    """The tree of ``w``, whose uni-vertices, one per bracket layer, are
+    counted first (``degree`` walks the factors, not the layers), so a power
+    past the budget exits 3 before any vertex is built."""
+    budget = enumeration.DEFAULT_BUDGET
+    layers = degree(w)
+    if layers > budget:
+        raise enumeration.BudgetExceeded(
+            f"the tree would have {layers} uni-vertices (budget {budget})")
+    return trees.phi(w)
 
 
 def _word_payload(w) -> dict:
@@ -205,7 +217,7 @@ def _handle(args) -> tuple:
         return {"n": args.n, "value": enumeration.schroeder(args.n)}, "json"
 
     if cmd == "word2tree":
-        tree = trees.phi(parse_word(args.word))
+        tree = _phi(parse_word(args.word))
         return {
             "tree": trees.render_binary_tree(tree.tree),
             "word": render_word(trees.phi_inverse(tree)),

@@ -5,11 +5,12 @@ brackets are adjacent, and runs of the generator ``x`` are capped at
 ``run_cap`` (``math.inf`` lifts the cap).  Words are graded by *degree*
 (bracket pairs) and *arity* (number of ``x``'s).  Two independent routes compute the same tables:
 
-* ``census`` generates the words themselves with the one averaging-word
-  grammar of :mod:`avalg.words`, held to bracket power 1 and the run cap,
-  and classifies each word: *bracketed* (b) words start and end with a
-  bracket, *indecomposable* (i) ones are bracketed of breadth 1, and the
-  decomposable (d = b - i) and associate (c = a - b) columns follow.
+* ``census`` walks the words themselves, one at a time, with the one
+  averaging-word grammar of :mod:`avalg.words`, held to bracket power 1 and
+  the run cap, and classifies each word: *bracketed* (b) words start and
+  end with a bracket, *indecomposable* (i) ones are bracketed of breadth 1,
+  and the decomposable (d = b - i) and associate (c = a - b) columns
+  follow.
 
 * ``series`` solves the functional equations of the generating series
   degree by degree in exact integer arithmetic (no radicals).
@@ -34,7 +35,9 @@ from .words import (
     BracketedWord,
     Letter,
     _IDENT_RE,
-    _averaging_factors,
+    _bracket_group,
+    _trusted,
+    _walk_family,
     parse_word,
     raw,
     render_word,
@@ -120,9 +123,13 @@ def count_compositions(m: int, k: int, cap: Cap = math.inf) -> int:
 # ---------------------------------------------------------------------------
 # Word generation under the idempotent convention
 
-def _cell_factors(cap: Cap, n: int, m: int) -> tuple:
-    """Factor tuples of the words of degree n and arity m, in generation order."""
-    return _averaging_factors(m, n, 1, cap, 0) + _averaging_factors(m, n, 1, cap, 1)
+def _cell_factors(cap: Cap, n: int, m: int) -> Iterator[tuple]:
+    """Factor tuples of the words of degree n and arity m, in generation
+    order, walked one at a time.  At power 1 no word ends in a bracket of
+    power >= 2, so the families are named as cores, whose counts the
+    brackets' cores share."""
+    caps = (1, cap)
+    return itertools.chain(_walk_family((m, n, 0, True), caps), _walk_family((m, n, 1, True), caps))
 
 
 def _canonical(found) -> tuple:
@@ -147,8 +154,7 @@ def indecomposable_words_v(run_cap: Cap, n: int, m: int = -1) -> tuple:
     arities = [m] if m >= 0 else range(1, int(cap) * max(2 * n - 1, 1) + 1)
     out = []
     for mm in arities:
-        found = _averaging_factors(mm, n, 1, cap, 1)
-        out.extend(_canonical(f for f in found if len(f) == 1))
+        out.extend(_canonical((b,) for b in _bracket_group(mm, n, 1, (1, cap))))
     return tuple(out)
 
 
@@ -223,20 +229,25 @@ def census(run_cap: Cap, max_degree: int, max_arity: int, include_one: bool = Fa
     tables = {name: {} for name in "abcdi"}
     words = {} if list_words else None
     for n, m in cells:
-        found = _cell_factors(cap, n, m)
-        if len(found) != expected.count(n, m):
+        a = b = i = 0
+        texts = [] if words is not None else None
+        for f in _cell_factors(cap, n, m):
+            a += 1
+            if type(f[-1]) is Bracket and type(f[0]) is Bracket:
+                b += 1
+                i += len(f) == 1
+            if texts is not None:
+                texts.append(render_word(_trusted(f)))
+        if a != expected.count(n, m):
             raise AssertionError(
-                f"census generated {len(found)} words of degree {n} and arity {m},"
+                f"census generated {a} words of degree {n} and arity {m},"
                 f" the series predicts {expected.count(n, m)}"
             )
-        brk = [f for f in found if isinstance(f[0], Bracket) and isinstance(f[-1], Bracket)]
-        a, b = len(found), len(brk)
-        i = sum(1 for f in brk if len(f) == 1)
         for name, count in zip("abcdi", (a, b, a - b, b - i, i)):
             if count:
                 tables[name][(n, m)] = count
-        if words is not None and found:
-            words[(n, m)] = tuple(sorted(render_word(BracketedWord(f)) for f in found))
+        if texts:
+            words[(n, m)] = tuple(sorted(texts))
     if include_one:
         tables["a"][(0, 0)] = 1
 
@@ -474,23 +485,34 @@ def reduce_to_v1(run_cap: Cap, max_degree: int, max_arity: int,
 # ---------------------------------------------------------------------------
 # Closed radical forms (floating point; validated against the series)
 
+# Each closed form is (P + Q*r) / R with P, Q, R in Z[z, t] and r the square
+# root of _DELTA, so the series G of its kind satisfies (R*G - P)^2 = Q^2*_DELTA
+# exactly.  A polynomial is a dict {(i, j): c} for the terms c * z^i * t^j.
+_DELTA = {(0, 0): 1, (1, 1): -2, (1, 2): -4, (2, 2): 1}  # z^2 t^2 - (2t + 4t^2) z + 1
+_RADICAL_FORMS = {
+    # kind: (P, Q, R)
+    "I": ({(0, 0): 1, (1, 1): -1}, {(0, 0): -1}, {(0, 1): 2}),
+    "B": ({(0, 0): 1, (1, 1): -1, (1, 2): -2}, {(0, 0): -1}, {(1, 2): 2, (1, 3): 2}),
+    "D": ({(0, 0): 1, (1, 1): -2, (1, 2): -3, (2, 2): 1, (2, 3): 1},
+          {(0, 0): -1, (1, 1): 1, (1, 2): 1}, {(1, 2): 2, (1, 3): 2}),
+    "C": ({(0, 0): 2, (0, 1): 1, (1, 1): -2, (1, 2): -3}, {(0, 0): -2, (0, 1): -1},
+          {(1, 1): 2, (1, 2): 2}),
+    "A": ({(0, 0): 1, (0, 1): 1, (1, 1): -1, (1, 2): -1}, {(0, 0): -1, (0, 1): -1},
+          {(1, 2): 2}),
+}
+
+
+def _poly_value(poly: dict, z: float, t: float) -> float:
+    return sum(c * z ** i * t ** j for (i, j), c in poly.items())
+
+
 def closed_form(kind: str, z: float, t: float) -> float:
     """The radical expression for each series, in double precision."""
-    r = math.sqrt(z * z * t * t - (2 * t + 4 * t * t) * z + 1)
-    if kind == "I":
-        return (1 - z * t - r) / (2 * t)
-    if kind == "B":
-        return (1 - z * t - 2 * z * t * t - r) / (2 * z * t * t * (1 + t))
-    if kind == "D":
-        return (
-            1 - 2 * z * t - 3 * z * t * t + z * z * t * t + z * z * t ** 3
-            + (z * t + z * t * t - 1) * r
-        ) / (2 * z * t * t * (1 + t))
-    if kind == "C":
-        return (2 + t - 2 * z * t - 3 * z * t * t - (2 + t) * r) / (2 * z * t * (1 + t))
-    if kind == "A":
-        return (1 + t) * (1 - z * t - r) / (2 * z * t * t)
-    raise ValueError(f"unknown series kind {kind!r}")
+    if kind not in _RADICAL_FORMS:
+        raise ValueError(f"unknown series kind {kind!r}")
+    p, q, r = _RADICAL_FORMS[kind]
+    root = math.sqrt(_poly_value(_DELTA, z, t))
+    return (_poly_value(p, z, t) + _poly_value(q, z, t) * root) / _poly_value(r, z, t)
 
 
 def series_value(kind: str, z: float, t: float, max_degree: int = 25) -> float:

@@ -36,6 +36,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterator, Sequence, Union
 
 __all__ = [
@@ -607,57 +608,153 @@ def iter_bracketed_words(max_size: int) -> Iterator[BracketedWord]:
         yield from _all_words_exact(size)
 
 
-@lru_cache(maxsize=None)
-def _averaging_factors(a: int, d: int, power_cap: Union[int, float],
-                       run_cap: Union[int, float], head: int) -> tuple:
-    """Factor tuples of the averaging words over ``x`` of arity ``a``, degree ``d``.
+# ---------------------------------------------------------------------------
+# Averaging words over x: one recursion counts, walks and unranks them
+#
+# A family is named by ``(a, d, head, core)`` under ``caps = (power_cap,
+# run_cap)``: the averaging words over ``x`` of arity ``a`` and degree ``d``
+# whose first factor is a letter (head 0) or a bracket (head 1), in which
+# runs have at most ``run_cap`` letters and brackets ``[u]^s`` have
+# ``s <= power_cap``.  With ``core`` set, a word also does not end in a
+# bracket of power >= 2, as the core ``u`` of a bracket must not; a core has
+# head 0.  Only the counts, with the branches that hold words, and the
+# bracket groups, which stand inside larger words, are memoised; words are
+# walked, never held.
 
-    A word alternates runs of at most ``run_cap`` letters with brackets
-    ``[core]^s``, ``s <= power_cap``, where a core is a word with head 0
-    that does not end in a bracket of power >= 2.  ``head`` selects the
-    first factor as in :func:`head_index`.  Every word comes out once.
-    """
-    out = []
+
+def _split_family(family: tuple, caps: tuple) -> Iterator[tuple]:
+    """The case split of a family: each way its words begin, as ``(first,
+    rest)``.  ``first`` is a run length ``r`` (a run of ``r`` letters) or
+    ``(ba, bd, top)``, the brackets of arity ``ba`` and degree ``bd`` with
+    power at most ``top``; ``rest`` is the family of what follows, or None
+    when ``first`` is the whole word."""
+    a, d, head, core = family
+    power_cap, run_cap = caps
     if head == 0:
         for r in range(1, min(a, run_cap) + 1):
-            run = (_X,) * r
-            if r == a:
-                if d == 0:
-                    out.append(run)
-            else:
-                rests = _averaging_factors(a - r, d, power_cap, run_cap, 1)
-                out.extend(run + rest for rest in rests)
-        return tuple(out)
+            if r < a:
+                yield r, (a - r, d, 1, core)
+            elif d == 0:
+                yield r, None
+        return
     for ba in range(1, a + 1):
         for bd in range(1, d + 1):
-            brackets = _averaging_brackets(ba, bd, power_cap, run_cap)
-            if (ba, bd) == (a, d):
-                out.extend((b,) for b in brackets)
+            if (ba, bd) != (a, d):
+                yield (ba, bd, min(bd, power_cap)), (a - ba, d - bd, 0, core)
             else:
-                rests = _averaging_factors(a - ba, d - bd, power_cap, run_cap, 0)
-                out.extend((b,) + rest for b in brackets for rest in rests)
+                yield (ba, bd, 1 if core else min(bd, power_cap)), None
+
+
+@lru_cache(maxsize=None)
+def _branches(family: tuple, caps: tuple) -> tuple:
+    """The branches of a family's split that hold words, as ``(first, rest,
+    firsts, rests)``: ``firsts`` first factors (one run, or a bracket
+    ``[u]^s`` for each core ``u`` of each power ``s``), each followed by any
+    of the ``rests`` words of ``rest`` (1 when ``rest`` is None).  Memoised,
+    so a walk never visits an empty branch."""
+    out = []
+    for first, rest in _split_family(family, caps):
+        rests = 1 if rest is None else _count_family(rest, caps)
+        if not rests:
+            continue
+        if type(first) is int:
+            firsts = 1
+        else:
+            a, d, top = first
+            firsts = sum(_count_family((a, d - s, 0, True), caps) for s in range(1, top + 1))
+        if firsts:
+            out.append((first, rest, firsts, rests))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _averaging_brackets(a: int, d: int, power_cap: Union[int, float],
-                        run_cap: Union[int, float]) -> tuple:
-    """The brackets ``[core]^s`` of arity ``a`` and degree ``d`` that may stand
-    in an averaging word, built once for every word that contains them."""
-    return tuple(
-        Bracket(_trusted(core), s)
-        for s in range(1, min(d, power_cap) + 1)
-        for core in _averaging_factors(a, d - s, power_cap, run_cap, 0)
-        if not (isinstance(core[-1], Bracket) and core[-1].power >= 2)
-    )
+def _count_family(family: tuple, caps: tuple) -> int:
+    """The number of words in a family."""
+    return sum(firsts * rests for _, _, firsts, rests in _branches(family, caps))
+
+
+@lru_cache(maxsize=None)
+def _bracket_group(a: int, d: int, s: int, caps: tuple) -> tuple:
+    """The brackets ``[u]^s`` of arity ``a`` and degree ``d``, built once for
+    every word that contains them."""
+    return tuple(Bracket(_trusted(core), s) for core in _walk_family((a, d - s, 0, True), caps))
+
+
+def _walk_family(family: tuple, caps: tuple) -> Iterator[tuple]:
+    """The factor tuples of a family's words, one at a time, in the order of
+    its split: each first factor with each rest.  The words come through
+    chained C iterators, so Python code runs once per first factor, not
+    once per word."""
+    return chain.from_iterable(_pieces(family, caps))
+
+
+def _pieces(family: tuple, caps: tuple) -> Iterator:
+    """The iterators that :func:`_walk_family` chains: for each first
+    factor (a run, or a bracket as a 1-tuple), its concatenations with each
+    rest."""
+    for first, rest, _, _ in _branches(family, caps):
+        if type(first) is int:
+            heads = ((_X,) * first,)
+        else:
+            a, d, top = first
+            heads = chain.from_iterable(zip(_bracket_group(a, d, s, caps)) for s in range(1, top + 1))
+        if rest is None:
+            yield heads
+            continue
+        held = _held(rest, caps)
+        for head in heads:
+            tails = _walk_family(rest, caps) if held is None else map(_core_factors, held)
+            yield map(head.__add__, tails)
+
+
+_core_factors = operator.attrgetter("core.factors")
+
+
+def _held(family: tuple, caps: tuple):
+    """The power-1 brackets ``[u]`` whose cores ``u`` are all the words of a
+    head-0 family, if the family bars a final bracket of power >= 2 or no
+    bracket has one; otherwise None.  They are memoised, so the family's
+    words are read off them."""
+    a, d, head, core = family
+    if head == 0 and (core or caps[0] == 1):
+        return _bracket_group(a, d + 1, 1, caps)
+    return None
+
+
+def _unrank_family(family: tuple, caps: tuple, rank: int) -> tuple:
+    """The factor tuple of the word at ``rank`` in :func:`_walk_family`'s
+    order, found by descending through the counts; no family is built, only
+    that word."""
+    if not 0 <= rank < _count_family(family, caps):
+        raise IndexError(f"rank {rank} is outside the family {family}")
+    factors = []
+    while family is not None:
+        for first, rest, firsts, rests in _branches(family, caps):
+            if rank < firsts * rests:
+                break
+            rank -= firsts * rests
+        index, rank = divmod(rank, rests)
+        family = rest
+        if type(first) is int:
+            factors.extend((_X,) * first)
+            continue
+        a, d, top = first
+        for s in range(1, top + 1):
+            cores = (a, d - s, 0, True)
+            if index < _count_family(cores, caps):
+                break
+            index -= _count_family(cores, caps)
+        factors.append(Bracket(_trusted(_unrank_family(cores, caps, index)), s))
+    return tuple(factors)
 
 
 def iter_averaging_words(max_arity: int, max_degree: int) -> Iterator[AveragingWord]:
     """Every averaging word over ``x`` within the given arity/degree bounds."""
+    caps = (math.inf, math.inf)
     for a in range(1, max_arity + 1):
         for d in range(0, max_degree + 1):
             for head in (0, 1):
-                for factors in _averaging_factors(a, d, math.inf, math.inf, head):
+                for factors in _walk_family((a, d, head, False), caps):
                     yield _normal(_trusted(factors))
 
 

@@ -385,6 +385,31 @@ class TestUniversalMap:
             v = random_lincomb(rng)
             assert universal_map(assignment, FreeTarget, v) == v
 
+    def test_operations_get_the_assignments_own_elements(self):
+        # the contract of a target without the encoded protocol: multiply and
+        # operator get the assignment's elements uncopied, so they must not
+        # mutate their arguments; a target that keeps to it gets x x x = 8
+        received = []
+
+        class Lists:
+            @staticmethod
+            def multiply(a, b):
+                received.extend((a, b))
+                return [a[0] * b[0]]
+
+            @staticmethod
+            def operator(a):
+                received.append(a)
+                return [a[0] + 1]
+
+        two = [2]
+        assignment = {"x": two}
+        assert universal_map(assignment, Lists, aw("x x x")) == [8]
+        assert universal_map(assignment, Lists, aw("[x]x")) == [6]
+        assert assignment == {"x": [2]} and assignment["x"] is two
+        assert any(arg is two for arg in received)
+        assert "must not mutate their arguments" in universal_map.__doc__
+
     def test_homomorphism_into_every_fixture(self):
         rng = random.Random(30)
         fixtures = standard_fixtures()

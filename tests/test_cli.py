@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -212,12 +213,26 @@ class TestExitCodes:
         )
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("argv", [
+        ("word2tree", "[x]^100000000"),
+        ("compose", "[x]^100000000", "1", "x"),
+        ("compose", "x", "1", "x[x[x]^99999999]"),
+    ])
+    def test_tree_past_the_budget_exits_before_building(self, argv):
+        # one uni-vertex per bracket layer: 10^8 layers pass the 10^7 budget
+        start = time.perf_counter()
+        proc = run_cli(*argv)
+        assert time.perf_counter() - start < 0.3
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == (
+            "budget exceeded: the tree would have 100000000 uni-vertices (budget 10000000)\n")
+
     def test_census_count_mismatch_is_internal_under_O(self):
         # a word lost by the generator is caught even with asserts stripped
         script = (
-            "import sys, avalg.cli as cli, avalg.enumeration as enum\n"
-            "full = enum._cell_factors\n"
-            "enum._cell_factors = lambda cap, n, m: full(cap, n, m)[1:]\n"
+            "import itertools, sys, avalg.cli as cli, avalg.enumeration as enum\n"
+            "walk = enum._cell_factors\n"
+            "enum._cell_factors = lambda cap, n, m: itertools.islice(walk(cap, n, m), 1, None)\n"
             "sys.exit(cli.main(['census', '--max-degree', '2']))\n"
         )
         proc = subprocess.run(

@@ -1,8 +1,14 @@
 import math
+import tracemalloc
 
 import pytest
 
+import avalg.enumeration
+import avalg.words
+
 from avalg.enumeration import (
+    _DELTA,
+    _RADICAL_FORMS,
     BudgetExceeded,
     averaging_words_v,
     census,
@@ -181,6 +187,22 @@ class TestCensus:
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceeded):
             census(1, 6, 13, budget=100)
+
+    def test_memory_is_the_bracket_groups_not_the_words(self):
+        # census(2, 5, 12) walks 112,905 words one at a time and keeps only
+        # counts and the brackets that stand inside larger words; holding
+        # every word of every sub-size took a traced peak of 10.5 MB
+        for module in (avalg.words, avalg.enumeration):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+        tracemalloc.start()
+        try:
+            census(2, 5, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestCollapse:
@@ -368,3 +390,47 @@ class TestClosedForms:
             for m in range(10)
         )
         assert abs(total - closed_form("C", z, t)) < 1e-6
+
+
+def _times(f, g, N, M):
+    """The product of two polynomials {(n, m): c} in z and t, truncated to
+    n <= N and m <= M, without zero terms."""
+    out = {}
+    for (n1, m1), c in f.items():
+        for (n2, m2), d in g.items():
+            if n1 + n2 <= N and m1 + m2 <= M:
+                key = (n1 + n2, m1 + m2)
+                out[key] = out.get(key, 0) + c * d
+    return {key: c for key, c in out.items() if c}
+
+
+def _squared_identity(kind, table, N, M):
+    """Both sides of (R*G - P)^2 = Q^2 * DELTA on the box, G read from ``table``."""
+    p, q, r = _RADICAL_FORMS[kind]
+    g = {(n, m): c for n, row in enumerate(table) for m, c in enumerate(row) if c}
+    lhs = _times(r, g, N, M)
+    for key, c in p.items():
+        if key[0] <= N and key[1] <= M:
+            lhs[key] = lhs.get(key, 0) - c
+    lhs = {key: c for key, c in lhs.items() if c}
+    return _times(lhs, lhs, N, M), _times(_times(q, q, N, M), _DELTA, N, M)
+
+
+class TestRadicalFormsExactly:
+    """Every cell of the truncated series against the closed form's P, Q and
+    R, in integers: a wrong term of any order shows, where the float
+    spot checks above see only a few points."""
+
+    @pytest.mark.parametrize("kind", ["I", "B", "D", "C", "A"])
+    @pytest.mark.parametrize("box", [(0, 0), (1, 2), (5, 4), (12, 25), (30, 61)])
+    def test_squared_identity_holds_in_every_cell(self, kind, box):
+        lhs, rhs = _squared_identity(kind, series(kind, *box).table, *box)
+        assert lhs == rhs
+
+    @pytest.mark.parametrize("kind", ["I", "B", "D", "C", "A"])
+    def test_one_wrong_coefficient_breaks_it(self, kind):
+        N, M = 12, 25
+        table = [list(row) for row in series(kind, N, M).table]
+        table[9][14] += 1
+        lhs, rhs = _squared_identity(kind, table, N, M)
+        assert lhs != rhs

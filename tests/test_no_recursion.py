@@ -47,7 +47,7 @@ ALLOWED = {
     "trees._unreduced_exact": "recursion on the size arguments, memoised",
     "trees.enumerate_schroeder": "recursion on n, memoised",
     "words._all_words_exact": "recursion on the size argument, memoised",
-    "words._averaging_factors": "recursion on arity and degree, memoised",
+    "words._unrank_family": "recursion on arity and degree, memoised",
     "words.random_bracketed_word.gen": "depth bounded by the size budget",
     "words.random_averaging_word.core_shaped": "depth bounded by max_depth",
 }

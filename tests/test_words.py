@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 import re
 import sys
@@ -34,7 +36,8 @@ from avalg.words import (
     word,
     word_size,
 )
-from avalg.words import _TOKEN_RE, _evaluate, _trusted
+from avalg.enumeration import _cell_factors, averaging_words_v, indecomposable_words_v
+from avalg.words import _TOKEN_RE, _count_family, _evaluate, _trusted, _unrank_family, _walk_family
 
 x = Letter("x")
 
@@ -568,3 +571,84 @@ class TestWordCore:
         # the public constructor copies any sequence into a tuple
         assert BracketedWord([x, x]).factors == (x, x)
 
+
+# ---------------------------------------------------------------------------
+# The averaging-word walk against the tuple generator it replaced
+
+@functools.lru_cache(maxsize=None)
+def oracle_factors(a, d, power_cap, run_cap, head):
+    """Factor tuples of the averaging words over x of arity ``a`` and degree
+    ``d``, runs of at most ``run_cap`` letters alternating with brackets
+    ``[core]^s``, ``s <= power_cap``, first factor as ``head``: the generator
+    that held every word of every sub-size, kept as the oracle of the walk's
+    words and order."""
+    out = []
+    if head == 0:
+        for r in range(1, min(a, run_cap) + 1):
+            run = (x,) * r
+            if r == a:
+                if d == 0:
+                    out.append(run)
+            else:
+                rests = oracle_factors(a - r, d, power_cap, run_cap, 1)
+                out.extend(run + rest for rest in rests)
+        return tuple(out)
+    for ba in range(1, a + 1):
+        for bd in range(1, d + 1):
+            brackets = oracle_brackets(ba, bd, power_cap, run_cap)
+            if (ba, bd) == (a, d):
+                out.extend((b,) for b in brackets)
+            else:
+                rests = oracle_factors(a - ba, d - bd, power_cap, run_cap, 0)
+                out.extend((b,) + rest for b in brackets for rest in rests)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_brackets(a, d, power_cap, run_cap):
+    return tuple(
+        Bracket(_trusted(core), s)
+        for s in range(1, min(d, power_cap) + 1)
+        for core in oracle_factors(a, d - s, power_cap, run_cap, 0)
+        if not (isinstance(core[-1], Bracket) and core[-1].power >= 2)
+    )
+
+
+def texts(factor_tuples):
+    return [render_word(_trusted(f)) for f in factor_tuples]
+
+
+class TestAveragingWalk:
+    def test_iter_averaging_words_keeps_the_oracle_order(self):
+        # every cell up to degree 8 of the grammar without caps, in which a
+        # core must not end in a bracket of power >= 2
+        expected = []
+        for a in range(1, 7):
+            for d in range(9):
+                for head in (0, 1):
+                    cell = oracle_factors(a, d, math.inf, math.inf, head)
+                    assert _count_family((a, d, head, False), (math.inf, math.inf)) == len(cell)
+                    expected += texts(cell)
+        assert [render_word(w) for w in iter_averaging_words(6, 8)] == expected
+
+    @pytest.mark.parametrize("cap, max_arity", [(1, 17), (2, 9), (math.inf, 9)])
+    def test_census_cells_keep_the_oracle_words(self, cap, max_arity):
+        # every cell up to degree 8; at cap 1 that is every arity
+        for n in range(9):
+            for m in range(1, max_arity + 1):
+                cell = texts(oracle_factors(m, n, 1, cap, 0) + oracle_factors(m, n, 1, cap, 1))
+                assert texts(_cell_factors(cap, n, m)) == cell, (n, m)
+                assert list(map(render_word, averaging_words_v(cap, n, m))) == sorted(cell)
+                single = [f for f in oracle_factors(m, n, 1, cap, 1) if len(f) == 1]
+                assert list(map(render_word, indecomposable_words_v(cap, n, m))) == sorted(texts(single))
+
+    @pytest.mark.parametrize("caps", [(1, 1), (1, 2), (math.inf, math.inf)])
+    def test_unrank_inverts_the_walk(self, caps):
+        for a in range(1, 7):
+            for d in range(6):
+                for head in (0, 1):
+                    family = (a, d, head, False)
+                    walked = list(_walk_family(family, caps))
+                    assert [_unrank_family(family, caps, r) for r in range(len(walked))] == walked
+                    with pytest.raises(IndexError):
+                        _unrank_family(family, caps, len(walked))
