@@ -682,43 +682,33 @@ def _bracket_group(a: int, d: int, s: int, caps: tuple) -> tuple:
 
 def _walk_family(family: tuple, caps: tuple) -> Iterator[tuple]:
     """The factor tuples of a family's words, one at a time, in the order of
-    its split: each first factor with each rest.  The words come through
-    chained C iterators, so Python code runs once per first factor, not
-    once per word."""
-    return chain.from_iterable(_pieces(family, caps))
+    its split: each first factor (a run, or a bracket as a 1-tuple) with
+    each rest.  The words come through chained C iterators, so Python code
+    runs once per first factor, not once per word."""
 
+    def pieces():
+        for first, rest, _, _ in _branches(family, caps):
+            if type(first) is int:
+                heads = ((_X,) * first,)
+            else:
+                a, d, top = first
+                heads = chain.from_iterable(zip(_bracket_group(a, d, s, caps)) for s in range(1, top + 1))
+            if rest is None:
+                yield heads
+            elif rest[2:] == (0, True):
+                # a core rest: its words are the cores u of the memoised
+                # brackets [u], read off them rather than walked once per head
+                held = _bracket_group(rest[0], rest[1] + 1, 1, caps)
+                for head in heads:
+                    yield map(head.__add__, map(_core_factors, held))
+            else:
+                for head in heads:
+                    yield map(head.__add__, _walk_family(rest, caps))
 
-def _pieces(family: tuple, caps: tuple) -> Iterator:
-    """The iterators that :func:`_walk_family` chains: for each first
-    factor (a run, or a bracket as a 1-tuple), its concatenations with each
-    rest."""
-    for first, rest, _, _ in _branches(family, caps):
-        if type(first) is int:
-            heads = ((_X,) * first,)
-        else:
-            a, d, top = first
-            heads = chain.from_iterable(zip(_bracket_group(a, d, s, caps)) for s in range(1, top + 1))
-        if rest is None:
-            yield heads
-            continue
-        held = _held(rest, caps)
-        for head in heads:
-            tails = _walk_family(rest, caps) if held is None else map(_core_factors, held)
-            yield map(head.__add__, tails)
+    return chain.from_iterable(pieces())
 
 
 _core_factors = operator.attrgetter("core.factors")
-
-
-def _held(family: tuple, caps: tuple):
-    """The power-1 brackets ``[u]`` whose cores ``u`` are all the words of a
-    head-0 family, if the family bars a final bracket of power >= 2 or no
-    bracket has one; otherwise None.  They are memoised, so the family's
-    words are read off them."""
-    a, d, head, core = family
-    if head == 0 and (core or caps[0] == 1):
-        return _bracket_group(a, d + 1, 1, caps)
-    return None
 
 
 def _unrank_family(family: tuple, caps: tuple, rank: int) -> tuple:

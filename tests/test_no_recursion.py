@@ -48,6 +48,7 @@ ALLOWED = {
     "trees.enumerate_schroeder": "recursion on n, memoised",
     "words._all_words_exact": "recursion on the size argument, memoised",
     "words._unrank_family": "recursion on arity and degree, memoised",
+    "words._walk_family": "one level per factor of a word, at most 2d + 1 at degree d",
     "words.random_bracketed_word.gen": "depth bounded by the size budget",
     "words.random_averaging_word.core_shaped": "depth bounded by max_depth",
 }
