@@ -8,27 +8,42 @@ recursive decoder, or out of memory; words and trees of any depth are read
 without recursion), 6 stdout closed before the output was written (a reader
 such as ``head`` stopped early).  Tabular subcommands accept
 ``--format {json,csv,text}``.
+
+A process runs the code of a layer only when its subcommand first uses it:
+the layers are registered lazily and called through their modules, so
+``check-instance`` loads ``instances`` alone, ``normalize`` ``words`` and
+``algebra``, ``census``, ``series`` and ``schroeder`` ``words`` and
+``enumeration``, and ``compose`` every layer but ``instances``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import itertools
 import json
 import math
 import os
 import sys
 
-from . import enumeration, instances, operad, trees
-from .algebra import (
-    StepBudgetExceeded,
-    apply_p,
-    parse_lincomb,
-    reduce,
-    rewrite_reduce,
-)
-from .words import analyze, degree, parse_word, render_word, word
+
+def _lazy(name: str):
+    """The layer ``avalg.<name>``, registered so that its code runs on first
+    attribute access (``importlib.util.LazyLoader``); a module already in
+    ``sys.modules`` is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    return sys.modules[fullname]
+
+
+words, algebra, enumeration, instances, trees, operad = map(
+    _lazy, ("words", "algebra", "enumeration", "instances", "trees", "operad"))
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,7 +85,9 @@ def _check_sizes(args, *flags: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="avalg", description=__doc__)
+    # the module docstring up to its last paragraph, which is about loading
+    # (no docstring under -OO)
+    parser = _Parser(prog="avalg", description=__doc__ and __doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("normalize", help="reduce a bracketed word to normal form")
@@ -95,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-arity", type=int, default=None)
     p.add_argument("--include-one", action="store_true")
     p.add_argument("--list-words", action="store_true")
-    p.add_argument("--budget", type=int, default=enumeration.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
     p = sub.add_parser("series", help="bivariate generating series coefficients")
@@ -131,7 +148,7 @@ def _parse_tree_or_word(text: str) -> trees.AveragingTree:
     stripped = text.strip()
     if stripped and stripped[0] in "LUB":
         return trees.AveragingTree(trees.parse_binary_tree(stripped))
-    return _phi(parse_word(stripped))
+    return _phi(words.parse_word(stripped))
 
 
 def _phi(w) -> trees.AveragingTree:
@@ -139,7 +156,7 @@ def _phi(w) -> trees.AveragingTree:
     counted first (``degree`` walks the factors, not the layers), so a power
     past the budget exits 3 before any vertex is built."""
     budget = enumeration.DEFAULT_BUDGET
-    layers = degree(w)
+    layers = words.degree(w)
     if layers > budget:
         raise enumeration.BudgetExceeded(
             f"the tree would have {layers} uni-vertices (budget {budget})")
@@ -147,7 +164,7 @@ def _phi(w) -> trees.AveragingTree:
 
 
 def _word_payload(w) -> dict:
-    return {"word": render_word(w)}
+    return {"word": words.render_word(w)}
 
 
 def _handle(args) -> tuple:
@@ -156,32 +173,32 @@ def _handle(args) -> tuple:
 
     if cmd == "normalize":
         _check_sizes(args, "--rewrite-budget")
-        parsed = parse_word(args.word)
+        parsed = words.parse_word(args.word)
         if args.method == "rewrite":
-            normal = rewrite_reduce(parsed, budget=args.rewrite_budget)
+            normal = algebra.rewrite_reduce(parsed, budget=args.rewrite_budget)
         else:
-            normal = reduce(parsed)
+            normal = algebra.reduce(parsed)
         return _word_payload(normal), "json"
 
     if cmd == "product":
-        left = parse_lincomb(args.left)
-        right = parse_lincomb(args.right)
+        left = algebra.parse_lincomb(args.left)
+        right = algebra.parse_lincomb(args.right)
         return (left * right).to_json(), "json"
 
     if cmd == "apply-p":
-        return _word_payload(apply_p(parse_word(args.word))), "json"
+        return _word_payload(algebra.apply_p(words.parse_word(args.word))), "json"
 
     if cmd == "analyze":
-        info = analyze(parse_word(args.word))
+        info = words.analyze(words.parse_word(args.word))
         return {
             "depth": info.depth,
             "breadth": info.breadth,
             "head": info.head,
             "tail": info.tail,
             "standard_factors": [
-                render_word(word(f)) for f in info.standard_factors
+                words.render_word(words.word(f)) for f in info.standard_factors
             ],
-            "blocks": [render_word(b) for b in info.block_factors],
+            "blocks": [words.render_word(b) for b in info.block_factors],
         }, "json"
 
     if cmd == "census":
@@ -197,7 +214,7 @@ def _handle(args) -> tuple:
             max_arity,
             include_one=args.include_one,
             list_words=args.list_words,
-            budget=args.budget,
+            budget=enumeration.DEFAULT_BUDGET if args.budget is None else args.budget,
         )
         payload = result.a.to_json()
         payload["degree_totals"] = result.a.degree_totals()
@@ -217,16 +234,16 @@ def _handle(args) -> tuple:
         return {"n": args.n, "value": enumeration.schroeder(args.n)}, "json"
 
     if cmd == "word2tree":
-        tree = _phi(parse_word(args.word))
+        tree = _phi(words.parse_word(args.word))
         return {
             "tree": trees.render_binary_tree(tree.tree),
-            "word": render_word(trees.phi_inverse(tree)),
+            "word": words.render_word(trees.phi_inverse(tree)),
         }, "json"
 
     if cmd == "tree2word":
         tree = trees.AveragingTree(trees.parse_binary_tree(args.tree))
         return {
-            "word": render_word(trees.phi_inverse(tree)),
+            "word": words.render_word(trees.phi_inverse(tree)),
             "tree": trees.render_binary_tree(tree.tree),
         }, "json"
 
@@ -252,7 +269,7 @@ def _handle(args) -> tuple:
         result = operad.compose(outer, args.index, inner)
         return {
             "tree": trees.render_binary_tree(result.tree),
-            "word": render_word(trees.phi_inverse(result)),
+            "word": words.render_word(trees.phi_inverse(result)),
         }, "json"
 
     if cmd == "check-instance":
@@ -308,15 +325,16 @@ def main(argv=None) -> int:
         # be read (missing, a directory, no permission) is an OSError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (enumeration.BudgetExceeded, StepBudgetExceeded) as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except AssertionError as exc:  # an invariant failed; never expected
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (RecursionError, MemoryError) as exc:
         print(f"resource exhausted: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE
+    except (enumeration.BudgetExceeded, algebra.StepBudgetExceeded) as exc:
+        # last of the expected errors: naming them loads both layers
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except Exception as exc:  # any other failure is a bug, never an input error
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -356,15 +356,23 @@ class BivariateSeries:
         }
 
 
+def _nonzero(row) -> tuple:
+    """The ``(arity, coefficient)`` pairs of a table row's nonzero entries,
+    in order of arity."""
+    return tuple((m, c) for m, c in enumerate(row) if c)
+
+
 def _t_times(x: list, y: list, n: int, m: int, top: int) -> int:
     """The (n, m) coefficient of t*X*Y over the terms of X of degree 1 to
-    ``top``; both tables are zero at arity 0, and zero products are skipped."""
+    ``top``.  ``x`` holds the :func:`_nonzero` pairs of each row of X, so
+    only its nonzero terms are visited; both tables are zero at arity 0."""
     total = 0
     for n1 in range(1, top + 1):
-        xrow, yrow = x[n1], y[n - n1]
-        for m1 in range(1, m):
-            if xrow[m1] and yrow[m - 1 - m1]:
-                total += xrow[m1] * yrow[m - 1 - m1]
+        yrow = y[n - n1]
+        for m1, c in x[n1]:
+            if m1 >= m:
+                break
+            total += c * yrow[m - 1 - m1]
     return total
 
 
@@ -372,10 +380,12 @@ def _t_times(x: list, y: list, n: int, m: int, top: int) -> int:
 def _i_table(N: int, M: int) -> tuple:
     """Coefficients of I from I = zt + t*I^2 + zt*I, degree by degree."""
     i = [[0] * (M + 1) for _ in range(N + 1)]
+    nonzero = [()]
     for n in range(1, N + 1):
         for m in range(1, M + 1):
             # t*I^2 has both factors of degree >= 1
-            i[n][m] = (n == m == 1) + i[n - 1][m - 1] + _t_times(i, i, n, m, n - 1)
+            i[n][m] = (n == m == 1) + i[n - 1][m - 1] + _t_times(nonzero, i, n, m, n - 1)
+        nonzero.append(_nonzero(i[n]))
     return tuple(tuple(row) for row in i)
 
 
@@ -383,10 +393,11 @@ def _i_table(N: int, M: int) -> tuple:
 def _b_table(N: int, M: int) -> tuple:
     """Coefficients of B from B = I + t*I*B."""
     i = _i_table(N, M)
+    nonzero = list(map(_nonzero, i))
     b = [[0] * (M + 1) for _ in range(N + 1)]
     for n in range(1, N + 1):
         for m in range(1, M + 1):
-            b[n][m] = i[n][m] + _t_times(i, b, n, m, n)
+            b[n][m] = i[n][m] + _t_times(nonzero, b, n, m, n)
     return tuple(tuple(row) for row in b)
 
 
@@ -474,9 +485,9 @@ def reduce_to_v1(run_cap: Cap, max_degree: int, max_arity: int,
     a1 = series("A", max_degree, max_arity)
     counts: Dict[Tuple[int, int], int] = {(0, 0): 1} if include_one else {}
     for n in range(max_degree + 1):
+        terms = _nonzero(a1.table[n])
         for m in range(1, max_arity + 1):
-            row = a1.table[n][: m + 1]
-            total = sum(c * count_compositions(m, k, cap) for k, c in enumerate(row) if c)
+            total = sum(c * count_compositions(m, k, cap) for k, c in terms if k <= m)
             if total:
                 counts[(n, m)] = total
     return CountTable(counts, cap, include_one, max_degree, max_arity)

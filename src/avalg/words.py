@@ -630,6 +630,8 @@ def _split_family(family: tuple, caps: tuple) -> Iterator[tuple]:
     when ``first`` is the whole word."""
     a, d, head, core = family
     power_cap, run_cap = caps
+    if a > run_cap * (2 * d + 1):
+        return  # a word of degree d has at most 2d + 1 runs
     if head == 0:
         for r in range(1, min(a, run_cap) + 1):
             if r < a:

@@ -374,7 +374,9 @@ class TestExitCodes:
             calls.append(w)
             return render_word(w)
 
-        for module in (enumeration, cli, words):
+        # the CLI calls words.render_word, so the two modules that hold the
+        # name cover every call
+        for module in (enumeration, words):
             monkeypatch.setattr(module, "render_word", counted)
         assert cli.main(["census", "--max-degree", "4", "--list-words"]) == 0
         listed = json.loads(capsys.readouterr().out)["payload"]["words"]
@@ -391,3 +393,41 @@ class TestExitCodes:
         ladder = "U(" * 1200 + "L" + ")" * 1200
         proc = run_cli("tree2word", ladder)
         assert payload_of(proc) == {"word": "[x]^1200", "tree": ladder}
+
+
+# Runs cli.main in a fresh interpreter and prints the exit code, then the
+# layers whose code ran.  type() reads a lazily registered module's class
+# without triggering its load, and a loaded one is a plain ModuleType.
+_LOADED_LAYERS = """
+import contextlib, io, sys, types
+from avalg import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(name.split(".")[1] for name, module in sys.modules.items()
+                    if name.startswith("avalg.") and name != "avalg.cli"
+                    and type(module) is types.ModuleType))
+"""
+
+_INSTANCE = '{"dim": 1, "basis": ["1"], "mul": [[["1"]]], "op": [["1"]]}'
+
+
+class TestLoadedLayers:
+    @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+    @pytest.mark.parametrize("argv, code, layers", [
+        (["schroeder", "--n", "7"], 0, "enumeration words"),
+        (["series", "--kind", "I", "--N", "3", "--M", "7"], 0, "enumeration words"),
+        (["census", "--max-degree", "2"], 0, "enumeration words"),
+        (["normalize", "[x][x]^2"], 0, "algebra words"),
+        (["normalize", "[x"], 2, "words"),
+        (["check-instance", "INSTANCE"], 0, "instances"),
+        (["word2tree", "x[x]"], 0, "enumeration trees words"),
+        (["compose", "B(L,L)", "2", "U(L)"], 0, "algebra enumeration operad trees words"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_a_subcommand_runs_only_the_layers_it_uses(self, tmp_path, flags, argv, code, layers):
+        path = tmp_path / "instance.json"
+        path.write_text(_INSTANCE)
+        argv = [str(path) if a == "INSTANCE" else a for a in argv]
+        proc = subprocess.run([sys.executable, *flags, "-c", _LOADED_LAYERS, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(code), *layers.split()]

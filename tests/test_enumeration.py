@@ -204,6 +204,20 @@ class TestCensus:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_no_family_past_the_run_bound_is_split(self):
+        # a word of degree d has at most 2d + 1 runs, so at run cap 1 no
+        # word of degree <= 3 has arity above 7: raising the arity cap adds
+        # empty cells, not counted families (splitting them all made
+        # census(1, 3, 2000) quadratic in the arity cap, 13 s)
+        counted = []
+        for max_arity in (7, 2000):
+            for memo in (avalg.words._branches, avalg.words._count_family,
+                         avalg.words._bracket_group):
+                memo.cache_clear()
+            census(1, 3, max_arity)
+            counted.append(avalg.words._count_family.cache_info().currsize)
+        assert counted[0] == counted[1]
+
 
 class TestCollapse:
     def test_simple_collapse(self):
