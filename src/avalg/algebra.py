@@ -288,9 +288,8 @@ def _rewrite(w: BracketedWord, innermost: bool, budget: Union[int, None]):
     path into cells, and the search resumes where the rewrite can have made a
     redex: innermost, at the junction the rule made inside the rewritten
     bracket; outermost, at the rewritten bracket, after R3 of each owner whose
-    last factor gained a power and the rules of an owner that R1 left with a
-    one-bracket core.  Every verdict passed before a rewrite still holds, so
-    the redexes are those that restarting at the top would find.
+    last factor gained a power.  Every verdict passed before a rewrite still
+    holds, so the redexes are those that restarting at the top would find.
     """
     factors, i, owner = w.factors, 0, None
     stack = []
@@ -382,16 +381,13 @@ def _rewrite(w: BracketedWord, innermost: bool, budget: Union[int, None]):
                 node = _Cell([f, right], 1)
             factors[i] = node
             junction = len(node.core) - 2
-            if owner is not None and len(factors) == 1:
+            if innermost and owner is not None and len(factors) == 1:
                 # the owner's core is the one bracket [u'[v]]: they collapse
+                # (never outermost: R2 at the owner ran first, so its core begins with a letter)
                 owner.core = node.core
                 owner.power += 1
                 owner.clean = False
-                if innermost:
-                    factors, i = node.core, junction
-                else:
-                    factors, i, owner = stack.pop()
-                    climb(factors, i, owner, len(stack))
+                factors, i = node.core, junction
             elif innermost:
                 stack.append((factors, i, owner))
                 factors, i, owner = node.core, junction, node

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -123,21 +124,12 @@ class FiniteAlgebra:
         dm, rows = _integer_rows([row for plane in mul for row in plane])
         object.__setattr__(self, "_mul_int", (dm, tuple(rows[i * n:(i + 1) * n] for i in range(n))))
         object.__setattr__(self, "_op_int", _integer_rows(op))
-        bad = self._associativity_failure()
+        e = [self.basis_vector(i) for i in range(n)]
+        bad = _first_failure(self, 3, lambda i, j, k: (
+            self.multiply(mul[i][j], e[k]), self.multiply(e[i], mul[j][k])))
         if bad is not None:
-            raise ValueError(f"multiplication is not associative at basis triple {bad}")
-
-    def _associativity_failure(self):
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                eij = self.mul[i][j]
-                for k in range(n):
-                    left = self.multiply(eij, self.basis_vector(k))
-                    right = self.multiply(self.basis_vector(i), self.mul[j][k])
-                    if left != right:
-                        return (self.basis[i], self.basis[j], self.basis[k])
-        return None
+            triple = tuple(self.basis[i] for i in bad)
+            raise ValueError(f"multiplication is not associative at basis triple {triple}")
 
     @property
     def dim(self) -> int:
@@ -234,13 +226,10 @@ class FiniteAlgebra:
         if sol is None:
             return None
         u = tuple(sol)
-        if all(
-            self.multiply(u, self.basis_vector(j)) == self.basis_vector(j)
-            and self.multiply(self.basis_vector(j), u) == self.basis_vector(j)
-            for j in range(n)
-        ):
-            return u
-        return None
+        e = [self.basis_vector(j) for j in range(n)]
+        two_sided = _first_failure(
+            self, 1, lambda j: (e[j], self.multiply(u, e[j]), self.multiply(e[j], u))) is None
+        return u if two_sided else None
 
     def with_operator(self, op) -> "FiniteAlgebra":
         return FiniteAlgebra(self.basis, self.mul, tuple(tuple(_frac(c) for c in row) for row in op))
@@ -281,51 +270,49 @@ def _solve(rows, rhs):
 
 
 # ---------------------------------------------------------------------------
-# Operator identity checks
+# Identity checks
+
+def _first_failure(alg: FiniteAlgebra, arity: int, sides):
+    """The first tuple of ``arity`` basis indices, in lexicographic order, at
+    which the values ``sides(*indices)`` are not all equal; None if none is.
+    By multilinearity an identity holds when it holds on basis elements."""
+    for indices in product(range(alg.dim), repeat=arity):
+        first, *rest = sides(*indices)
+        if any(v != first for v in rest):
+            return indices
+    return None
+
+
+def _images(alg: FiniteAlgebra):
+    """The basis vectors and their images under the operator."""
+    e = [alg.basis_vector(i) for i in range(alg.dim)]
+    return e, [alg.operator(v) for v in e]
+
 
 def check_averaging(alg: FiniteAlgebra):
     """Verify P(x)P(y) = P(xP(y)) = P(P(x)y) on all basis pairs.
 
     Returns None on success, else the first failing basis pair ``(i, j)``.
     """
-    for i in range(alg.dim):
-        ei = alg.basis_vector(i)
-        pi = alg.operator(ei)
-        for j in range(alg.dim):
-            ej = alg.basis_vector(j)
-            pj = alg.operator(ej)
-            lhs = alg.multiply(pi, pj)
-            if lhs != alg.operator(alg.multiply(ei, pj)):
-                return (i, j)
-            if lhs != alg.operator(alg.multiply(pi, ej)):
-                return (i, j)
-    return None
+    e, p = _images(alg)
+    return _first_failure(alg, 2, lambda i, j: (
+        alg.multiply(p[i], p[j]),
+        alg.operator(alg.multiply(e[i], p[j])),
+        alg.operator(alg.multiply(p[i], e[j]))))
 
 
 def check_reynolds(alg: FiniteAlgebra):
     """Verify P(fg) = P(f)P(g) + P[(f - Pf)(g - Pg)] on all basis pairs."""
-    for i in range(alg.dim):
-        f = alg.basis_vector(i)
-        pf = alg.operator(f)
-        df = alg.add(f, alg.scale(-1, pf))
-        for j in range(alg.dim):
-            g = alg.basis_vector(j)
-            pg = alg.operator(g)
-            dg = alg.add(g, alg.scale(-1, pg))
-            lhs = alg.operator(alg.multiply(f, g))
-            rhs = alg.add(
-                alg.multiply(pf, pg), alg.operator(alg.multiply(df, dg))
-            )
-            if lhs != rhs:
-                return (i, j)
-    return None
+    e, p = _images(alg)
+    d = [alg.add(v, alg.scale(-1, pv)) for v, pv in zip(e, p)]
+    return _first_failure(alg, 2, lambda i, j: (
+        alg.operator(alg.multiply(e[i], e[j])),
+        alg.add(alg.multiply(p[i], p[j]), alg.operator(alg.multiply(d[i], d[j])))))
 
 
 def is_idempotent(alg: FiniteAlgebra) -> bool:
-    return all(
-        alg.operator(alg.operator(alg.basis_vector(i))) == alg.operator(alg.basis_vector(i))
-        for i in range(alg.dim)
-    )
+    _, p = _images(alg)
+    return _first_failure(alg, 1, lambda i: (alg.operator(p[i]), p[i])) is None
 
 
 def decomposition_is_graded(alg: FiniteAlgebra) -> bool:
@@ -376,12 +363,11 @@ def central_multiplier(basis, mul, a) -> FiniteAlgebra:
     """Operator x -> a x for a central element ``a`` (checked)."""
     probe = FiniteAlgebra(tuple(basis), mul, _zero_matrix(len(basis)))
     a = probe.element(a)
-    for i in range(probe.dim):
-        e = probe.basis_vector(i)
-        if probe.multiply(a, e) != probe.multiply(e, a):
-            raise ValueError(f"element is not central (fails at basis {basis[i]!r})")
-    op = tuple(probe.multiply(a, probe.basis_vector(i)) for i in range(probe.dim))
-    return probe.with_operator(op)
+    left = [probe.multiply(a, probe.basis_vector(i)) for i in range(probe.dim)]
+    bad = _first_failure(probe, 1, lambda i: (left[i], probe.multiply(probe.basis_vector(i), a)))
+    if bad is not None:
+        raise ValueError(f"element is not central (fails at basis {basis[bad[0]]!r})")
+    return probe.with_operator(tuple(left))
 
 
 def group_average(basis, mul, perms) -> FiniteAlgebra:
@@ -404,14 +390,9 @@ def group_average(basis, mul, perms) -> FiniteAlgebra:
             if tuple(p[q[i]] for i in range(n)) not in ptuples:
                 raise ValueError("the permutations are not closed under composition")
     for p in perms:
-        for i in range(n):
-            for j in range(n):
-                image = _apply_perm_vector(p, probe.mul[i][j])
-                direct = probe.mul[p[i]][p[j]]
-                if image != direct:
-                    raise ValueError(
-                        f"permutation {p} is not an algebra automorphism"
-                    )
+        if _first_failure(probe, 2, lambda i, j: (
+                _apply_perm_vector(p, probe.mul[i][j]), probe.mul[p[i]][p[j]])) is not None:
+            raise ValueError(f"permutation {p} is not an algebra automorphism")
     op = []
     for i in range(n):
         acc = probe.zero
@@ -459,14 +440,13 @@ def super_projection(basis, mul, grading) -> FiniteAlgebra:
     grading = tuple(int(g) for g in grading)
     if len(grading) != probe.dim or any(g not in (0, 1) for g in grading):
         raise ValueError("grading must assign 0 or 1 to every basis vector")
-    for i in range(probe.dim):
-        for j in range(probe.dim):
-            expected = (grading[i] + grading[j]) % 2
-            for k, c in enumerate(probe.mul[i][j]):
-                if c and grading[k] != expected:
-                    raise ValueError(
-                        f"products of grades {grading[i]},{grading[j]} leave grade {expected}"
-                    )
+    # e_i e_j may have an e_k term only when grading[k] = grading[i] + grading[j] mod 2
+    bad = _first_failure(probe, 3, lambda i, j, k: (
+        (grading[i] + grading[j] + grading[k]) % 2 if probe.mul[i][j][k] else 0, 0))
+    if bad is not None:
+        i, j, _ = bad
+        raise ValueError(f"products of grades {grading[i]},{grading[j]} leave grade "
+                         f"{(grading[i] + grading[j]) % 2}")
     op = tuple(
         probe.basis_vector(i) if grading[i] == 0 else probe.zero
         for i in range(probe.dim)
@@ -477,22 +457,15 @@ def super_projection(basis, mul, grading) -> FiniteAlgebra:
 def square_zero_derivation(basis, mul, d) -> FiniteAlgebra:
     """A derivation matrix with d^2 = 0 used as the operator (both checked)."""
     probe = FiniteAlgebra(tuple(basis), mul, d)
-    for i in range(probe.dim):
-        if any(probe.operator(probe.operator(probe.basis_vector(i)))):
-            raise ValueError("d^2 is not zero")
-    for i in range(probe.dim):
-        ei = probe.basis_vector(i)
-        for j in range(probe.dim):
-            ej = probe.basis_vector(j)
-            lhs = probe.operator(probe.multiply(ei, ej))
-            rhs = probe.add(
-                probe.multiply(probe.operator(ei), ej),
-                probe.multiply(ei, probe.operator(ej)),
-            )
-            if lhs != rhs:
-                raise ValueError(
-                    f"Leibniz rule fails at ({basis[i]!r}, {basis[j]!r})"
-                )
+    e, p = _images(probe)
+    if _first_failure(probe, 1, lambda i: (probe.operator(p[i]), probe.zero)) is not None:
+        raise ValueError("d^2 is not zero")
+    bad = _first_failure(probe, 2, lambda i, j: (
+        probe.operator(probe.multiply(e[i], e[j])),
+        probe.add(probe.multiply(p[i], e[j]), probe.multiply(e[i], p[j]))))
+    if bad is not None:
+        i, j = bad
+        raise ValueError(f"Leibniz rule fails at ({basis[i]!r}, {basis[j]!r})")
     return probe
 
 

@@ -230,12 +230,16 @@ def subtrees(t: UnreducedBinaryTree) -> Iterator[UnreducedBinaryTree]:
 
 
 def lf(t: UnreducedBinaryTree) -> UnreducedBinaryTree:
-    """Replace the right subtree of every bi-vertex by a leaf."""
-    if isinstance(t, TLeaf):
-        return t
-    if isinstance(t, Uni):
-        return Uni(lf(t.child))
-    return Bi(lf(t.left), LEAF)
+    """Replace the right subtree of every bi-vertex by a leaf.  Only the path
+    of children and left subtrees down to a leaf survives; it is walked down
+    and rebuilt bottom-up, so any depth works."""
+    path = []
+    while not isinstance(t, TLeaf):
+        path.append(type(t))
+        t = t.child if isinstance(t, Uni) else t.left
+    for kind in reversed(path):
+        t = Uni(t) if kind is Uni else Bi(t, LEAF)
+    return t
 
 
 def _bi_vertices(t: UnreducedBinaryTree) -> Iterator[Bi]:

@@ -288,6 +288,9 @@ class TestLinearCombination:
             parse_lincomb("2*")
         with pytest.raises(LinCombSyntaxError):
             parse_lincomb("a/b*x")
+        with pytest.raises(LinCombSyntaxError) as err:
+            parse_lincomb("   ")
+        assert str(err.value) == "empty linear combination"
 
     @pytest.mark.parametrize("text, sign", [("x +", "+"), ("x -", "-"), ("2*x - ", "-"),
                                             ("[x] + y -", "-")])

@@ -174,6 +174,11 @@ class TestExitCodes:
         assert run_cli("bogus-command").returncode == 1
         assert run_cli("schroeder", "--n", "-1").returncode == 1
 
+    def test_run_cap_that_is_not_a_number(self):
+        proc = run_cli("census", "--run-cap", "x")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "usage error: --run-cap must be a positive integer or 'inf', got 'x'\n"
+
     @pytest.mark.parametrize("argv,flag", [
         (("census", "--max-degree", "-1"), "--max-degree"),
         (("census", "--max-degree", "2", "--max-arity", "-3"), "--max-arity"),

@@ -379,6 +379,20 @@ class TestRunCapReduction:
             with pytest.raises(ValueError, match="nonnegative"):
                 reduce_to_v1(2, *sizes)
 
+    def test_documented_failures(self):
+        for call, message in (
+            (lambda: census(0, 2, 3), "run cap must be a positive integer or math.inf"),
+            (lambda: indecomposable_words_v(math.inf, 2),
+             "an explicit arity is required when the run cap is infinite"),
+            (lambda: series("E", 2, 3),
+             "unknown series kind 'E'; expected one of ('I', 'B', 'D', 'C', 'A')"),
+            (lambda: closed_form("E", 0.1, 0.1), "unknown series kind 'E'"),
+            (lambda: schroeder(-1), "index must be nonnegative"),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
     @pytest.mark.parametrize("cap", [2, 3, math.inf])
     def test_census_equals_substitution(self, cap):
         result = census(cap, 3, 8, include_one=True)

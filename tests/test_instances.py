@@ -16,6 +16,7 @@ from avalg.instances import (
     check_averaging,
     check_reynolds,
     decomposition_is_graded,
+    group_algebra_average,
     group_average,
     is_idempotent,
     product_algebra,
@@ -164,6 +165,103 @@ class TestBuilderValidation:
         ]
         with pytest.raises(ValueError, match="associative"):
             FiniteAlgebra(basis, mul, [[0, 0], [0, 0]])
+
+
+def raises_exactly(kind, message, call):
+    with pytest.raises(kind) as err:
+        call()
+    assert str(err.value) == message
+
+
+ZERO2 = [[0, 0], [0, 0]]
+
+
+class TestDocumentedFailures:
+    """Each documented failure of this module, with its exact message."""
+
+    @pytest.mark.parametrize("mul, op, message", [
+        (MUL2[:1], ZERO2, "multiplication table has wrong shape"),
+        ([MUL2[0], [MUL2[1][0]]], ZERO2, "multiplication table has wrong shape"),
+        (MUL2, [[0, 0]], "operator matrix has wrong shape"),
+        (MUL2, [[0, 0], [0]], "operator matrix has wrong shape"),
+    ])
+    def test_wrong_shapes(self, mul, op, message):
+        raises_exactly(ValueError, message, lambda: FiniteAlgebra(BASIS2, mul, op))
+
+    def test_float_entry(self):
+        raises_exactly(TypeError, "not an exact rational: 1.5",
+                       lambda: FiniteAlgebra(BASIS2, MUL2, [[1.5, 0], [0, 0]]))
+
+    def test_entry_with_a_numerator_and_no_denominator(self):
+        class Numerator:
+            numerator = 1
+
+        alg = dual_numbers_with(ZERO2)
+        raises_exactly(AttributeError, "'Numerator' object has no attribute 'denominator'",
+                       lambda: alg.operator((Numerator(), 0)))
+
+    def test_zero_dimensional_algebra(self):
+        zero = FiniteAlgebra((), (), ())
+        assert zero.unit() == () and decomposition_is_graded(zero) is True
+        assert check_averaging(zero) is None and check_reynolds(zero) is None
+
+    def test_element_with_the_wrong_coefficient_count(self):
+        alg = dual_numbers_with(ZERO2)
+        raises_exactly(ValueError, "wrong coefficient count", lambda: alg.element([1]))
+
+    def test_unit(self):
+        assert dual_numbers_with(ZERO2).unit() == (1, 0)
+        # no u with u e_j = e_j: the zero product
+        zero = FiniteAlgebra(("a", "b"), [[[0, 0]] * 2] * 2, ZERO2)
+        assert zero.unit() is None
+        # x y = y: every u with u_p + u_q = 1 is a left unit, none a right one
+        right_zero = FiniteAlgebra(("p", "q"), [[[1, 0], [0, 1]]] * 2, ZERO2)
+        assert right_zero.unit() is None
+
+    def test_decomposition_needs_an_idempotent(self):
+        swap = dual_numbers_with([[0, 1], [1, 0]])
+        raises_exactly(ValueError, "decomposition test needs an idempotent operator",
+                       lambda: decomposition_is_graded(swap))
+
+    def test_decomposition_that_is_not_graded(self):
+        # P(1) = 1 + y, P(y) = 0: idempotent, and its image [1 + y] squares
+        # to 1 + 2y, outside the image
+        alg = dual_numbers_with([[1, 1], [0, 0]])
+        assert is_idempotent(alg) and check_averaging(alg) == (0, 0)
+        assert decomposition_is_graded(alg) is False
+        # x y = y, P(p) = -q, P(q) = q: the image [q] and the kernel [p + q]
+        # are closed, and q (p + q) lies in the kernel, but (p + q) q = 2q does not
+        right_zero = FiniteAlgebra(("p", "q"), [[[1, 0], [0, 1]]] * 2, [[0, -1], [0, 1]])
+        assert is_idempotent(right_zero) and check_averaging(right_zero) == (0, 0)
+        assert decomposition_is_graded(right_zero) is False
+
+    def test_group_average_needs_permutations(self):
+        basis, mul = product_algebra(2)
+        raises_exactly(ValueError, "not a permutation of the basis: (0, 0)",
+                       lambda: group_average(basis, mul, [(0, 1), (0, 0)]))
+
+    def test_group_average_needs_a_closed_set(self):
+        basis, mul = product_algebra(3)
+        raises_exactly(ValueError, "the permutations are not closed under composition",
+                       lambda: group_average(basis, mul, [(0, 1, 2), (1, 2, 0)]))
+
+    def test_group_algebra_default_labels(self):
+        alg = group_algebra_average([[0, 1], [1, 0]])
+        assert alg.basis == ("g0", "g1")
+        assert alg == group_algebra_average([[0, 1], [1, 0]], ("g0", "g1"))
+
+    @pytest.mark.parametrize("table, message", [
+        ([[0, 1], [1]], "Cayley table must be square"),
+        ([[0, 0], [0, 0]], "Cayley table has no identity element"),
+        ([[0, 1], [1, 1]], "Cayley table has no inverses"),
+    ])
+    def test_group_algebra_tables(self, table, message):
+        raises_exactly(ValueError, message, lambda: group_algebra_average(table))
+
+    @pytest.mark.parametrize("grading", [(0, 2), (0,), (0, 1, 0)])
+    def test_grading_outside_0_and_1(self, grading):
+        raises_exactly(ValueError, "grading must assign 0 or 1 to every basis vector",
+                       lambda: super_projection(BASIS2, MUL2, grading))
 
 
 class TestKernel:

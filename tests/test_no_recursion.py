@@ -20,8 +20,12 @@ from avalg.enumeration import collapse_runs, expand_runs
 from avalg.instances import standard_fixtures
 from avalg.operad import OperadElement
 from avalg.trees import (
+    is_fat,
+    is_lft,
     is_schroeder,
+    lf,
     omega_count,
+    parse_binary_tree,
     parse_schroeder_tree,
     phi,
     psi,
@@ -43,7 +47,6 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "avalg"
 # qualified name -> why its depth does not grow with the input's nesting
 ALLOWED = {
     "algebra._apply_p": "recurses once, on a rest that begins with a letter, so its depth is at most 2",
-    "trees.lf": "the definition is_fat reads, run on enumerated trees only",
     "trees._unreduced_exact": "recursion on the size arguments, memoised",
     "trees.enumerate_schroeder": "recursion on n, memoised",
     "words._all_words_exact": "recursion on the size argument, memoised",
@@ -104,8 +107,11 @@ DOUBLED = "[x x" * D + "]" * D
 TREE = "w(i," * (D - 1) + "o" + ")" * (D - 1)  # the Schroeder tree of DEEP
 BAD_TREE = "w(i," * (D - 1) + "i" + ")" * (D - 1)  # an iota leaf at an odd branch
 LADDER = "U(B(L," * (D - 1) + "U(L)" + "))" * (D - 1)  # the binary tree of DEEP
+COMB = "U(" + "B(" * D + "L" + ",L)" * D + ")"  # a bracket over D + 1 letters, fat
+SPINE = "U(" + "B(" * D + "L" + ",U(L))" * D + ")"  # lf cuts every [x] back to x
 WORD, TWICE = parse_word(DEEP), parse_word(DOUBLED)
 SCHROEDER, NOT_SCHROEDER = parse_schroeder_tree(TREE), parse_schroeder_tree(BAD_TREE)
+FAT, CUT = parse_binary_tree(COMB), parse_binary_tree(SPINE)
 
 
 def eq_and_hash_3000_deep():
@@ -162,6 +168,9 @@ MATRIX = {
     "trees.omega_count": (lambda: omega_count(SCHROEDER), D),
     "trees.SNode.__eq__/__hash__": (schroeder_eq_and_hash, (True, True, True)),
     "trees.SNode.__repr__": (lambda: repr(SCHROEDER), f"parse_schroeder_tree({TREE!r})"),
+    "trees.lf": (lambda: render_binary_tree(lf(CUT)), COMB),
+    "trees.is_lft": (lambda: (is_lft(FAT), is_lft(CUT)), (True, False)),
+    "trees.is_fat": (lambda: (is_fat(FAT), is_fat(CUT)), (True, True)),
     "algebra.reduce": (
         lambda: (render_word(reduce(WORD)), render_word(reduce(parse_word("[x]" + DEEP)))),
         (DEEP, "[x" * (D + 1) + "]" * (D + 1))),

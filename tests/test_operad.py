@@ -199,6 +199,10 @@ class TestOperadElements:
             OperadElement.of(T_MU) + OperadElement.of(T_P)
         with pytest.raises(ValueError):
             OperadElement(0, ())
+        mixed = ((AveragingTree(T_MU), Fraction(1)), (AveragingTree(T_P), Fraction(1)))
+        with pytest.raises(ValueError) as err:
+            OperadElement(2, mixed)
+        assert str(err.value) == "all trees in a component share its arity"
 
     def test_cancellation(self):
         a = OperadElement.of(T_MU, 1) + OperadElement.of(T_MU, -1)

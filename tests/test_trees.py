@@ -286,7 +286,7 @@ def assert_word_agrees(t):
     assert _phi_inverse(t) == word_by_definition(t)
 
 
-class TestWordCache:
+class TestPhiInverseByDefinition:
     def test_parsed_trees(self):
         for t in enumerate_unreduced(4, 3):
             fresh = parse_binary_tree(render_binary_tree(t))
@@ -324,14 +324,14 @@ class TestWordCache:
         assert phi_inverse(AveragingTree(ladder)).word == parse_word("[x]^2")
         assert phi_inverse(phi(parse_word("x[x]^2"))).word == parse_word("x[x]^2")
 
-    def test_pickled_tree_keeps_its_cached_brackets(self):
+    def test_pickled_tree_keeps_its_word(self):
         t = phi(parse_word("[x[x[x]^2 x]]^3"))
         loaded = pickle.loads(pickle.dumps(t))
         assert loaded == t and hash(loaded) == hash(t)
         assert phi_inverse(loaded) == phi_inverse(t)
         assert_word_agrees(loaded.tree)
 
-    def test_cache_is_not_compared_or_shown(self):
+    def test_shared_and_built_vertices_compare_and_print_alike(self):
         cached, bare = phi(parse_word("[x]^2")).tree, Uni(Uni(LEAF))
         assert cached == bare and hash(cached) == hash(bare)
         assert repr(cached) == repr(bare)
