@@ -65,15 +65,25 @@ class _Node:
     ``bottom`` is the core list at the foot of the bracket's right spine, the
     one that ends in a letter: the place where a merge appends.  It is None
     when the spine below was left frozen, which only happens where no merge
-    into this node follows.
+    into this node follows.  ``clean``, read by the rewrite engine only,
+    records that no redex lies inside the core.
     """
 
-    __slots__ = ("core", "power", "bottom")
+    __slots__ = ("core", "power", "bottom", "clean")
 
-    def __init__(self, core: Union[list, BracketedWord], power: int, bottom):
+    def __init__(self, core: Union[list, BracketedWord], power: int, bottom,
+                 clean: bool = False):
         self.core = core
         self.power = power
         self.bottom = bottom
+        self.clean = clean
+
+
+def _owned(f, clean: bool = False) -> _Node:
+    """``f`` itself if it is a node; a frozen bracket is copied one level deep."""
+    if type(f) is _Node:
+        return f
+    return _Node(list(f.core.factors), f.power, None, clean)
 
 
 def _merge(left: _Node, right: _Node) -> None:
@@ -113,10 +123,9 @@ def _thaw(b: Bracket, spine: bool = False) -> _Node:
     append to."""
     if not spine:
         return _Node(b.core, b.power, None)
-    node = cell = _Node(list(b.core.factors), b.power, None)
+    node = cell = _owned(b)
     while isinstance(cell.core[-1], Bracket):
-        inner = cell.core[-1]
-        cell.core[-1] = cell = _Node(list(inner.core.factors), inner.power, None)
+        cell.core[-1] = cell = _owned(cell.core[-1])
     node.bottom = cell.core
     return node
 
@@ -230,50 +239,12 @@ def _value(w: BracketedWord) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Rule-based reduction: the independent oracle for ``reduce``.
+# Rule-based reduction: the independent oracle for ``reduce``.  It has its own
+# rules and search; it shares with evaluation only the _Node container (whose
+# ``clean`` mark it alone reads) and _freeze.
 
 class StepBudgetExceeded(RuntimeError):
     """The rewrite loop ran past its step budget; signals a termination bug."""
-
-
-class _Cell:
-    """A bracket ``[core]^power`` that the rewrite engine owns.
-
-    ``core`` is a list of factors: letters, frozen brackets and cells.
-    ``clean`` records that no redex lies inside the core, so a search need
-    not enter it again.
-    """
-
-    __slots__ = ("core", "power", "clean")
-
-    def __init__(self, core: list, power: int, clean: bool = False):
-        self.core = core
-        self.power = power
-        self.clean = clean
-
-
-def _owned(f, clean: bool = False) -> _Cell:
-    """``f`` itself if it is a cell; a frozen bracket is copied one level deep."""
-    if type(f) is _Cell:
-        return f
-    return _Cell(list(f.core.factors), f.power, clean)
-
-
-def _frozen(top: list) -> tuple:
-    """The factor tuple of the engine's word; cells are replaced bottom-up by
-    brackets, without recursion, and frozen factors pass through."""
-    cells = []  # (list, index) of every cell, after the cell that holds it
-    todo = [top]
-    while todo:
-        factors = todo.pop()
-        for k, f in enumerate(factors):
-            if type(f) is _Cell:
-                cells.append((factors, k))
-                todo.append(f.core)
-    for factors, k in reversed(cells):
-        cell = factors[k]
-        factors[k] = Bracket(_trusted(tuple(cell.core)), cell.power)
-    return tuple(top)
 
 
 def _rewrite(w: BracketedWord, innermost: bool, budget: Union[int, None]):
@@ -285,7 +256,7 @@ def _rewrite(w: BracketedWord, innermost: bool, budget: Union[int, None]):
     innermost strategy searches a bracket's core before its own rules, the
     outermost one after; the rules of ``factors[i]`` come in the order R2, R3,
     then R1 with ``factors[i+1]``.  A rewrite thaws the frozen brackets on its
-    path into cells, and the search resumes where the rewrite can have made a
+    path into nodes, and the search resumes where the rewrite can have made a
     redex: innermost, at the junction the rule made inside the rewritten
     bracket; outermost, at the rewritten bracket, after R3 of each owner whose
     last factor gained a power.  Every verdict passed before a rewrite still
@@ -318,8 +289,8 @@ def _rewrite(w: BracketedWord, innermost: bool, budget: Union[int, None]):
     while True:
         if i == len(factors):
             if not stack:
-                return None if type(factors) is tuple else _frozen(factors)
-            if type(owner) is _Cell:
+                return None if type(factors) is tuple else _freeze(factors, _bracket)
+            if type(owner) is _Node:
                 owner.clean = True
             factors, i, owner = stack.pop()
             i += not innermost
@@ -330,9 +301,9 @@ def _rewrite(w: BracketedWord, innermost: bool, budget: Union[int, None]):
             i += 1
             local = not innermost
             continue
-        core = f.core if type(f) is _Cell else f.core.factors
+        core = f.core if type(f) is _Node else f.core.factors
         if not local:
-            if type(f) is not _Cell or not f.clean:
+            if type(f) is not _Node or not f.clean:
                 stack.append((factors, i, owner))
                 factors, i, owner = core, 0, f
                 local = not innermost
@@ -364,8 +335,8 @@ def _rewrite(w: BracketedWord, innermost: bool, budget: Union[int, None]):
                     stack[k] = (list(frozen), at, None)
                 else:
                     up, up_at, _ = stack[k - 1]
-                    cell = up[up_at] = _owned(b)
-                    stack[k] = (cell.core, at, cell)
+                    node = up[up_at] = _owned(b)
+                    stack[k] = (node.core, at, node)
             factors, i, owner = stack.pop()
 
         if rule == 1:
@@ -378,7 +349,7 @@ def _rewrite(w: BracketedWord, innermost: bool, budget: Union[int, None]):
             else:
                 f = _owned(f, innermost)
                 f.power -= 1
-                node = _Cell([f, right], 1)
+                node = _Node([f, right], 1, None)
             factors[i] = node
             junction = len(node.core) - 2
             if innermost and owner is not None and len(factors) == 1:
@@ -400,7 +371,7 @@ def _rewrite(w: BracketedWord, innermost: bool, budget: Union[int, None]):
                 tail = _owned(rest[0])  # [[v]^r] is [v]^(r+1)
                 tail.power += 1
             else:
-                tail = _Cell(rest, 1, innermost)
+                tail = _Node(rest, 1, None, innermost)
             if head.power == 1:
                 f.core = _owned(head).core
             else:

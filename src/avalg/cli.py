@@ -203,6 +203,9 @@ def _handle(args) -> tuple:
 
     if cmd == "census":
         _check_sizes(args, "--max-degree", "--max-arity", "--budget")
+        if args.list_words and args.format != "json":
+            # csv and text print the cells only
+            raise UsageError("--list-words needs --format json")
         max_arity = args.max_arity
         if max_arity is None:
             if args.run_cap == math.inf:

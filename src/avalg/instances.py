@@ -164,7 +164,7 @@ class FiniteAlgebra:
             return [(i, a.numerator * (d // a.denominator)) for i, a in enumerate(x) if a], d
         except AttributeError:
             for a in x:
-                if not hasattr(a, "numerator"):
+                if not (hasattr(a, "numerator") and hasattr(a, "denominator")):
                     raise _inexact(a) from None
             raise
 

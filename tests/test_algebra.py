@@ -279,6 +279,12 @@ class TestLinearCombination:
         assert v.coeff(aw("y")) == 1
         assert parse_lincomb(str(v)) == v
 
+    def test_zero_results(self):
+        v = parse_lincomb("2*x + [x]")
+        assert v.coeff(aw("y")) == 0
+        assert v.scale(0) == LinearCombination.zero() and v.scale(0).is_zero()
+        assert parse_lincomb("0") == LinearCombination.zero()
+
     def test_json_round_trip(self):
         v = parse_lincomb("1/2*[x[x]]^2 + 5*x")
         assert LinearCombination.from_json(v.to_json()) == v

@@ -64,6 +64,9 @@ class TestGoldenOutputs:
         payload = payload_of(run_cli("product", "[x[x]]^2", "[x]^3"))
         assert payload == {"terms": [{"coeff": "1", "word": "[x[x[x]]]^4"}]}
 
+    def test_product_with_zero(self):
+        assert payload_of(run_cli("product", "0", "x")) == {"terms": []}
+
     def test_product_lincombs(self):
         payload = payload_of(run_cli("product", "2*x + [x]", "1/2*x"))
         assert payload == {
@@ -178,6 +181,13 @@ class TestExitCodes:
         proc = run_cli("census", "--run-cap", "x")
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "usage error: --run-cap must be a positive integer or 'inf', got 'x'\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_list_words_needs_json(self, fmt):
+        proc = run_cli("census", "--run-cap", "2", "--max-degree", "1",
+                       "--format", fmt, "--list-words")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "usage error: --list-words needs --format json\n"
 
     @pytest.mark.parametrize("argv,flag", [
         (("census", "--max-degree", "-1"), "--max-degree"),
@@ -436,3 +446,9 @@ class TestLoadedLayers:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [str(code), *layers.split()]
+
+    def test_list_words_without_json_fails_before_any_layer_runs(self):
+        argv = ["census", "--max-degree", "1", "--list-words", "--format", "text"]
+        proc = subprocess.run([sys.executable, "-c", _LOADED_LAYERS, *argv],
+                              capture_output=True, text=True)
+        assert proc.stdout.split() == ["1"], proc.stderr

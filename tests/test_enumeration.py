@@ -264,6 +264,8 @@ class TestSeries:
         assert s.coeff(1, 1) == 1
         assert s.coeff(2, 2) == 1  # [x[x]]
         assert s.coeff(2, 3) == 1  # [x[x]x]
+        # outside the computed box
+        assert s.coeff(4, 1) == s.coeff(1, 8) == s.coeff(-1, 1) == 0
 
     def test_full_table_matches_census(self):
         result = census(1, 5, 11, include_one=True)

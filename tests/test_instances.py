@@ -197,8 +197,10 @@ class TestDocumentedFailures:
             numerator = 1
 
         alg = dual_numbers_with(ZERO2)
-        raises_exactly(AttributeError, "'Numerator' object has no attribute 'denominator'",
-                       lambda: alg.operator((Numerator(), 0)))
+        # the repr holds an address, so only the prefix is pinned
+        with pytest.raises(TypeError) as err:
+            alg.operator((Numerator(), 0))
+        assert str(err.value).startswith("not an exact rational: <")
 
     def test_zero_dimensional_algebra(self):
         zero = FiniteAlgebra((), (), ())

@@ -194,6 +194,12 @@ class TestOperadElements:
         )
         assert got == expected
 
+    def test_scale(self):
+        a = OperadElement.of(T_MU, 2) + OperadElement.of(Bi(LEAF, Uni(LEAF)), 1)
+        assert a.scale(Fraction(1, 2)) == OperadElement.from_terms(
+            2, [(T_MU, 1), (Bi(LEAF, Uni(LEAF)), Fraction(1, 2))])
+        assert a.scale(0) == OperadElement(2, ())
+
     def test_arity_checked(self):
         with pytest.raises(ValueError):
             OperadElement.of(T_MU) + OperadElement.of(T_P)

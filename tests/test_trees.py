@@ -94,6 +94,7 @@ class TestPredicates:
             assert is_fat(TAU[k]), k
         for k in (3, 4):
             assert not is_fat(TAU[k]), k
+        assert not is_fat(LEAF) and not is_fat(Uni(LEAF))  # fewer than two leaves
 
     def test_averaging_trees(self):
         for k in (1, 2, 8):
@@ -446,6 +447,7 @@ schroeder_trees = st.recursive(
 class TestSchroederTrees:
     def test_counts(self):
         assert [len(enumerate_schroeder(n)) for n in range(1, 6)] == [1, 2, 6, 22, 90]
+        assert enumerate_schroeder(0) == ()
 
     def test_sh1_and_sh2_structures(self):
         assert enumerate_schroeder(1) == (SLeaf("omega"),)
@@ -477,6 +479,10 @@ class TestSchroederTrees:
         with pytest.raises(TypeError, match="not a Schroeder tree"):
             SNode((SLeaf("iota"), 5))
 
+    def test_leaf_decoration_is_iota_or_omega(self):
+        with pytest.raises(ValueError, match="leaf decoration must be iota or omega"):
+            SLeaf("x")
+
 
 class TestPsi:
     def test_small_images(self):
@@ -486,6 +492,10 @@ class TestPsi:
         assert psi(parse_word("[x[x]x]")) == SNode((iota, omega, iota))
         nested = SNode((iota, SNode((iota, omega, iota)), iota))
         assert psi(parse_word("[x[x[x]x]x]")) == nested
+
+    def test_inverse_rejects_a_parsed_non_schroeder_tree(self):
+        with pytest.raises(ValueError, match="not a Schroeder tree"):
+            psi_inverse(parse_schroeder_tree("w(o,i)"))
 
     def test_round_trips(self):
         for n in range(1, 6):
@@ -572,6 +582,9 @@ class TestPsi:
 
 
 class TestTextForms:
+    def test_str_is_the_rendered_text(self):
+        assert str(Uni(LEAF)) == "U(L)" and str(LEAF) == "L"
+
     def test_binary_round_trip(self):
         for t in enumerate_averaging_trees(4, 3):
             text = render_binary_tree(t.tree)

@@ -19,12 +19,14 @@ from avalg.words import (
     WordSyntaxError,
     analyze,
     arity,
+    bracket,
     breadth,
     degree,
     depth,
     factor_at,
     iter_averaging_words,
     iter_bracketed_words,
+    letter,
     letters_of,
     parse_word,
     peel,
@@ -220,6 +222,16 @@ class TestRender:
         assert render_word(word(Bracket(word(x), 2))) == "[x]^2"
         assert render_word(word(x, Bracket(word(x), 1), x)) == "x[x]x"
         assert render_word(word(Bracket(word(x, Bracket(word(x), 1)), 1))) == "[x[x]]"
+
+    def test_str_is_the_rendered_text(self):
+        w = parse_word("x[y x]^2")
+        assert str(x) == "x"
+        assert str(w.factors[1]) == "[y x]^2"
+        assert str(w) == "x[y x]^2"
+        assert str(AveragingWord(parse_word("x[y]"))) == "x[y]"
+
+    def test_bracket_of_a_letter(self):
+        assert bracket(letter("x")) == parse_word("[x]").factors[0]
 
     def test_adjacent_letters_reparse(self):
         w = word(x, Letter("xy"), x)

@@ -1,0 +1,123 @@
+"""Mutation check of the code that ``reduce`` and ``rewrite_reduce`` share.
+
+Both reducers build ``algebra._Node``s and freeze them through
+``algebra._freeze``, so a bug there can no longer show up as a disagreement
+between the two.  Each mutant below is one single-line edit to
+``src/avalg/algebra.py``.  For each one the script copies ``src/`` and
+``tests/`` into a temporary directory, applies the edit and runs
+``pytest -x -q`` on the mutant's test files, stopping it after ``TIMEOUT``
+seconds (a broken rule can spin until its step budget runs out).  It prints
+killed or survived, the seconds taken and the first failing test, and exits
+1 if any mutant survives, 2 if the unmutated copy fails its tests or an edit
+no longer matches the source.  It writes nothing into the repository.
+
+Run from the repository root::
+
+    python tools/mutants.py
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ALGEBRA = "src/avalg/algebra.py"
+TIMEOUT = 300  # seconds per mutant
+
+# test_algebra.py comes first, so a mutant of the evaluation core is named
+# by a test that does not compare reduce with rewrite_reduce
+EVALUATION = ("tests/test_algebra.py", "tests/test_cli_golden.py",
+              "tests/test_operad.py", "tests/test_rewrite.py")
+REWRITE = ("tests/test_rewrite.py", "tests/test_algebra.py")
+
+# (name, source text, mutated text, test files); each edit changes one line,
+# and its source text occurs once in algebra.py
+MUTANTS = (
+    ("_freeze: powers dropped",
+     "factors[i] = close(node.core, node.power)",
+     "factors[i] = close(node.core, 1)", EVALUATION),
+    ("_freeze: parents closed before their children",
+     "for factors, i in reversed(places):",
+     "for factors, i in places:", EVALUATION),
+    ("_owned: always copies",
+     "if type(f) is _Node:\n        return f",
+     "if False:\n        return f", EVALUATION),
+    ("_thaw: merges append at the top of the spine",
+     "node.bottom = cell.core",
+     "node.bottom = node.core", EVALUATION),
+    ("_merge: power off by one",
+     "left.power += right.power - 1",
+     "left.power += right.power", EVALUATION),
+    ("_apply_p: plain wrap squares",
+     "return _Node(u, 1, u)",
+     "return _Node(u, 2, u)", EVALUATION),
+    ("_value: power off by one",
+     "node.power += power - 1",
+     "node.power += power", EVALUATION),
+    ("_rewrite R1: new bracket squared",
+     "node = _Node([f, right], 1, None)",
+     "node = _Node([f, right], 2, None)", REWRITE),
+    ("_rewrite R1: grown bracket marked clean",
+     "node.clean = False",
+     "node.clean = True", REWRITE),
+    ("_rewrite R2: [[v]^r] kept at power r",
+     "tail.power += 1",
+     "tail.power += 0", REWRITE),
+    ("_rewrite R3: power off by one",
+     "f.power += last.power - 1",
+     "f.power += last.power", REWRITE),
+    ("_rewrite climb: power off by one",
+     "owner.power += f.power - 1",
+     "owner.power += f.power", REWRITE),
+)
+
+
+def run_tests(copy: Path, tests) -> tuple:
+    """(passed, seconds, first failing test or reason) of ``pytest -x -q``."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return False, time.perf_counter() - start, f"timed out after {TIMEOUT} s"
+    seconds = time.perf_counter() - start
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+    return proc.returncode == 0, seconds, failed.group(1) if failed else f"exit {proc.returncode}"
+
+
+def main() -> int:
+    source = (ROOT / ALGEBRA).read_text()
+    for name, line, _, _ in MUTANTS:
+        if source.count(line) != 1:
+            print(f"{name}: {line!r} does not occur once in {ALGEBRA}")
+            return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        every = sorted({t for *_, tests in MUTANTS for t in tests})
+        passed, seconds, first = run_tests(copy, every)
+        print(f"unmutated: {'passed' if passed else 'FAILED ' + first} ({seconds:.1f} s)")
+        if not passed:
+            return 2
+        survivors = 0
+        for name, line, mutated, tests in MUTANTS:
+            (copy / ALGEBRA).write_text(source.replace(line, mutated))
+            passed, seconds, first = run_tests(copy, tests)
+            survivors += passed
+            verdict = "SURVIVED" if passed else f"killed by {first}"
+            print(f"{name}: {verdict} ({seconds:.1f} s)")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
