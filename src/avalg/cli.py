@@ -275,28 +275,26 @@ def _handle(args) -> tuple:
             "word": words.render_word(trees.phi_inverse(result)),
         }, "json"
 
-    if cmd == "check-instance":
-        with open(args.path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        alg = instances.algebra_from_json(data)
-        averaging = instances.check_averaging(alg)
-        reynolds = instances.check_reynolds(alg)
-        return {
-            "dim": alg.dim,
-            "basis": list(alg.basis),
-            "associative": True,
-            "averaging": {
-                "ok": averaging is None,
-                "counterexample": None if averaging is None else list(averaging),
-            },
-            "reynolds": {
-                "ok": reynolds is None,
-                "counterexample": None if reynolds is None else list(reynolds),
-            },
-            "idempotent": instances.is_idempotent(alg),
-        }, "json"
-
-    raise UsageError(f"unknown command {cmd!r}")
+    # check-instance: argparse's required subparsers admit no other command
+    with open(args.path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    alg = instances.algebra_from_json(data)
+    averaging = instances.check_averaging(alg)
+    reynolds = instances.check_reynolds(alg)
+    return {
+        "dim": alg.dim,
+        "basis": list(alg.basis),
+        "associative": True,
+        "averaging": {
+            "ok": averaging is None,
+            "counterexample": None if averaging is None else list(averaging),
+        },
+        "reynolds": {
+            "ok": reynolds is None,
+            "counterexample": None if reynolds is None else list(reynolds),
+        },
+        "idempotent": instances.is_idempotent(alg),
+    }, "json"
 
 
 def _emit(payload: dict, fmt: str) -> None:

@@ -23,8 +23,8 @@ provided:
 * ``SuperProjection``: projection of a Z/2-graded algebra onto its even part.
 * ``SquareZeroDerivation``: a derivation with ``d^2 = 0``.
 
-``check_averaging`` and ``check_reynolds`` verify the defining identities on
-all basis pairs, which suffices by bilinearity.
+``check_averaging``, ``check_reynolds`` and ``decomposition_is_graded``
+verify their identities on all basis pairs, which suffices by bilinearity.
 """
 
 from __future__ import annotations
@@ -235,11 +235,13 @@ class FiniteAlgebra:
         return FiniteAlgebra(self.basis, self.mul, tuple(tuple(_frac(c) for c in row) for row in op))
 
 
-def _eliminate(rows):
-    """Exact Gauss-Jordan elimination: the reduced rows and their pivot columns."""
-    mat = [list(row) for row in rows]
+def _solve(rows, rhs):
+    """One solution of A x = b or None, by exact Gauss-Jordan elimination of
+    the augmented rows."""
+    n = len(rows[0]) if rows else 0
+    mat = [list(row) + [b] for row, b in zip(rows, rhs)]
     pivots = []
-    for c in range(len(mat[0]) if mat else 0):
+    for c in range(n + 1):
         r = len(pivots)
         pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
@@ -252,20 +254,11 @@ def _eliminate(rows):
                 f = mat[i][c]
                 mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
         pivots.append(c)
-    return mat, pivots
-
-
-def _solve(rows, rhs):
-    """Least-structure exact solver: returns one solution of A x = b or None."""
-    if not rows:
-        return []
-    n = len(rows[0])
-    aug, pivots = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)])
     if pivots and pivots[-1] == n:
         return None  # inconsistent: a pivot in the right-hand side
     x = [Fraction(0)] * n
     for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][n]
+        x[c] = mat[row_idx][n]
     return x
 
 
@@ -318,42 +311,21 @@ def is_idempotent(alg: FiniteAlgebra) -> bool:
 def decomposition_is_graded(alg: FiniteAlgebra) -> bool:
     """For idempotent P: image/kernel closure R0*R0 in R0, R0*R1 + R1*R0 in R1.
 
-    An idempotent operator is averaging exactly when this holds.
+    An idempotent operator is averaging exactly when this holds.  P fixes
+    its image R0 and vanishes on its kernel R1, which the vectors
+    ``p_i = P(e_i)`` and ``k_i = e_i - P(e_i)`` span, so by bilinearity the
+    grading holds when P(p_i p_j) = p_i p_j and P(p_i k_j) = P(k_j p_i) = 0
+    on all basis pairs.
     """
     if not is_idempotent(alg):
         raise ValueError("decomposition test needs an idempotent operator")
-    image = [alg.operator(alg.basis_vector(i)) for i in range(alg.dim)]
-    kernel = [
-        alg.add(alg.basis_vector(i), alg.scale(-1, alg.operator(alg.basis_vector(i))))
-        for i in range(alg.dim)
-    ]
-    im_basis = _span_basis(image)
-    ker_basis = _span_basis(kernel)
-
-    def in_span(basis, v) -> bool:
-        if not any(v):
-            return True
-        rows = [[b[k] for b in basis] for k in range(len(v))]
-        return _solve(rows, list(v)) is not None
-
-    for a in im_basis:
-        for b in im_basis:
-            if not in_span(im_basis, alg.multiply(a, b)):
-                return False
-        for b in ker_basis:
-            if not in_span(ker_basis, alg.multiply(a, b)):
-                return False
-            if not in_span(ker_basis, alg.multiply(b, a)):
-                return False
-    return True
-
-
-def _span_basis(vectors):
-    """The vectors that are independent of those before them: the pivot columns."""
-    if not vectors:
-        return []
-    columns = [[v[k] for v in vectors] for k in range(len(vectors[0]))]
-    return [vectors[c] for c in _eliminate(columns)[1]]
+    e, p = _images(alg)
+    k = [alg.add(v, alg.scale(-1, pv)) for v, pv in zip(e, p)]
+    return _first_failure(alg, 2, lambda i, j: (
+        (alg.multiply(p[i], p[j]), alg.zero, alg.zero),
+        (alg.operator(alg.multiply(p[i], p[j])),
+         alg.operator(alg.multiply(p[i], k[j])),
+         alg.operator(alg.multiply(k[j], p[i]))))) is None
 
 
 # ---------------------------------------------------------------------------

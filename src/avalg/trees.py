@@ -465,9 +465,8 @@ def _phi_inverse(t: UnreducedBinaryTree) -> BracketedWord:
 
 @lru_cache(maxsize=None)
 def _unreduced_exact(leaves: int, unis: int) -> tuple:
-    """All unreduced binary trees with the given leaf and uni-vertex counts."""
-    if leaves < 1 or unis < 0:
-        return ()
+    """All unreduced binary trees with ``leaves >= 1`` leaves and ``unis >= 0``
+    uni-vertices."""
     out = []
     if unis == 0 and leaves == 1:
         out.append(LEAF)

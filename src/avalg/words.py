@@ -575,9 +575,7 @@ _X = Letter("x")  # the one generator of the enumerators below and of the tree b
 
 @lru_cache(maxsize=None)
 def _all_words_exact(size: int) -> tuple:
-    """All canonical bracketed words with ``arity + degree == size``."""
-    if size < 1:
-        return ()
+    """All canonical bracketed words with ``arity + degree == size >= 1``."""
     out = []
     for k in range(1, size + 1):
         for f in _all_factors_exact(k):
@@ -769,10 +767,8 @@ def random_bracketed_word(rng, alphabet: Sequence[str] = ("x", "y"), max_size: i
                 b = Bracket(core, power)
                 factors.append(b)
                 budget -= power + word_size(core)
-            if factors and rng.random() < 0.25:
+            if rng.random() < 0.25:
                 break
-        if not factors:
-            factors.append(Letter(rng.choice(alphabet)))
         return BracketedWord(tuple(factors))
 
     return gen(rng.randint(1, max_size))
@@ -812,8 +808,6 @@ def random_averaging_word(rng, alphabet: Sequence[str] = ("x", "y"),
                 factors.append(tilde_bracket(d))
             else:
                 break
-        if not factors:
-            factors.extend(run())
         return BracketedWord(tuple(factors))
 
     return AveragingWord(gen(max_depth))

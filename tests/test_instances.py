@@ -236,6 +236,12 @@ class TestDocumentedFailures:
         right_zero = FiniteAlgebra(("p", "q"), [[[1, 0], [0, 1]]] * 2, [[0, -1], [0, 1]])
         assert is_idempotent(right_zero) and check_averaging(right_zero) == (0, 0)
         assert decomposition_is_graded(right_zero) is False
+        # x y = x, the same operator: the kernel [p + q] times the image [q]
+        # is p + q again, but q (p + q) = 2q leaves the kernel
+        left_zero = FiniteAlgebra(("p", "q"), [[[1, 0], [1, 0]], [[0, 1], [0, 1]]],
+                                  [[0, -1], [0, 1]])
+        assert is_idempotent(left_zero) and check_averaging(left_zero) == (0, 0)
+        assert decomposition_is_graded(left_zero) is False
 
     def test_group_average_needs_permutations(self):
         basis, mul = product_algebra(2)

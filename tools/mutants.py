@@ -1,15 +1,18 @@
-"""Mutation check of the code that ``reduce`` and ``rewrite_reduce`` share.
+"""Mutation check of code that no second implementation cross-checks.
 
 Both reducers build ``algebra._Node``s and freeze them through
 ``algebra._freeze``, so a bug there can no longer show up as a disagreement
-between the two.  Each mutant below is one single-line edit to
-``src/avalg/algebra.py``.  For each one the script copies ``src/`` and
-``tests/`` into a temporary directory, applies the edit and runs
-``pytest -x -q`` on the mutant's test files, stopping it after ``TIMEOUT``
-seconds (a broken rule can spin until its step budget runs out).  It prints
-killed or survived, the seconds taken and the first failing test, and exits
-1 if any mutant survives, 2 if the unmutated copy fails its tests or an edit
-no longer matches the source.  It writes nothing into the repository.
+between the two.  Every identity of a finite algebra, the idempotent
+grading among them, is checked by ``instances._first_failure``, and
+``instances._solve`` alone finds units.  Each mutant below is one
+single-line edit to the source file it names.  For each one the script
+copies ``src/`` and ``tests/`` into a temporary directory, applies the edit
+and runs ``pytest -x -q`` on the mutant's test files, stopping it after
+``TIMEOUT`` seconds (a broken rule can spin until its step budget runs
+out).  It prints killed or survived, the seconds taken and the first
+failing test, and exits 1 if any mutant survives, 2 if the unmutated copy
+fails its tests or an edit no longer matches its source.  It writes nothing
+into the repository.
 
 Run from the repository root::
 
@@ -27,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ALGEBRA = "src/avalg/algebra.py"
+INSTANCES = "src/avalg/instances.py"
 TIMEOUT = 300  # seconds per mutant
 
 # test_algebra.py comes first, so a mutant of the evaluation core is named
@@ -34,46 +38,59 @@ TIMEOUT = 300  # seconds per mutant
 EVALUATION = ("tests/test_algebra.py", "tests/test_cli_golden.py",
               "tests/test_operad.py", "tests/test_rewrite.py")
 REWRITE = ("tests/test_rewrite.py", "tests/test_algebra.py")
+CHECKS = ("tests/test_instances.py", "tests/test_acceptance.py")
 
-# (name, source text, mutated text, test files); each edit changes one line,
-# and its source text occurs once in algebra.py
+# (name, file, source text, mutated text, test files); each edit changes one
+# line, and its source text occurs once in its file
 MUTANTS = (
     ("_freeze: powers dropped",
-     "factors[i] = close(node.core, node.power)",
+     ALGEBRA, "factors[i] = close(node.core, node.power)",
      "factors[i] = close(node.core, 1)", EVALUATION),
     ("_freeze: parents closed before their children",
-     "for factors, i in reversed(places):",
+     ALGEBRA, "for factors, i in reversed(places):",
      "for factors, i in places:", EVALUATION),
     ("_owned: always copies",
-     "if type(f) is _Node:\n        return f",
+     ALGEBRA, "if type(f) is _Node:\n        return f",
      "if False:\n        return f", EVALUATION),
     ("_thaw: merges append at the top of the spine",
-     "node.bottom = cell.core",
+     ALGEBRA, "node.bottom = cell.core",
      "node.bottom = node.core", EVALUATION),
     ("_merge: power off by one",
-     "left.power += right.power - 1",
+     ALGEBRA, "left.power += right.power - 1",
      "left.power += right.power", EVALUATION),
     ("_apply_p: plain wrap squares",
-     "return _Node(u, 1, u)",
+     ALGEBRA, "return _Node(u, 1, u)",
      "return _Node(u, 2, u)", EVALUATION),
     ("_value: power off by one",
-     "node.power += power - 1",
+     ALGEBRA, "node.power += power - 1",
      "node.power += power", EVALUATION),
     ("_rewrite R1: new bracket squared",
-     "node = _Node([f, right], 1, None)",
+     ALGEBRA, "node = _Node([f, right], 1, None)",
      "node = _Node([f, right], 2, None)", REWRITE),
     ("_rewrite R1: grown bracket marked clean",
-     "node.clean = False",
+     ALGEBRA, "node.clean = False",
      "node.clean = True", REWRITE),
     ("_rewrite R2: [[v]^r] kept at power r",
-     "tail.power += 1",
+     ALGEBRA, "tail.power += 1",
      "tail.power += 0", REWRITE),
     ("_rewrite R3: power off by one",
-     "f.power += last.power - 1",
+     ALGEBRA, "f.power += last.power - 1",
      "f.power += last.power", REWRITE),
     ("_rewrite climb: power off by one",
-     "owner.power += f.power - 1",
+     ALGEBRA, "owner.power += f.power - 1",
      "owner.power += f.power", REWRITE),
+    ("_first_failure: only the first two sides compared",
+     INSTANCES, "if any(v != first for v in rest):",
+     "if any(v != first for v in rest[:1]):", CHECKS),
+    ("decomposition_is_graded: R0 R1 dropped",
+     INSTANCES, "alg.operator(alg.multiply(p[i], k[j]))",
+     "alg.zero", CHECKS),
+    ("decomposition_is_graded: R1 R0 dropped",
+     INSTANCES, "alg.operator(alg.multiply(k[j], p[i]))",
+     "alg.zero", CHECKS),
+    ("_solve: an inconsistent system solved",
+     INSTANCES, "if pivots and pivots[-1] == n:",
+     "if pivots and pivots[-1] > n:", CHECKS),
 )
 
 
@@ -93,10 +110,10 @@ def run_tests(copy: Path, tests) -> tuple:
 
 
 def main() -> int:
-    source = (ROOT / ALGEBRA).read_text()
-    for name, line, _, _ in MUTANTS:
-        if source.count(line) != 1:
-            print(f"{name}: {line!r} does not occur once in {ALGEBRA}")
+    sources = {path: (ROOT / path).read_text() for _, path, *_ in MUTANTS}
+    for name, path, line, _, _ in MUTANTS:
+        if sources[path].count(line) != 1:
+            print(f"{name}: {line!r} does not occur once in {path}")
             return 2
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
@@ -109,9 +126,10 @@ def main() -> int:
         if not passed:
             return 2
         survivors = 0
-        for name, line, mutated, tests in MUTANTS:
-            (copy / ALGEBRA).write_text(source.replace(line, mutated))
+        for name, path, line, mutated, tests in MUTANTS:
+            (copy / path).write_text(sources[path].replace(line, mutated))
             passed, seconds, first = run_tests(copy, tests)
+            (copy / path).write_text(sources[path])
             survivors += passed
             verdict = "SURVIVED" if passed else f"killed by {first}"
             print(f"{name}: {verdict} ({seconds:.1f} s)")
