@@ -110,6 +110,8 @@ class Bracket:
     power: int = 1
 
     def __post_init__(self):
+        if type(self.power) is not int:
+            raise TypeError(f"bracket power must be an int, not {type(self.power).__name__}")
         if self.power < 1:
             raise ValueError("bracket power must be >= 1")
         # Collapse [[w]^p]^q into [w]^(p+q); the inner value is already canonical.
@@ -738,6 +740,18 @@ def _unrank_family(family: tuple, caps: tuple, rank: int) -> tuple:
     return tuple(factors)
 
 
+def _draw(rng, families: Sequence[tuple], caps: tuple) -> tuple:
+    """The factor tuple of a word drawn uniformly from the union of
+    ``families``: a rank below their summed counts, unranked in the family
+    it falls in (the recursive method of uniform random generation)."""
+    counts = [_count_family(family, caps) for family in families]
+    rank = rng.randrange(sum(counts))
+    for family, count in zip(families, counts):
+        if rank < count:
+            return _unrank_family(family, caps, rank)
+        rank -= count
+
+
 def iter_averaging_words(max_arity: int, max_degree: int) -> Iterator[AveragingWord]:
     """Every averaging word over ``x`` within the given arity/degree bounds."""
     caps = (math.inf, math.inf)
@@ -776,38 +790,15 @@ def random_bracketed_word(rng, alphabet: Sequence[str] = ("x", "y"), max_size: i
 
 def random_averaging_word(rng, alphabet: Sequence[str] = ("x", "y"),
                           max_depth: int = 4, max_run: int = 2) -> AveragingWord:
-    """A random averaging word of depth <= ``max_depth``."""
-
-    def run() -> list:
-        return [Letter(rng.choice(alphabet)) for _ in range(rng.randint(1, max_run))]
-
-    def core_shaped(d: int) -> BracketedWord:
-        # head 0; tail a letter or a final power-1 bracket
-        factors = run()
-        for _ in range(rng.randint(0, 2)):
-            if d < 1 or rng.random() < 0.5:
-                break
-            factors.append(tilde_bracket(d))
-            factors.extend(run())
-        if d >= 1 and rng.random() < 0.5:
-            factors.append(Bracket(core_shaped(d - 1), 1))
-        return BracketedWord(tuple(factors))
-
-    def tilde_bracket(d: int) -> Bracket:
-        power = rng.randint(1, d)
-        return Bracket(core_shaped(d - power), power)
-
-    def gen(d: int) -> BracketedWord:
-        factors: list = []
-        if d >= 1 and rng.random() < 0.35:
-            factors.append(tilde_bracket(d))
-        pairs = rng.randint(0 if factors else 1, 2)
-        for _ in range(pairs):
-            factors.extend(run())
-            if d >= 1 and rng.random() < 0.5:
-                factors.append(tilde_bracket(d))
-            else:
-                break
-        return BracketedWord(tuple(factors))
-
-    return AveragingWord(gen(max_depth))
+    """A random averaging word of degree (hence depth) <= ``max_depth`` with
+    runs of at most ``max_run`` letters: a degree ``d`` uniform in ``0 ..
+    max_depth``, a word uniform among those of degree ``d`` over ``x`` (drawn
+    by :func:`_draw`), and each letter uniform from ``alphabet``."""
+    if max_depth < 0 or max_run < 1:
+        raise ValueError("random_averaging_word needs max_depth >= 0 and max_run >= 1")
+    letters = [Letter(symbol) for symbol in alphabet]
+    d = rng.randint(0, max_depth)
+    # a word of degree d has at most 2d + 1 runs
+    families = [(a, d, head, False) for a in range(1, max_run * (2 * d + 1) + 1) for head in (0, 1)]
+    shape = _trusted(_draw(rng, families, (math.inf, max_run)))
+    return AveragingWord(substitute_letters(shape, lambda _: (rng.choice(letters),)))

@@ -53,7 +53,6 @@ ALLOWED = {
     "words._unrank_family": "recursion on arity and degree, memoised",
     "words._walk_family": "one level per factor of a word, at most 2d + 1 at degree d",
     "words.random_bracketed_word.gen": "depth bounded by the size budget",
-    "words.random_averaging_word.core_shaped": "depth bounded by max_depth",
 }
 
 

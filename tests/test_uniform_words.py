@@ -1,10 +1,10 @@
 """Laws on averaging words drawn uniformly past the enumerated sizes.
 
-The enumerations stop near size 12 and ``random_averaging_word`` is biased
-towards its own shapes.  Here a word of degree 20-30 is drawn uniformly
-among all averaging words over ``x`` of its arity and degree: a rank below
-their number picks it, and ``words._unrank_family`` builds it by descending
-through the memoised counts, never through the family itself.
+The enumerations stop near size 12, and ``random_averaging_word`` keeps to
+degree 4 or so.  Here a word of degree 20-40 is drawn uniformly among all
+averaging words over ``x`` of its arity and degree by ``words._draw``: a rank
+below their number picks it, and ``words._unrank_family`` builds it by
+descending through the memoised counts, never through the family itself.
 """
 
 import math
@@ -13,21 +13,24 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avalg.algebra import apply_p, diamond, reduce, rewrite_reduce
+from avalg.algebra import apply_p, diamond, reduce, rewrite_reduce, universal_map
+from avalg.instances import standard_fixtures
+from avalg.operad import compose
 from avalg.trees import phi, phi_inverse, psi, psi_inverse
 from avalg.words import (
     AveragingWord,
     Bracket,
-    _count_family,
+    _draw,
     _trusted,
-    _unrank_family,
     arity,
     degree,
     word,
 )
+from test_algebra import universal_map_by_definition
 
 CAPS = (math.inf, math.inf)  # the grammar of iter_averaging_words
 IDEMPOTENT = (1, 1)  # powers 1 and runs of one letter: the words psi takes
+FIXTURES = standard_fixtures()
 _LAWS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
@@ -35,14 +38,9 @@ _LAWS = settings(max_examples=40, deadline=None, derandomize=True, database=None
 def uniform_words(draw, degrees=(20, 30), arities=(1, 10)):
     """An averaging word of a drawn degree and arity, uniform among them."""
     d, a = draw(st.integers(*degrees)), draw(st.integers(*arities))
-    head_0 = _count_family((a, d, 0, False), CAPS)
     # hypothesis leans towards the ends of a range, a seeded RNG does not
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    rank = rng.randrange(head_0 + _count_family((a, d, 1, False), CAPS))
-    if rank < head_0:
-        factors = _unrank_family((a, d, 0, False), CAPS, rank)
-    else:
-        factors = _unrank_family((a, d, 1, False), CAPS, rank - head_0)
+    factors = _draw(rng, [(a, d, 0, False), (a, d, 1, False)], CAPS)
     w = AveragingWord(_trusted(factors))  # scanned, so a wrong rank path shows
     assert (degree(w.word), arity(w.word)) == (d, a)
     return w
@@ -51,19 +49,13 @@ def uniform_words(draw, degrees=(20, 30), arities=(1, 10)):
 @st.composite
 def uniform_indecomposable_words(draw, degrees=(20, 30)):
     """A word ``[u]`` of a drawn degree with powers 1 and runs of one letter,
-    uniform among them: the core ``u`` is unranked across all arities."""
+    uniform among them: the core ``u`` is drawn across all arities."""
     d = draw(st.integers(*degrees))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     # a core of degree d - 1 has at most 2(d - 1) + 1 letters
-    counts = [_count_family((a, d - 1, 0, True), IDEMPOTENT) for a in range(1, 2 * d)]
-    rank = rng.randrange(sum(counts))
-    for a, count in enumerate(counts, 1):
-        if rank < count:
-            break
-        rank -= count
-    core = _unrank_family((a, d - 1, 0, True), IDEMPOTENT, rank)
+    core = _draw(rng, [(a, d - 1, 0, True) for a in range(1, 2 * d)], IDEMPOTENT)
     w = AveragingWord(word(Bracket(_trusted(core))))
-    assert (degree(w.word), arity(w.word)) == (d, a)
+    assert degree(w.word) == d
     return w
 
 
@@ -103,3 +95,32 @@ def test_tree_bijection_round_trip(w):
 @given(uniform_indecomposable_words())
 def test_schroeder_bijection_round_trip(w):
     assert psi_inverse(psi(w)) == w
+
+
+@_LAWS
+@given(uniform_words(degrees=(20, 40)), st.lists(st.integers(-2, 2), min_size=8, max_size=8))
+def test_universal_map_agrees_with_its_definition(w, entries):
+    for name, target in sorted(FIXTURES.items()):
+        assignment = {"x": target.element(entries[:target.dim])}
+        expected = universal_map_by_definition(assignment, target, w)
+        assert universal_map(assignment, target, w) == expected, name
+
+
+@_LAWS
+@given(uniform_words(degrees=(20, 40)), uniform_words(degrees=(20, 40)),
+       uniform_words(degrees=(20, 40)), st.data())
+def test_operad_sequential_axiom(u, v, w, data):
+    lam, mu, nu = phi(u), phi(v), phi(w)
+    i = data.draw(st.integers(1, lam.arity))
+    j = data.draw(st.integers(1, mu.arity))
+    assert compose(compose(lam, i, mu), i - 1 + j, nu) == compose(lam, i, compose(mu, j, nu))
+
+
+@_LAWS
+@given(uniform_words(degrees=(20, 40), arities=(2, 10)), uniform_words(degrees=(20, 40)),
+       uniform_words(degrees=(20, 40)), st.data())
+def test_operad_parallel_axiom(u, v, w, data):
+    lam, mu, nu = phi(u), phi(v), phi(w)
+    i = data.draw(st.integers(1, lam.arity - 1))
+    k = data.draw(st.integers(i + 1, lam.arity))
+    assert compose(compose(lam, i, mu), k - 1 + mu.arity, nu) == compose(compose(lam, k, nu), i, mu)

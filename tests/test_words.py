@@ -39,7 +39,15 @@ from avalg.words import (
     word_size,
 )
 from avalg.enumeration import _cell_factors, averaging_words_v, indecomposable_words_v
-from avalg.words import _TOKEN_RE, _count_family, _evaluate, _trusted, _unrank_family, _walk_family
+from avalg.words import (
+    _TOKEN_RE,
+    _count_family,
+    _draw,
+    _evaluate,
+    _trusted,
+    _unrank_family,
+    _walk_family,
+)
 
 x = Letter("x")
 
@@ -583,6 +591,17 @@ class TestWordCore:
         # the public constructor copies any sequence into a tuple
         assert BracketedWord([x, x]).factors == (x, x)
 
+    @pytest.mark.parametrize("power, error", [
+        (1.5, TypeError), (2.0, TypeError), (True, TypeError), ("2", TypeError),
+        (0, ValueError), (-1, ValueError)])
+    def test_bracket_power_is_a_positive_int(self, power, error):
+        # [x]^1.5 would render as text parse_word rejects, and degree would
+        # count it as 1.5
+        with pytest.raises(error, match="bracket power must be"):
+            bracket(letter("x"), power)
+        with pytest.raises(error, match="bracket power must be"):
+            Bracket(bw("x"), power)
+
 
 # ---------------------------------------------------------------------------
 # The averaging-word walk against the tuple generator it replaced
@@ -664,3 +683,71 @@ class TestAveragingWalk:
                     assert [_unrank_family(family, caps, r) for r in range(len(walked))] == walked
                     with pytest.raises(IndexError):
                         _unrank_family(family, caps, len(walked))
+
+    @pytest.mark.parametrize("caps", [(1, 1), (math.inf, 2)])
+    def test_draw_ranks_the_families_in_turn(self, caps):
+        # each rank below the summed counts picks one word, in the order of
+        # the families' walks one after another
+        families = [(a, 4, head, False) for a in range(1, 7) for head in (0, 1)]
+        walked = [f for family in families for f in _walk_family(family, caps)]
+        drawn = [_draw(FixedRank(rank, len(walked)), families, caps) for rank in range(len(walked))]
+        assert drawn == walked
+
+
+class FixedRank:
+    """A stand-in RNG whose ``randrange(n)`` returns ``rank`` and checks ``n``."""
+
+    def __init__(self, rank, n):
+        self.rank, self.n = rank, n
+
+    def randrange(self, n):
+        assert n == self.n
+        return self.rank
+
+
+def runs_of(w):
+    """The lengths of the maximal letter runs of ``w``, inside brackets too."""
+    out, todo = [], [w]
+    while todo:
+        run = 0
+        for f in todo.pop().factors:
+            if isinstance(f, Letter):
+                run += 1
+                continue
+            out.append(run)
+            run = 0
+            todo.append(f.core)
+        out.append(run)
+    return [r for r in out if r]
+
+
+class TestRandomAveragingWord:
+    def test_distribution_at_degree_one(self):
+        # degree 0 or 1, each with probability 1/2; then uniform among the
+        # words of that degree over x with runs of one letter
+        rng = random.Random(0)
+        n = 8000
+        drawn = [render_word(random_averaging_word(rng, ("x",), max_depth=1, max_run=1).word)
+                 for _ in range(n)]
+        expected = {"x": 1 / 2, "[x]": 1 / 8, "x[x]": 1 / 8, "[x]x": 1 / 8, "x[x]x": 1 / 8}
+        assert set(drawn) == set(expected)
+        for text, p in expected.items():
+            assert abs(drawn.count(text) - n * p) <= 4 * math.sqrt(n * p * (1 - p)), text
+
+    @pytest.mark.parametrize("alphabet, max_depth, max_run",
+                             [(("x", "y"), 4, 2), (("a",), 0, 3), (("p", "q", "r"), 6, 1)])
+    def test_draws_keep_their_bounds(self, alphabet, max_depth, max_run):
+        rng = random.Random(f"{alphabet}{max_depth}{max_run}")
+        degrees = set()
+        for _ in range(500):
+            w = random_averaging_word(rng, alphabet, max_depth, max_run).word
+            degrees.add(degree(w))
+            assert depth(w) <= degree(w) <= max_depth
+            assert max(runs_of(w)) <= max_run
+            assert letters_of(w) <= set(alphabet)
+        assert degrees == set(range(max_depth + 1))
+
+    @pytest.mark.parametrize("bounds", [{"max_depth": -1}, {"max_run": 0}])
+    def test_invalid_bounds_raise(self, bounds):
+        with pytest.raises(ValueError, match="max_depth >= 0 and max_run >= 1"):
+            random_averaging_word(random.Random(0), **bounds)

@@ -4,8 +4,11 @@ Both reducers build ``algebra._Node``s and freeze them through
 ``algebra._freeze``, so a bug there can no longer show up as a disagreement
 between the two.  Every identity of a finite algebra, the idempotent
 grading among them, is checked by ``instances._first_failure``, and
-``instances._solve`` alone finds units.  Each mutant below is one
-single-line edit to the source file it names.  For each one the script
+``instances._solve`` alone finds units.  One counting grammar,
+``words._split_family``, is behind the census, ``iter_averaging_words``,
+the uniform words of the property tests and ``random_averaging_word``
+(through ``words._draw``), so they share its bugs too.  Each mutant below
+is one single-line edit to the source file it names.  For each one the script
 copies ``src/`` and ``tests/`` into a temporary directory, applies the edit
 and runs ``pytest -x -q`` on the mutant's test files, stopping it after
 ``TIMEOUT`` seconds (a broken rule can spin until its step budget runs
@@ -31,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ALGEBRA = "src/avalg/algebra.py"
 INSTANCES = "src/avalg/instances.py"
+WORDS = "src/avalg/words.py"
 TIMEOUT = 300  # seconds per mutant
 
 # test_algebra.py comes first, so a mutant of the evaluation core is named
@@ -39,6 +43,7 @@ EVALUATION = ("tests/test_algebra.py", "tests/test_cli_golden.py",
               "tests/test_operad.py", "tests/test_rewrite.py")
 REWRITE = ("tests/test_rewrite.py", "tests/test_algebra.py")
 CHECKS = ("tests/test_instances.py", "tests/test_acceptance.py")
+GRAMMAR = ("tests/test_words.py", "tests/test_enumeration.py", "tests/test_uniform_words.py")
 
 # (name, file, source text, mutated text, test files); each edit changes one
 # line, and its source text occurs once in its file
@@ -91,6 +96,18 @@ MUTANTS = (
     ("_solve: an inconsistent system solved",
      INSTANCES, "if pivots and pivots[-1] == n:",
      "if pivots and pivots[-1] > n:", CHECKS),
+    ("_split_family: run bound off by one",
+     WORDS, "if a > run_cap * (2 * d + 1):",
+     "if a > run_cap * (2 * d):", GRAMMAR),
+    ("_split_family: core flag dropped on the last bracket",
+     WORDS, "yield (ba, bd, 1 if core else min(bd, power_cap)), None",
+     "yield (ba, bd, min(bd, power_cap)), None", GRAMMAR),
+    ("_unrank_family: bracket power past its cores",
+     WORDS, "if index < _count_family(cores, caps):",
+     "if index <= _count_family(cores, caps):", GRAMMAR),
+    ("_draw: rank off by one at a family's end",
+     WORDS, "if rank < count:",
+     "if rank <= count:", GRAMMAR),
 )
 
 
