@@ -12,8 +12,9 @@ brackets are adjacent, and runs of the generator ``x`` are capped at
   and the decomposable (d = b - i) and associate (c = a - b) columns
   follow.
 
-* ``series`` solves the functional equations of the generating series
-  degree by degree in exact integer arithmetic (no radicals).
+* ``series`` solves the functional equation of I alone, degree by degree in
+  exact integers (no radicals); B is read off I by I - zt = zt(1+t) B, and
+  D, C and A follow.
 
 The degree totals are twice the large Schroeder numbers, with the
 indecomposable column giving the Schroeder numbers themselves.
@@ -79,7 +80,7 @@ DEFAULT_BUDGET = 10**7  # words a census generates, trees schroeder-trees lists
 def _check_cap(cap: Cap) -> Cap:
     if cap == math.inf:
         return math.inf
-    if isinstance(cap, int) and cap >= 1:
+    if type(cap) is int and cap >= 1:  # not a bool
         return cap
     raise ValueError("run cap must be a positive integer or math.inf")
 
@@ -362,43 +363,25 @@ def _nonzero(row) -> tuple:
     return tuple((m, c) for m, c in enumerate(row) if c)
 
 
-def _t_times(x: list, y: list, n: int, m: int, top: int) -> int:
-    """The (n, m) coefficient of t*X*Y over the terms of X of degree 1 to
-    ``top``.  ``x`` holds the :func:`_nonzero` pairs of each row of X, so
-    only its nonzero terms are visited; both tables are zero at arity 0."""
-    total = 0
-    for n1 in range(1, top + 1):
-        yrow = y[n - n1]
-        for m1, c in x[n1]:
-            if m1 >= m:
-                break
-            total += c * yrow[m - 1 - m1]
-    return total
-
-
 @lru_cache(maxsize=None)
 def _i_table(N: int, M: int) -> tuple:
-    """Coefficients of I from I = zt + t*I^2 + zt*I, degree by degree."""
+    """Coefficients of I from I = zt + t*I^2 + zt*I, degree by degree.  The
+    t*I^2 convolution visits only the :func:`_nonzero` terms of its left
+    factor; both factors have degree >= 1, and I is zero at arity 0."""
     i = [[0] * (M + 1) for _ in range(N + 1)]
     nonzero = [()]
     for n in range(1, N + 1):
         for m in range(1, M + 1):
-            # t*I^2 has both factors of degree >= 1
-            i[n][m] = (n == m == 1) + i[n - 1][m - 1] + _t_times(nonzero, i, n, m, n - 1)
+            total = (n == m == 1) + i[n - 1][m - 1]
+            for n1 in range(1, n):
+                right = i[n - n1]
+                for m1, c in nonzero[n1]:
+                    if m1 >= m:
+                        break
+                    total += c * right[m - 1 - m1]
+            i[n][m] = total
         nonzero.append(_nonzero(i[n]))
     return tuple(tuple(row) for row in i)
-
-
-@lru_cache(maxsize=None)
-def _b_table(N: int, M: int) -> tuple:
-    """Coefficients of B from B = I + t*I*B."""
-    i = _i_table(N, M)
-    nonzero = list(map(_nonzero, i))
-    b = [[0] * (M + 1) for _ in range(N + 1)]
-    for n in range(1, N + 1):
-        for m in range(1, M + 1):
-            b[n][m] = i[n][m] + _t_times(nonzero, b, n, m, n)
-    return tuple(tuple(row) for row in b)
 
 
 _KINDS = ("I", "B", "D", "C", "A")
@@ -407,19 +390,25 @@ _KINDS = ("I", "B", "D", "C", "A")
 def series(kind: str, max_degree: int, max_arity: int) -> BivariateSeries:
     """The bivariate series for kind in I, B, D, C, A at the idempotent cap 1.
 
-    I satisfies I - zt = zt(1+t) I / (1 - tI); B = I/(1 - tI);
-    D = B - I; C = t + (2t + t^2) B; A = 1 + B + C.
+    I satisfies I - zt = zt(1+t) I / (1 - tI), the one equation solved;
+    B = I/(1 - tI) is read off I by I - zt = zt(1+t) B; D = B - I;
+    C = t + (2t + t^2) B; A = 1 + B + C.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown series kind {kind!r}; expected one of {_KINDS}")
     _check_sizes(max_degree, max_arity)
     N, M = max_degree, max_arity
-    i = _i_table(N, M)
-    b = _b_table(N, M)
-    shifted = [(0, 0) + row for row in b]  # shifted[n][m + 2] == b[n][m]
+    i = _i_table(N + 1, M + 1)
+    # B = (I - zt) / (zt(1+t)): reading I one degree and one arity up
+    # divides by zt, and subtracting the previous cell divides by 1 + t; two
+    # zeros past arity M stand for b[n][-1] and b[n][-2]
+    b = [[0] * (M + 3) for _ in range(N + 1)]
+    for n in range(N + 1):
+        for m in range(M + 1):
+            b[n][m] = i[n + 1][m + 1] - (n == m == 0) - b[n][m - 1]
 
     def c(n: int, m: int) -> int:
-        return (n == 0 and m == 1) + 2 * shifted[n][m + 1] + shifted[n][m]
+        return (n == 0 and m == 1) + 2 * b[n][m - 1] + b[n][m - 2]
 
     cell = {
         "I": lambda n, m: i[n][m],

@@ -114,12 +114,15 @@ class Bracket:
             raise TypeError(f"bracket power must be an int, not {type(self.power).__name__}")
         if self.power < 1:
             raise ValueError("bracket power must be >= 1")
+        try:
+            factors = self.core.factors
+        except AttributeError:
+            raise TypeError(f"bracket core must be a BracketedWord, not {self.core!r}") from None
         # Collapse [[w]^p]^q into [w]^(p+q); the inner value is already canonical.
-        core, power = self.core, self.power
-        if len(core.factors) == 1 and isinstance(core.factors[0], Bracket):
-            inner = core.factors[0]
+        if len(factors) == 1 and isinstance(factors[0], Bracket):
+            inner = factors[0]
             object.__setattr__(self, "core", inner.core)
-            object.__setattr__(self, "power", power + inner.power)
+            object.__setattr__(self, "power", self.power + inner.power)
 
     def __str__(self) -> str:
         return render_word(word(self))
@@ -177,6 +180,13 @@ def _trusted(factors: tuple) -> BracketedWord:
     w = _new(BracketedWord)
     _set_factors(w, factors)
     return w
+
+
+def _letter(symbol: str) -> Letter:
+    """The letter ``symbol``, an identifier by construction, unchecked."""
+    f = _new(Letter)
+    _set_symbol(f, symbol)
+    return f
 
 
 def letter(symbol: str) -> Letter:
@@ -277,8 +287,7 @@ def parse_word(text: str) -> BracketedWord:
             symbol = m.group()
             f = letters.get(symbol)
             if f is None:
-                f = letters[symbol] = _new(Letter)
-                _set_symbol(f, symbol)
+                f = letters[symbol] = _letter(symbol)
             factors.append(f)
         elif kind == 2:
             stack.append((factors, m.start()))
@@ -506,7 +515,7 @@ def substitute_letters(w: BracketedWord, factors_for: Callable) -> BracketedWord
     bracket closes its core's list (``Bracket`` collapses stacked brackets
     into one power)."""
     return _trusted(tuple(_evaluate(
-        w, lambda symbol: list(factors_for(Letter(symbol))), operator.iadd,
+        w, lambda symbol: list(factors_for(_letter(symbol))), operator.iadd,
         lambda core, power: [Bracket(_trusted(tuple(core)), power)])))
 
 

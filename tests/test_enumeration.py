@@ -314,13 +314,27 @@ class TestSeries:
                 assert isinstance(s.coeff(n, m), int)
                 assert s.coeff(n, m) >= 0
 
-    def test_truncation_stability(self):
-        # coefficients must not depend on the truncation order
-        small = series("A", 5, 11)
-        large = series("A", 9, 19)
-        for n in range(6):
-            for m in range(12):
-                assert small.coeff(n, m) == large.coeff(n, m)
+    @pytest.mark.parametrize("kind", ["I", "B", "D", "C", "A"])
+    @pytest.mark.parametrize("N, M", [(0, 0), (0, 1), (0, 5), (1, 0), (1, 1), (4, 0),
+                                      (4, 1), (5, 11), (9, 3)])
+    def test_truncation_stability(self, kind, N, M):
+        # coefficients must not depend on the truncation order; B is read
+        # off I one degree and one arity further, so the edges N = 0,
+        # M = 0 and M = 1 are where a wrong shift would show
+        large = series(kind, 9, 19)
+        assert series(kind, N, M).table == tuple(row[:M + 1] for row in large.table[:N + 1])
+
+    def test_b_solves_its_own_recurrence(self):
+        # B = I/(1 - tI), that is B = I + t*I*B, by a plain loop over both
+        # tables; series reads B off I - zt = zt(1+t) B, so that one would
+        # not check it
+        N, M = 12, 25
+        i, b = series("I", N, M).table, series("B", N, M).table
+        for n in range(N + 1):
+            for m in range(M + 1):
+                t_i_b = sum(i[n1][m1] * b[n - n1][m - 1 - m1]
+                            for n1 in range(n + 1) for m1 in range(m))
+                assert b[n][m] == i[n][m] + t_i_b, (n, m)
 
 
 class TestSchroeder:
@@ -384,6 +398,9 @@ class TestRunCapReduction:
     def test_documented_failures(self):
         for call, message in (
             (lambda: census(0, 2, 3), "run cap must be a positive integer or math.inf"),
+            # isinstance(True, int) holds, and a bool cap printed as JSON true
+            (lambda: census(True, 2, 5), "run cap must be a positive integer or math.inf"),
+            (lambda: compositions(4, 2, True), "run cap must be a positive integer or math.inf"),
             (lambda: indecomposable_words_v(math.inf, 2),
              "an explicit arity is required when the run cap is infinite"),
             (lambda: series("E", 2, 3),

@@ -588,6 +588,10 @@ class TestWordCore:
             Bracket(bw("x"), 0)
         with pytest.raises(ValueError, match="not an identifier"):
             Letter("1x")
+        # bracket() converts a factor or a certified word; Bracket() does not
+        for core in ("x", x, AveragingWord(bw("x"))):
+            with pytest.raises(TypeError, match=re.escape(f"must be a BracketedWord, not {core!r}")):
+                Bracket(core)
         # the public constructor copies any sequence into a tuple
         assert BracketedWord([x, x]).factors == (x, x)
 

@@ -7,7 +7,10 @@ grading among them, is checked by ``instances._first_failure``, and
 ``instances._solve`` alone finds units.  One counting grammar,
 ``words._split_family``, is behind the census, ``iter_averaging_words``,
 the uniform words of the property tests and ``random_averaging_word``
-(through ``words._draw``), so they share its bugs too.  Each mutant below
+(through ``words._draw``), so they share its bugs too.  One convolution,
+``enumeration._i_table``, solves every series kind: B is read off I, and
+D, C and A off both, so a bug there reaches all five, and the census
+checks each cell against the same series.  Each mutant below
 is one single-line edit to the source file it names.  For each one the script
 copies ``src/`` and ``tests/`` into a temporary directory, applies the edit
 and runs ``pytest -x -q`` on the mutant's test files, stopping it after
@@ -35,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ALGEBRA = "src/avalg/algebra.py"
 INSTANCES = "src/avalg/instances.py"
 WORDS = "src/avalg/words.py"
+ENUMERATION = "src/avalg/enumeration.py"
 TIMEOUT = 300  # seconds per mutant
 
 # test_algebra.py comes first, so a mutant of the evaluation core is named
@@ -44,6 +48,7 @@ EVALUATION = ("tests/test_algebra.py", "tests/test_cli_golden.py",
 REWRITE = ("tests/test_rewrite.py", "tests/test_algebra.py")
 CHECKS = ("tests/test_instances.py", "tests/test_acceptance.py")
 GRAMMAR = ("tests/test_words.py", "tests/test_enumeration.py", "tests/test_uniform_words.py")
+SERIES = ("tests/test_enumeration.py",)
 
 # (name, file, source text, mutated text, test files); each edit changes one
 # line, and its source text occurs once in its file
@@ -108,6 +113,24 @@ MUTANTS = (
     ("_draw: rank off by one at a family's end",
      WORDS, "if rank < count:",
      "if rank <= count:", GRAMMAR),
+    ("series: B's division drops the zt term",
+     ENUMERATION, "b[n][m] = i[n + 1][m + 1] - (n == m == 0) - b[n][m - 1]",
+     "b[n][m] = i[n + 1][m + 1] - b[n][m - 1]", SERIES),
+    ("series: B's division adds the previous cell",
+     ENUMERATION, "b[n][m] = i[n + 1][m + 1] - (n == m == 0) - b[n][m - 1]",
+     "b[n][m] = i[n + 1][m + 1] - (n == m == 0) + b[n][m - 1]", SERIES),
+    ("_i_table: zt*I dropped",
+     ENUMERATION, "total = (n == m == 1) + i[n - 1][m - 1]",
+     "total = (n == m == 1)", SERIES),
+    ("_i_table: t*I^2 reads a term past the arity",
+     ENUMERATION, "if m1 >= m:",
+     "if m1 > m:", SERIES),
+    ("count_compositions: sign dropped",
+     ENUMERATION, "(-1) ** j * math.comb(k, j)",
+     "math.comb(k, j)", SERIES),
+    ("_RADICAL_FORMS: I's denominator halved",
+     ENUMERATION, "{(0, 1): 2}",
+     "{(0, 1): 1}", SERIES),
 )
 
 
