@@ -14,16 +14,17 @@ averaging algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
+from ._record import Record
 from .words import (
     AveragingWord,
     Bracket,
     BracketedWord,
     Letter,
     WordSyntaxError,
+    _close,
     _evaluate,
     _layers,
     _normal,
@@ -151,7 +152,7 @@ def _freeze(value: list, close: Callable) -> tuple:
 
 def _bracket(core: Union[list, BracketedWord], power: int) -> Bracket:
     # close for words; a core that was never thawed comes frozen
-    return Bracket(_trusted(tuple(core)) if isinstance(core, list) else core, power)
+    return _close(_trusted(tuple(core)) if isinstance(core, list) else core, power)
 
 
 def _diamond(u: BracketedWord, v: BracketedWord) -> BracketedWord:
@@ -438,17 +439,16 @@ def _collect(pairs, certify: Callable, key: Callable) -> tuple:
     return tuple(acc[k] for k in sorted(acc) if acc[k][1])
 
 
-@dataclass(frozen=True)
-class LinearCombination:
+class LinearCombination(Record):
     """Finite formal sum of averaging words, zero coefficients dropped.
 
     Terms iterate in canonical word order: (degree, arity, rendered text).
     """
 
-    terms: tuple  # tuple[tuple[AveragingWord, Fraction], ...]
+    __slots__ = _fields = ("terms",)  # tuple[tuple[AveragingWord, Fraction], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __init__(self, terms: tuple):
+        Record.__init__(self, tuple(terms))
 
     @staticmethod
     def from_terms(pairs) -> "LinearCombination":

@@ -11,9 +11,13 @@ such as ``head`` stopped early).  Tabular subcommands accept
 
 A process runs the code of a layer only when its subcommand first uses it:
 the layers are registered lazily and called through their modules, so
-``check-instance`` loads ``instances`` alone, ``normalize`` ``words`` and
-``algebra``, ``census``, ``series`` and ``schroeder`` ``words`` and
-``enumeration``, and ``compose`` every layer but ``instances``.
+``check-instance`` loads ``instances`` alone, ``analyze`` ``words`` alone,
+``normalize``, ``product`` and ``apply-p`` ``words`` and ``algebra``,
+``census``, ``series`` and ``schroeder`` ``words`` and ``enumeration``,
+``word2tree`` and ``tree2word`` ``words`` and ``trees``, ``schroeder-trees``
+those two and ``enumeration``, and ``compose`` every layer but
+``instances`` and ``enumeration``.  Each layer also loads ``avalg._record``,
+the base of its value classes; none loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -155,10 +159,10 @@ def _phi(w) -> trees.AveragingTree:
     """The tree of ``w``, whose uni-vertices, one per bracket layer, are
     counted first (``degree`` walks the factors, not the layers), so a power
     past the budget exits 3 before any vertex is built."""
-    budget = enumeration.DEFAULT_BUDGET
+    budget = words.DEFAULT_BUDGET
     layers = words.degree(w)
     if layers > budget:
-        raise enumeration.BudgetExceeded(
+        raise words.BudgetExceeded(
             f"the tree would have {layers} uni-vertices (budget {budget})")
     return trees.phi(w)
 
@@ -332,7 +336,7 @@ def main(argv=None) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"resource exhausted: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (enumeration.BudgetExceeded, algebra.StepBudgetExceeded) as exc:
+    except (words.BudgetExceeded, algebra.StepBudgetExceeded) as exc:
         # last of the expected errors: naming them loads both layers
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

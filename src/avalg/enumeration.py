@@ -26,14 +26,16 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, Sequence, Tuple, Union
 
+from ._record import Record
 from .words import (
+    DEFAULT_BUDGET,
     AveragingWord,
     Bracket,
     BracketedWord,
+    BudgetExceeded,
     Letter,
     _IDENT_RE,
     _bracket_group,
@@ -68,13 +70,6 @@ __all__ = [
 ]
 
 Cap = Union[int, float]
-
-
-class BudgetExceeded(RuntimeError):
-    """A census or series request would generate more words than allowed."""
-
-
-DEFAULT_BUDGET = 10**7  # words a census generates, trees schroeder-trees lists
 
 
 def _check_cap(cap: Cap) -> Cap:
@@ -162,15 +157,14 @@ def indecomposable_words_v(run_cap: Cap, n: int, m: int = -1) -> tuple:
 # ---------------------------------------------------------------------------
 # Count tables
 
-@dataclass
-class CountTable:
+class CountTable(Record, frozen=False):
     """Exact counts by (degree, arity)."""
 
-    counts: Dict[Tuple[int, int], int]
-    run_cap: Cap
-    include_one: bool = False
-    max_degree: int = 0
-    max_arity: int = 0
+    __slots__ = _fields = ("counts", "run_cap", "include_one", "max_degree", "max_arity")
+
+    def __init__(self, counts: Dict[Tuple[int, int], int], run_cap: Cap,
+                 include_one: bool = False, max_degree: int = 0, max_arity: int = 0):
+        Record.__init__(self, counts, run_cap, include_one, max_degree, max_arity)
 
     def count(self, n: int, m: int) -> int:
         return self.counts.get((n, m), 0)
@@ -195,17 +189,16 @@ class CountTable:
         }
 
 
-@dataclass
-class Census:
+class Census(Record, frozen=False):
     """The count tables of one census; each table holds the cap and bounds
-    it was counted under."""
+    it was counted under.  ``words`` holds the listed words, rendered, in
+    canonical order, or None."""
 
-    a: CountTable
-    b: CountTable
-    c: CountTable
-    d: CountTable
-    i: CountTable
-    words: Union[dict, None] = None  # the listed words, rendered, in canonical order
+    __slots__ = _fields = ("a", "b", "c", "d", "i", "words")
+
+    def __init__(self, a: CountTable, b: CountTable, c: CountTable, d: CountTable,
+                 i: CountTable, words: Union[dict, None] = None):
+        Record.__init__(self, a, b, c, d, i, words)
 
 
 def census(run_cap: Cap, max_degree: int, max_arity: int, include_one: bool = False,
@@ -219,6 +212,15 @@ def census(run_cap: Cap, max_degree: int, max_arity: int, include_one: bool = Fa
     """
     cap = _check_cap(run_cap)
     _check_sizes(max_degree, max_arity)
+    # At cap 1, x is the one word of degree 0, and the 2 s_n words of degree
+    # n >= 1 have arity at most 2n + 1.  Every cap keeps them, so those that
+    # fit the box bound the census from below before the series is solved,
+    # and count it exactly when the cap is 1 and every degree fits.
+    top = min(max_degree, (max_arity - 1) // 2)
+    held = (top >= 0) + 2 * sum(itertools.islice(iter_schroeder_numbers(), 1, top + 1))
+    if held > budget:
+        at_least = "" if cap == 1 and top == max_degree else "at least "
+        raise BudgetExceeded(f"census would generate {at_least}{held} words (budget {budget})")
     cells = [(n, m) for n in range(max_degree + 1) for m in range(1, max_arity + 1)]
     expected = reduce_to_v1(cap, max_degree, max_arity, include_one=False)
     predicted = sum(expected.counts.values())
@@ -313,14 +315,14 @@ def expand_runs(w: Union[BracketedWord, AveragingWord], parts: Sequence[int]) ->
 # ---------------------------------------------------------------------------
 # Generating series, solved coefficientwise
 
-@dataclass(frozen=True)
-class BivariateSeries:
-    """Truncated series in z (degree) and t (arity) with exact coefficients."""
+class BivariateSeries(Record):
+    """Truncated series in z (degree) and t (arity) with exact coefficients;
+    ``table[n][m]`` is the coefficient of z^n t^m."""
 
-    kind: str
-    max_degree: int
-    max_arity: int
-    table: tuple  # table[n][m] -> int
+    __slots__ = _fields = ("kind", "max_degree", "max_arity", "table")
+
+    def __init__(self, kind: str, max_degree: int, max_arity: int, table: tuple):
+        Record.__init__(self, kind, max_degree, max_arity, table)
 
     def coeff(self, n: int, m: int) -> int:
         if 0 <= n <= self.max_degree and 0 <= m <= self.max_arity:

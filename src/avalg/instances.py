@@ -29,11 +29,12 @@ verify their identities on all basis pairs, which suffices by bilinearity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 from typing import Optional, Sequence
+
+from ._record import Record
 
 __all__ = [
     "FiniteAlgebra",
@@ -93,34 +94,31 @@ def _integer_rows(rows):
     )
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
+class FiniteAlgebra(Record):
     """Associative algebra with a linear operator, both over Fraction.
 
-    ``mul[i][j]`` is the coefficient vector of ``e_i e_j``; ``op[i]`` the
-    coefficient vector of ``P(e_i)``.  Associativity of the table is checked
-    eagerly on construction.
+    ``mul[i][j][k]`` is the coefficient of ``e_k`` in ``e_i e_j``; ``op[i][k]``
+    the coefficient of ``e_k`` in ``P(e_i)``.  Associativity of the table is
+    checked eagerly on construction.
     """
 
-    basis: tuple
-    mul: tuple  # mul[i][j][k]: Fraction
-    op: tuple   # op[i][k]: Fraction
+    _fields = ("basis", "mul", "op")
+    # the integer kernel is not a field, so ==, hash and repr ignore it
+    __slots__ = _fields + ("_mul_int", "_op_int")
 
-    def __post_init__(self):
-        n = len(self.basis)
+    def __init__(self, basis: tuple, mul: tuple, op: tuple):
+        n = len(basis)
         mul = tuple(
-            tuple(tuple(_frac(c) for c in row) for row in plane) for plane in self.mul
+            tuple(tuple(_frac(c) for c in row) for row in plane) for plane in mul
         )
-        op = tuple(tuple(_frac(c) for c in row) for row in self.op)
+        op = tuple(tuple(_frac(c) for c in row) for row in op)
         if len(mul) != n or any(len(p) != n for p in mul) or any(
             len(row) != n for p in mul for row in p
         ):
             raise ValueError("multiplication table has wrong shape")
         if len(op) != n or any(len(row) != n for row in op):
             raise ValueError("operator matrix has wrong shape")
-        object.__setattr__(self, "mul", mul)
-        object.__setattr__(self, "op", op)
-        # the integer kernel; not a field, so ==, hash and repr ignore it
+        Record.__init__(self, basis, mul, op)
         dm, rows = _integer_rows([row for plane in mul for row in plane])
         object.__setattr__(self, "_mul_int", (dm, tuple(rows[i * n:(i + 1) * n] for i in range(n))))
         object.__setattr__(self, "_op_int", _integer_rows(op))

@@ -19,10 +19,10 @@ are compositions into the generators ``x x`` and ``[x]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ._record import Record
 from .algebra import _Node, _apply_p, _collect, _freeze, _merge
 from .trees import (
     LEAF,
@@ -166,19 +166,18 @@ def tree_apply(t: TreeLike) -> AveragingTree:
     return compose(_OPERATOR, 1, t)
 
 
-@dataclass(frozen=True)
-class OperadElement:
+class OperadElement(Record):
     """Exact-rational combination of averaging trees of one arity."""
 
-    arity: int
-    terms: tuple  # tuple[tuple[AveragingTree, Fraction], ...]
+    __slots__ = _fields = ("arity", "terms")  # terms: tuple[tuple[AveragingTree, Fraction], ...]
 
-    def __post_init__(self):
-        if self.arity < 1:
+    def __init__(self, arity: int, terms: tuple):
+        if arity < 1:
             raise ValueError("operad arities start at 1; the arity-0 space is zero")
-        for t, _ in self.terms:
-            if t.arity != self.arity:
+        for t, _ in terms:
+            if t.arity != arity:
                 raise ValueError("all trees in a component share its arity")
+        Record.__init__(self, arity, terms)
 
     @staticmethod
     def from_terms(arity: int, pairs) -> "OperadElement":

@@ -23,11 +23,10 @@ from __future__ import annotations
 import itertools
 import re
 import weakref
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Tuple, Union
 
-from .enumeration import compositions
+from ._record import Record
 from .words import (
     AveragingWord,
     Bracket,
@@ -94,12 +93,13 @@ class TreeSyntaxError(ValueError):
 # hashing a tree is O(1).  Only int and tuple-of-int hashes are used, which do
 # not depend on PYTHONHASHSEED, so an unpickled tree hashes as a fresh one.
 
-class _Node:
-    """What the slotted vertex classes share: a weak-reference slot (see
-    ``_NODES``), the stored hash, one equality and the text form (``repr``
-    too, so any depth shows)."""
+class _Node(Record):
+    """What the vertex classes share: a weak-reference slot (see ``_NODES``),
+    the stored hash, the certification mark (see ``Uni``), one equality and
+    the text form (``repr`` too, so any depth shows).  Neither the hash nor
+    the mark is a field."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_hash", "_leaves")
 
     def __eq__(self, other) -> bool:
         """Structural equality.  A pair whose children are shared (one vertex
@@ -141,8 +141,8 @@ class _Node:
         return _unpickle, (render_binary_tree(self), bool(self._leaves))
 
 
-@dataclass(frozen=True, slots=True)
-class TLeaf:
+class TLeaf(Record):
+    __slots__ = ()
     _hash = 0x5EAF
     _leaves = 1  # a leaf is an averaging tree with one leaf; see ``Uni``
 
@@ -153,7 +153,6 @@ class TLeaf:
         return "L"
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Uni(_Node):
     """A uni-vertex.  ``_leaves`` (on ``Bi`` too) is the certification mark:
     0 until the subtree from here down has passed the averaging conditions
@@ -164,26 +163,29 @@ class Uni(_Node):
     again when it is unpickled; a vertex built by the constructors starts
     unmarked.  Neither slot is compared or shown."""
 
-    child: "UnreducedBinaryTree"
-    _hash: int = field(init=False, repr=False, compare=False)
-    _leaves: int = field(default=0, init=False, repr=False, compare=False)
+    __slots__ = _fields = ("child",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((1, self.child._hash)))
+    def __init__(self, child: "UnreducedBinaryTree"):
+        _set_child(self, child)
+        _set_hash(self, hash((1, child._hash)))
+        _set_leaves(self, 0)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Bi(_Node):
     """A bi-vertex.  ``_leaves`` is the certification mark, as on ``Uni``:
     set only once the subtree from here down has passed; pickles keep it."""
 
-    left: "UnreducedBinaryTree"
-    right: "UnreducedBinaryTree"
-    _hash: int = field(init=False, repr=False, compare=False)
-    _leaves: int = field(default=0, init=False, repr=False, compare=False)
+    __slots__ = _fields = ("left", "right")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((2, self.left._hash, self.right._hash)))
+    def __init__(self, left: "UnreducedBinaryTree", right: "UnreducedBinaryTree"):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((2, left._hash, right._hash)))
+        _set_leaves(self, 0)
+
+
+_set_child, _set_left, _set_right = Uni.child.__set__, Bi.left.__set__, Bi.right.__set__
+_set_hash, _set_leaves = _Node._hash.__set__, _Node._leaves.__set__
 
 
 UnreducedBinaryTree = Union[TLeaf, Uni, Bi]
@@ -340,24 +342,37 @@ class InvalidAveragingTree(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class AveragingTree:
-    """An unreduced binary tree certified to satisfy the averaging conditions."""
+class AveragingTree(Record):
+    """An unreduced binary tree certified to satisfy the averaging conditions.
+    ``arity``, its leaf count, is neither compared nor shown."""
 
-    tree: UnreducedBinaryTree
-    arity: int = field(init=False, repr=False, compare=False)
+    _fields = ("tree",)
+    __slots__ = ("tree", "arity")
+
+    def __init__(self, tree: UnreducedBinaryTree):
+        _set_tree(self, tree)
+        self.__post_init__()
 
     def __post_init__(self):
         leaves = _averaging_leaves(self.tree)
         if not leaves:
             raise InvalidAveragingTree(f"not an averaging tree: {render_binary_tree(self.tree)}")
-        object.__setattr__(self, "arity", leaves)
+        _set_arity(self, leaves)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.tree, other.tree
+        return a is b or a == b
 
     def __hash__(self) -> int:
         return self.tree._hash
 
     def __str__(self) -> str:
         return render_binary_tree(self.tree)
+
+
+_set_tree, _set_arity = AveragingTree.tree.__set__, AveragingTree.arity.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +527,13 @@ IOTA = "iota"
 OMEGA = "omega"
 
 
-@dataclass(frozen=True, repr=False)
-class SLeaf:
-    decoration: str
+class SLeaf(Record):
+    __slots__ = _fields = ("decoration",)
 
-    def __post_init__(self):
-        if self.decoration not in (IOTA, OMEGA):
+    def __init__(self, decoration: str):
+        if decoration not in (IOTA, OMEGA):
             raise ValueError("leaf decoration must be iota or omega")
+        Record.__init__(self, decoration)
 
     def __str__(self) -> str:
         return render_schroeder_tree(self)
@@ -527,22 +542,21 @@ class SLeaf:
         return f"parse_schroeder_tree({str(self)!r})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class SNode:
+class SNode(Record):
     """Equality, hashing and ``repr`` read the rendered text, which is unique
     to the tree (``parse_schroeder_tree`` inverts it), so any depth compares,
     hashes and shows."""
 
-    branches: tuple  # >= 2 branches; the vertex itself is decorated omega
+    __slots__ = _fields = ("branches",)  # >= 2 branches; the vertex itself is decorated omega
 
-    def __post_init__(self):
-        branches = tuple(self.branches)
+    def __init__(self, branches: tuple):
+        branches = tuple(branches)
         if len(branches) < 2:
             raise ValueError("an internal vertex needs at least two branches")
         for b in branches:
             if b.__class__ is not SLeaf and b.__class__ is not SNode:
                 raise TypeError(f"not a Schroeder tree: {b!r}")
-        object.__setattr__(self, "branches", branches)
+        Record.__init__(self, branches)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -590,6 +604,8 @@ def enumerate_schroeder(n: int) -> tuple:
         return ()
     if n == 1:
         return (_OMEGA_LEAF,)
+    from .enumeration import compositions  # here only: tree commands run without it
+
     out = []
     for k in range(1, n):
         for parts in compositions(n - 1, k):

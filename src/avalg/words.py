@@ -33,11 +33,12 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
 from typing import Callable, Iterator, Sequence, Union
+
+from ._record import Record
 
 __all__ = [
     "Letter",
@@ -90,51 +91,81 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
-class Letter:
-    symbol: str
+# what one request may build: the words a census generates, the trees
+# schroeder-trees lists, the uni-vertices of a tree built from a word
+DEFAULT_BUDGET = 10**7
 
-    def __post_init__(self):
-        if not _IDENT_RE.fullmatch(self.symbol):
-            raise ValueError(f"letter symbol {self.symbol!r} is not an identifier")
+
+class BudgetExceeded(RuntimeError):
+    """A request would build more words or trees than its budget allows."""
+
+
+# The letters, brackets and words are on the hot paths of every layer, so
+# each has its own equality and hash in place of Record's generic ones.
+
+class Letter(Record):
+    __slots__ = _fields = ("symbol",)
+
+    def __init__(self, symbol: str):
+        if not _IDENT_RE.fullmatch(symbol):
+            raise ValueError(f"letter symbol {symbol!r} is not an identifier")
+        _set_symbol(self, symbol)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.symbol == other.symbol
+
+    def __hash__(self) -> int:
+        return hash((self.symbol,))
 
     def __str__(self) -> str:
         return self.symbol
 
 
-@dataclass(frozen=True, slots=True)
-class Bracket:
+class Bracket(Record):
     """``power``-fold bracket around ``core``, kept in canonical power form."""
 
-    core: "BracketedWord"
-    power: int = 1
+    __slots__ = _fields = ("core", "power")
 
-    def __post_init__(self):
-        if type(self.power) is not int:
-            raise TypeError(f"bracket power must be an int, not {type(self.power).__name__}")
-        if self.power < 1:
+    def __init__(self, core: "BracketedWord", power: int = 1):
+        if type(power) is not int:
+            raise TypeError(f"bracket power must be an int, not {type(power).__name__}")
+        if power < 1:
             raise ValueError("bracket power must be >= 1")
         try:
-            factors = self.core.factors
+            factors = core.factors
         except AttributeError:
-            raise TypeError(f"bracket core must be a BracketedWord, not {self.core!r}") from None
+            raise TypeError(f"bracket core must be a BracketedWord, not {core!r}") from None
         # Collapse [[w]^p]^q into [w]^(p+q); the inner value is already canonical.
         if len(factors) == 1 and isinstance(factors[0], Bracket):
             inner = factors[0]
-            object.__setattr__(self, "core", inner.core)
-            object.__setattr__(self, "power", self.power + inner.power)
+            core, power = inner.core, power + inner.power
+        _set_core(self, core)
+        _set_power(self, power)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.power == other.power and self.core == other.core
+
+    def __hash__(self) -> int:
+        return hash((self.core, self.power))
 
     def __str__(self) -> str:
         return render_word(word(self))
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class BracketedWord:
+class BracketedWord(Record):
     """Equality, hashing and ``repr`` read the rendered text, which is unique
     to the word (``parse_word`` inverts it), so any depth compares, hashes
     and shows."""
 
-    factors: tuple  # tuple[Factor, ...], nonempty
+    __slots__ = _fields = ("factors",)  # tuple[Factor, ...], nonempty
+
+    def __init__(self, factors: tuple):
+        _set_factors(self, factors)
+        self.__post_init__()
 
     def __post_init__(self):
         factors = tuple(self.factors)
@@ -143,7 +174,7 @@ class BracketedWord:
         for f in factors:
             if not isinstance(f, (Letter, Bracket)):
                 raise TypeError(f"not a word factor: {f!r}")
-        object.__setattr__(self, "factors", factors)
+        _set_factors(self, factors)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -187,6 +218,20 @@ def _letter(symbol: str) -> Letter:
     f = _new(Letter)
     _set_symbol(f, symbol)
     return f
+
+
+def _close(core: BracketedWord, power: int) -> Bracket:
+    """The bracket ``[core]^power`` of a canonical word and a power >= 1,
+    both well-formed by construction, unchecked; ``[[w]^p]^q`` folds into
+    ``[w]^(p+q)``, as :class:`Bracket` folds it."""
+    factors = core.factors
+    if len(factors) == 1 and type(factors[0]) is Bracket:
+        inner = factors[0]
+        core, power = inner.core, inner.power + power
+    b = _new(Bracket)
+    _set_core(b, core)
+    _set_power(b, power)
+    return b
 
 
 def letter(symbol: str) -> Letter:
@@ -305,15 +350,7 @@ def parse_word(text: str) -> BracketedWord:
                 power = int(digits)
                 if power == 0:
                     raise WordSyntaxError("zero power", m.start(4))
-            f = _new(Bracket)
-            if len(factors) == 1 and type(factors[0]) is Bracket:
-                # [[w]^p]^q is [w]^(p+q), as Bracket.__post_init__ folds it
-                inner = factors[0]
-                _set_core(f, inner.core)
-                _set_power(f, inner.power + power)
-            else:
-                _set_core(f, _trusted(tuple(factors)))
-                _set_power(f, power)
+            f = _close(_trusted(tuple(factors)), power)
             factors = stack.pop()[0]
             factors.append(f)
         elif kind == 5:
@@ -357,20 +394,19 @@ def render_word(w: Union[BracketedWord, "AveragingWord"]) -> str:
 # ---------------------------------------------------------------------------
 # Structural analysis
 
-@dataclass(frozen=True)
-class WordAnalysis:
+class WordAnalysis(Record):
     """Standard and block decompositions plus the basic indices.
 
     ``block_factors`` groups maximal letter runs and single brackets, each
     packaged as a word; on averaging words the two kinds strictly alternate.
     """
 
-    depth: int
-    breadth: int
-    head: int
-    tail: int
-    standard_factors: tuple
-    block_factors: tuple
+    __slots__ = _fields = ("depth", "breadth", "head", "tail", "standard_factors",
+                           "block_factors")
+
+    def __init__(self, depth: int, breadth: int, head: int, tail: int,
+                 standard_factors: tuple, block_factors: tuple):
+        Record.__init__(self, depth, breadth, head, tail, standard_factors, block_factors)
 
 
 def analyze(w: BracketedWord) -> WordAnalysis:
@@ -405,8 +441,7 @@ class ForbiddenPattern(Enum):
     POWER_TAIL = "PowerTail"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """Leftmost-innermost occurrence of a forbidden pattern.
 
     ``path`` is a factor-index path from the top word; every index but the
@@ -414,8 +449,10 @@ class Violation:
     bracket of an adjacent pair, or the bracket whose content is offending.
     """
 
-    pattern: ForbiddenPattern
-    path: tuple
+    __slots__ = _fields = ("pattern", "path")
+
+    def __init__(self, pattern: ForbiddenPattern, path: tuple):
+        Record.__init__(self, pattern, path)
 
 
 def factor_at(w: BracketedWord, path: Sequence[int]) -> Factor:
@@ -470,19 +507,33 @@ class InvalidAveragingWord(ValueError):
         self.violation = violation
 
 
-@dataclass(frozen=True)
-class AveragingWord:
+class AveragingWord(Record):
     """A bracketed word certified free of the three forbidden patterns."""
 
-    word: BracketedWord
+    __slots__ = _fields = ("word",)
+
+    def __init__(self, word: BracketedWord):
+        _set_word(self, word)
+        self.__post_init__()
 
     def __post_init__(self):
         found = _scan_violation(self.word)
         if found is not None:
             raise InvalidAveragingWord(found)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word == other.word
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
+
     def __str__(self) -> str:
         return render_word(self.word)
+
+
+_set_word = AveragingWord.word.__set__
 
 
 def validate_averaging(w: BracketedWord) -> Union[AveragingWord, Violation]:
@@ -504,19 +555,19 @@ def certified(w: Union[BracketedWord, AveragingWord]) -> AveragingWord:
 
 def _normal(w: BracketedWord) -> AveragingWord:
     """Wrap a word that is normal by construction, without scanning it."""
-    out = object.__new__(AveragingWord)
-    object.__setattr__(out, "word", w)
+    out = _new(AveragingWord)
+    _set_word(out, w)
     return out
 
 
 def substitute_letters(w: BracketedWord, factors_for: Callable) -> BracketedWord:
     """Replace each letter of ``w``, in reading order, by ``factors_for(letter)``,
     a nonempty tuple of factors: the evaluation into factor lists, where a
-    bracket closes its core's list (``Bracket`` collapses stacked brackets
+    bracket closes its core's list (``_close`` collapses stacked brackets
     into one power)."""
     return _trusted(tuple(_evaluate(
         w, lambda symbol: list(factors_for(_letter(symbol))), operator.iadd,
-        lambda core, power: [Bracket(_trusted(tuple(core)), power)])))
+        lambda core, power: [_close(_trusted(tuple(core)), power)])))
 
 
 def _evaluate(w: BracketedWord, image: Callable, multiply: Callable, apply: Callable,
@@ -688,7 +739,7 @@ def _count_family(family: tuple, caps: tuple) -> int:
 def _bracket_group(a: int, d: int, s: int, caps: tuple) -> tuple:
     """The brackets ``[u]^s`` of arity ``a`` and degree ``d``, built once for
     every word that contains them."""
-    return tuple(Bracket(_trusted(core), s) for core in _walk_family((a, d - s, 0, True), caps))
+    return tuple(_close(_trusted(core), s) for core in _walk_family((a, d - s, 0, True), caps))
 
 
 def _walk_family(family: tuple, caps: tuple) -> Iterator[tuple]:
@@ -745,7 +796,7 @@ def _unrank_family(family: tuple, caps: tuple, rank: int) -> tuple:
             if index < _count_family(cores, caps):
                 break
             index -= _count_family(cores, caps)
-        factors.append(Bracket(_trusted(_unrank_family(cores, caps, index)), s))
+        factors.append(_close(_trusted(_unrank_family(cores, caps, index)), s))
     return tuple(factors)
 
 

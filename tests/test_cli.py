@@ -435,8 +435,9 @@ class TestLoadedLayers:
         (["normalize", "[x][x]^2"], 0, "algebra words"),
         (["normalize", "[x"], 2, "words"),
         (["check-instance", "INSTANCE"], 0, "instances"),
-        (["word2tree", "x[x]"], 0, "enumeration trees words"),
-        (["compose", "B(L,L)", "2", "U(L)"], 0, "algebra enumeration operad trees words"),
+        (["word2tree", "x[x]"], 0, "trees words"),
+        (["tree2word", "B(L,U(L))"], 0, "trees words"),
+        (["compose", "B(L,L)", "2", "U(L)"], 0, "algebra operad trees words"),
     ], ids=lambda v: v[0] if isinstance(v, list) else None)
     def test_a_subcommand_runs_only_the_layers_it_uses(self, tmp_path, flags, argv, code, layers):
         path = tmp_path / "instance.json"
@@ -445,7 +446,8 @@ class TestLoadedLayers:
         proc = subprocess.run([sys.executable, *flags, "-c", _LOADED_LAYERS, *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [str(code), *layers.split()]
+        # every layer loads the value classes' base module, avalg._record
+        assert proc.stdout.split() == [str(code), "_record", *layers.split()]
 
     def test_list_words_without_json_fails_before_any_layer_runs(self):
         argv = ["census", "--max-degree", "1", "--list-words", "--format", "text"]

@@ -188,6 +188,29 @@ class TestCensus:
         with pytest.raises(BudgetExceeded):
             census(1, 6, 13, budget=100)
 
+    def test_over_budget_census_is_refused_before_the_series(self, monkeypatch):
+        # the 2 s_n cap-1 words of each degree n that fits the box bound the
+        # census from below, so a box far past the budget is refused without
+        # solving the series; at cap 1 with every degree fitting, exactly
+        def unsolved(*args):
+            raise AssertionError("the series was solved")
+
+        monkeypatch.setattr(avalg.enumeration, "_i_table", unsolved)
+        total = 1 + 2 * sum(schroeder_sequence(101)[1:])
+        with pytest.raises(BudgetExceeded, match=f"^census would generate {total} words"
+                                                 r" \(budget 10000000\)$"):
+            census(1, 100, 201)
+        with pytest.raises(BudgetExceeded, match="at least 4641 words"):  # cap 2 holds more
+            census(2, 6, 13, budget=10)
+        with pytest.raises(BudgetExceeded, match="at least 17 words"):  # arity 5 stops at degree 2
+            census(1, 6, 5, budget=10)
+        with pytest.raises(AssertionError, match="the series was solved"):
+            census(2, 2, 10, budget=20)  # 17 words bound it, within the budget
+
+    def test_the_series_refuses_what_the_bound_lets_through(self):
+        with pytest.raises(BudgetExceeded, match=r"^census would generate 200 words \(budget 20\)$"):
+            census(2, 2, 10, budget=20)
+
     def test_memory_is_the_bracket_groups_not_the_words(self):
         # census(2, 5, 12) walks 112,905 words one at a time and keeps only
         # counts and the brackets that stand inside larger words; holding

@@ -83,3 +83,14 @@ def test_threads_racing_to_the_names_get_one_object_each():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"
+
+
+def test_no_layer_loads_dataclasses_or_inspect():
+    # both cost every command-line process start-up time
+    # the layers first: avalg.cli only registers those not yet loaded
+    code = ("import sys\n"
+            f"import {', '.join(f'avalg.{layer}' for layer in LAYERS)}, avalg.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]

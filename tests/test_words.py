@@ -41,6 +41,7 @@ from avalg.words import (
 from avalg.enumeration import _cell_factors, averaging_words_v, indecomposable_words_v
 from avalg.words import (
     _TOKEN_RE,
+    _close,
     _count_family,
     _draw,
     _evaluate,
@@ -562,6 +563,17 @@ class TestWordCore:
                 assert hash(got) == hash(public)
                 assert type(got) is BracketedWord
             assert _trusted(w.factors).factors is w.factors
+
+    def test_trusted_close_folds_like_the_public_bracket(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            core = random_bracketed_word(rng, max_size=12)
+            power = rng.randint(1, 3)
+            for w in (core, word(Bracket(core, 2))):  # a lone bracket folds into the power
+                got, public = _close(w, power), Bracket(w, power)
+                assert type(got) is Bracket
+                assert got.core is public.core and got.power == public.power
+        assert _close(parse_word("[x]^2"), 3) == Bracket(parse_word("x"), 5)
 
     def test_equality_and_hash_at_any_depth(self):
         deep = "[x" * 3000 + "]" * 3000
