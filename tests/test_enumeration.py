@@ -206,8 +206,7 @@ class TestCensus:
             census(1, 6, 5, budget=10)
         with pytest.raises(AssertionError, match="the series was solved"):
             census(2, 2, 10, budget=20)  # 17 words bound it, within the budget
-
-    def test_the_series_refuses_what_the_bound_lets_through(self):
+        monkeypatch.undo()  # then the series refuses it
         with pytest.raises(BudgetExceeded, match=r"^census would generate 200 words \(budget 20\)$"):
             census(2, 2, 10, budget=20)
 

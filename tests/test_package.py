@@ -86,8 +86,8 @@ def test_threads_racing_to_the_names_get_one_object_each():
 
 
 def test_no_layer_loads_dataclasses_or_inspect():
-    # both cost every command-line process start-up time
-    # the layers first: avalg.cli only registers those not yet loaded
+    # both cost every CLI process start-up time; the layers are imported
+    # before avalg.cli, which only registers those not yet loaded
     code = ("import sys\n"
             f"import {', '.join(f'avalg.{layer}' for layer in LAYERS)}, avalg.cli\n"
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
