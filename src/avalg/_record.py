@@ -18,9 +18,6 @@ class Record:
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
-        # every slot down the hierarchy, for pickling
-        cls._slots = tuple(name for base in reversed(cls.__mro__)
-                           for name in base.__dict__.get("__slots__", ()) if name != "__weakref__")
         if not frozen:
             cls.__setattr__ = object.__setattr__
             cls.__delattr__ = object.__delattr__
@@ -52,9 +49,7 @@ class Record:
         shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{self.__class__.__qualname__}({shown})"
 
-    def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in self._slots if hasattr(self, name)}
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
+    def __setstate__(self, state: tuple) -> None:
+        # the default state of a slotted object is (None, {set slot: value})
+        for name, value in state[1].items():
             object.__setattr__(self, name, value)

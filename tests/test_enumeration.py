@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -195,11 +196,25 @@ class TestCensus:
         def unsolved(*args):
             raise AssertionError("the series was solved")
 
+        s = schroeder_sequence(201)
+        drawn = []
+
+        def counted():
+            for c in s:
+                drawn.append(c)
+                yield c
+
         monkeypatch.setattr(avalg.enumeration, "_i_table", unsolved)
-        total = 1 + 2 * sum(schroeder_sequence(101)[1:])
+        monkeypatch.setattr(avalg.enumeration, "iter_schroeder_numbers", counted)
+        total = 1 + 2 * sum(s[1:101])
         with pytest.raises(BudgetExceeded, match=f"^census would generate {total} words"
                                                  r" \(budget 10000000\)$"):
             census(1, 100, 201)
+        del drawn[:]
+        total = 1 + 2 * sum(s[1:129])  # past the budget, the sum stops at degree 128
+        with pytest.raises(BudgetExceeded, match=f"^census would generate at least {total} words"):
+            census(1, 3200, 6401)
+        assert len(drawn) == 129
         with pytest.raises(BudgetExceeded, match="at least 4641 words"):  # cap 2 holds more
             census(2, 6, 13, budget=10)
         with pytest.raises(BudgetExceeded, match="at least 17 words"):  # arity 5 stops at degree 2

@@ -1,16 +1,15 @@
 """Print each CLI subcommand's process time over a bare interpreter's.
 
-    python tools/startup.py [--runs N]
+    python tools/startup.py
 
-Every round spawns ``python -c pass`` and then each subcommand once, on a
-small input, with ``PYTHONDONTWRITEBYTECODE=1`` so that no run reads
-bytecode a previous one wrote.  The report is the median wall time of each
+Each of the ``ROUNDS`` rounds spawns ``python -c pass`` and then each
+subcommand once, on a small input, with ``PYTHONDONTWRITEBYTECODE=1`` so
+that no run reads bytecode a previous one wrote.  The report is the median wall time of each
 subcommand minus the median of ``python -c pass``, in milliseconds: what
 avalg adds to a process, start-up and the call itself.  It only reports and
 fails on nothing but a command that exits wrongly.
 """
 
-import argparse
 import os
 import statistics
 import subprocess
@@ -20,6 +19,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ROUNDS = 15
 INSTANCE = '{"dim": 1, "basis": ["1"], "mul": [[["1"]]], "op": [["1"]]}'
 COMMANDS = (
     ("normalize", "[x][x]^2"),
@@ -44,9 +44,6 @@ def spawn(argv, env) -> float:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=15, help="rounds (default 15)")
-    args = parser.parse_args()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as tmp:
         instance = Path(tmp) / "instance.json"
@@ -54,12 +51,12 @@ def main() -> None:
         commands = [[str(instance) if a == "INSTANCE" else a for a in c] for c in COMMANDS]
         bare = []
         times = {c[0]: [] for c in commands}
-        for _ in range(args.runs):
+        for _ in range(ROUNDS):
             bare.append(spawn([sys.executable, "-c", "pass"], env))
             for argv in commands:
                 times[argv[0]].append(spawn([sys.executable, "-m", "avalg", *argv], env))
     base = statistics.median(bare)
-    print(f"python -c pass: {base * 1e3:.1f} ms (median of {args.runs})")
+    print(f"python -c pass: {base * 1e3:.1f} ms (median of {ROUNDS})")
     for name, samples in times.items():
         print(f"{name:16s} +{(statistics.median(samples) - base) * 1e3:6.1f} ms")
 
