@@ -1,12 +1,13 @@
 """Batch command-line front end.
 
 JSON payloads go to stdout inside a small envelope; diagnostics go to
-stderr.  Exit codes: 0 ok, 1 usage, 2 input parse error, 3 budget exceeded,
-4 internal invariant failure (or any other internal error), 5 resource
-exhausted (a JSON file nested too deeply for the standard library's
-recursive decoder, or out of memory; words and trees of any depth are read
-without recursion), 6 stdout closed before the output was written (a reader
-such as ``head`` stopped early).  Tabular subcommands accept
+stderr.  Exit codes: 0 ok, 1 usage, 2 input parse error, 3 budget exceeded
+(or a result with an integer past the int-to-text limit), 4 internal
+invariant failure (or any other internal error), 5 resource exhausted (a
+JSON file nested too deeply for the standard library's recursive decoder,
+out of memory, or stdout not writable; words and trees of any depth are
+read without recursion), 6 stdout closed before the output was written (a
+reader such as ``head`` stopped early).  Tabular subcommands accept
 ``--format {json,csv,text}``.
 
 A process runs the code of a layer only when its subcommand first uses it:
@@ -56,6 +57,10 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 EXIT_RESOURCE = 5
 EXIT_PIPE = 6
+
+# the cells of the largest series table served: (222, 445) took 0.24 s and
+# printed 3.5 MB, and the tallest box, (99999, 0), took 0.82 s
+SERIES_BUDGET = 10**5
 
 
 class UsageError(Exception):
@@ -233,11 +238,21 @@ def _handle(args) -> tuple:
 
     if cmd == "series":
         _check_sizes(args, "--N", "--M")
+        cells = (args.N + 1) * (args.M + 1)
+        if cells > SERIES_BUDGET:
+            raise enumeration.BudgetExceeded(
+                f"series would compute {cells} cells (budget {SERIES_BUDGET})")
         s = enumeration.series(args.kind, args.N, args.M)
         return s.to_json(), args.format
 
     if cmd == "schroeder":
         _check_sizes(args, "--n")
+        # s_n < (3 + 2 sqrt 2)^n, whose log10 is below 0.7656; 0 is no limit
+        digits = 7656 * args.n // 10000 + 1
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < digits:
+            raise enumeration.BudgetExceeded(
+                f"s_{args.n} would print up to {digits} digits (int-to-text limit {limit})")
         return {"n": args.n, "value": enumeration.schroeder(args.n)}, "json"
 
     if cmd == "word2tree":
@@ -350,6 +365,17 @@ def main(argv=None) -> int:
         # the flush at interpreter exit does not raise again
         sys.stdout = open(os.devnull, "w")
         return EXIT_PIPE
+    except ValueError:  # what json, csv and print raise for an integer too long to print
+        print("budget exceeded: the output holds an integer with more digits than the"
+              f" int-to-text limit of {sys.get_int_max_str_digits()}", file=sys.stderr)
+        return EXIT_BUDGET
+    except (OSError, MemoryError) as exc:  # a full disk, say
+        sys.stdout = open(os.devnull, "w")
+        print(f"resource exhausted: {exc or type(exc).__name__}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

@@ -12,9 +12,9 @@ brackets are adjacent, and runs of the generator ``x`` are capped at
   and the decomposable (d = b - i) and associate (c = a - b) columns
   follow.
 
-* ``series`` solves the functional equation of I alone, degree by degree in
-  exact integers (no radicals); B is read off I by I - zt = zt(1+t) B, and
-  D, C and A follow.
+* ``series`` reads I off the square root of its discriminant, whose rows in
+  z follow each from the two before it by a linear recurrence in exact
+  integers; B is read off I by I - zt = zt(1+t) B, and D, C and A follow.
 
 The degree totals are twice the large Schroeder numbers, with the
 indecomposable column giving the Schroeder numbers themselves.
@@ -26,7 +26,6 @@ import itertools
 import math
 import operator
 import re
-from functools import lru_cache
 from typing import Dict, Iterator, Sequence, Tuple, Union
 
 from ._record import Record
@@ -365,31 +364,34 @@ class BivariateSeries(Record):
         }
 
 
-def _nonzero(row) -> tuple:
-    """The ``(arity, coefficient)`` pairs of a table row's nonzero entries,
-    in order of arity."""
-    return tuple((m, c) for m, c in enumerate(row) if c)
+# I = zt + t I^2 + zt I, so I = (1 - zt - r) / (2t) with r the square root
+# of the discriminant _DELTA.  A polynomial is a dict {(i, j): c} for the
+# terms c * z^i * t^j.
+_DELTA = {(0, 0): 1, (1, 1): -2, (1, 2): -4, (2, 2): 1}  # z^2 t^2 - (2t + 4t^2) z + 1
 
 
-@lru_cache(maxsize=None)
-def _i_table(N: int, M: int) -> tuple:
-    """Coefficients of I from I = zt + t*I^2 + zt*I, degree by degree.  The
-    t*I^2 convolution visits only the :func:`_nonzero` terms of its left
-    factor; both factors have degree >= 1, and I is zero at arity 0."""
-    i = [[0] * (M + 1) for _ in range(N + 1)]
-    nonzero = [()]
+def _t_times(p: list, row: list) -> list:
+    """The product p * row in Z[t], truncated to the length of row."""
+    out = [0] * len(row)
+    for j, c in enumerate(p):
+        if c:
+            out[j:] = [x + c * y for x, y in zip(out[j:], row)]
+    return out
+
+
+def _solve_i(N: int, M: int) -> list:
+    """Rows 0..N of I, arities 0..M.  With _DELTA = 1 + a z + b z^2, the
+    rows f_n in Z[t] of F = sqrt(_DELTA) obey _DELTA F' = _DELTA' F / 2, so
+    2n f_n = (3 - 2n) a f_(n-1) + 2(3 - n) b f_(n-2), dividing exactly; and
+    I = (1 - zt - F) / (2t) takes arity m of I from arity m + 1 of F."""
+    a = [_DELTA.get((1, j), 0) for j in range(3)]
+    b = [_DELTA.get((2, j), 0) for j in range(3)]
+    f = {-1: [0] * (M + 2), 0: [1] + [0] * (M + 1)}
     for n in range(1, N + 1):
-        for m in range(1, M + 1):
-            total = (n == m == 1) + i[n - 1][m - 1]
-            for n1 in range(1, n):
-                right = i[n - n1]
-                for m1, c in nonzero[n1]:
-                    if m1 >= m:
-                        break
-                    total += c * right[m - 1 - m1]
-            i[n][m] = total
-        nonzero.append(_nonzero(i[n]))
-    return tuple(tuple(row) for row in i)
+        fa, fb = _t_times(a, f[n - 1]), _t_times(b, f[n - 2])
+        f[n] = [((3 - 2 * n) * x + 2 * (3 - n) * y) // (2 * n) for x, y in zip(fa, fb)]
+    return [[-((n == 1 and m == 0) + f[n][m + 1]) // 2 for m in range(M + 1)]
+            for n in range(N + 1)]
 
 
 _KINDS = ("I", "B", "D", "C", "A")
@@ -398,15 +400,15 @@ _KINDS = ("I", "B", "D", "C", "A")
 def series(kind: str, max_degree: int, max_arity: int) -> BivariateSeries:
     """The bivariate series for kind in I, B, D, C, A at the idempotent cap 1.
 
-    I satisfies I - zt = zt(1+t) I / (1 - tI), the one equation solved;
-    B = I/(1 - tI) is read off I by I - zt = zt(1+t) B; D = B - I;
-    C = t + (2t + t^2) B; A = 1 + B + C.
+    I, the root of I - zt = zt(1+t) I / (1 - tI), comes from sqrt(_DELTA)
+    (:func:`_solve_i`); B = I/(1 - tI) is read off I by I - zt = zt(1+t) B;
+    D = B - I; C = t + (2t + t^2) B; A = 1 + B + C.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown series kind {kind!r}; expected one of {_KINDS}")
     _check_sizes(max_degree, max_arity)
     N, M = max_degree, max_arity
-    i = _i_table(N + 1, M + 1)
+    i = _solve_i(N + 1, M + 1)
     # B = (I - zt) / (zt(1+t)): reading I one degree and one arity up
     # divides by zt, and subtracting the previous cell divides by 1 + t; two
     # zeros past arity M stand for b[n][-1] and b[n][-2]
@@ -438,17 +440,11 @@ def univariate(kind: str, max_degree: int) -> list:
 # ---------------------------------------------------------------------------
 # Schroeder numbers
 
-@lru_cache(maxsize=None)
 def schroeder(n: int) -> int:
-    """Large Schroeder number by the composition recursion
-
-        s_0 = 1,  s_n = 2 * sum over j, (p_1..p_j) |= n of s_(p_1-1)...s_(p_j-1)
-
-    computed in convolution form by :func:`schroeder_sequence`.
-    """
+    """The large Schroeder number s_n, read off :func:`iter_schroeder_numbers`."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return schroeder_sequence(n + 1)[n]
+    return next(itertools.islice(iter_schroeder_numbers(), n, None))
 
 
 def schroeder_sequence(count: int) -> list:
@@ -457,14 +453,15 @@ def schroeder_sequence(count: int) -> list:
 
 
 def iter_schroeder_numbers() -> Iterator[int]:
-    """s_0, s_1, ... without end; the inner sum of the recursion is C_0 = 1,
-    C_n = sum_(p=1..n) s_(p-1) * C_(n-p), and s_n = 2 * C_n for n >= 1."""
-    s, c = [1], [1]
+    """s_0, s_1, ... without end, by (n + 1) s_n = 3 (2n - 1) s_(n-1) -
+    (n - 2) s_(n-2) from s_0 = 1 and s_1 = 2: one big integer times a small
+    one per term.  The paper counts them by a composition recursion, s_n =
+    2 * (sum over compositions p of n of s_(p_1-1)...s_(p_j-1)) for n >= 1."""
+    prev, s = 1, 2
     yield 1
-    for n in itertools.count(1):
-        c.append(sum(s[p - 1] * c[n - p] for p in range(1, n + 1)))
-        s.append(2 * c[n])
-        yield s[n]
+    for n in itertools.count(2):
+        yield s
+        prev, s = s, (3 * (2 * n - 1) * s - (n - 2) * prev) // (n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +479,7 @@ def reduce_to_v1(run_cap: Cap, max_degree: int, max_arity: int,
     a1 = series("A", max_degree, max_arity)
     counts: Dict[Tuple[int, int], int] = {(0, 0): 1} if include_one else {}
     for n in range(max_degree + 1):
-        terms = _nonzero(a1.table[n])
+        terms = [(k, c) for k, c in enumerate(a1.table[n]) if c]
         for m in range(1, max_arity + 1):
             total = sum(c * count_compositions(m, k, cap) for k, c in terms if k <= m)
             if total:
@@ -495,8 +492,7 @@ def reduce_to_v1(run_cap: Cap, max_degree: int, max_arity: int,
 
 # Each closed form is (P + Q*r) / R with P, Q, R in Z[z, t] and r the square
 # root of _DELTA, so the series G of its kind satisfies (R*G - P)^2 = Q^2*_DELTA
-# exactly.  A polynomial is a dict {(i, j): c} for the terms c * z^i * t^j.
-_DELTA = {(0, 0): 1, (1, 1): -2, (1, 2): -4, (2, 2): 1}  # z^2 t^2 - (2t + 4t^2) z + 1
+# exactly.
 _RADICAL_FORMS = {
     # kind: (P, Q, R)
     "I": ({(0, 0): 1, (1, 1): -1}, {(0, 0): -1}, {(0, 1): 2}),

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
@@ -97,7 +98,8 @@ DEFAULT_BUDGET = 10**7
 
 
 class BudgetExceeded(RuntimeError):
-    """A request would build more words or trees than its budget allows."""
+    """A request would build more words or trees than its budget allows, or
+    print an integer past the interpreter's int-to-text limit."""
 
 
 # The letters, brackets and words are on the hot paths of every layer, so
@@ -380,7 +382,7 @@ def render_word(w: Union[BracketedWord, "AveragingWord"]) -> str:
             else:
                 parts.append("[")
                 stack.append((factors, close))
-                factors, close = iter(f.core.factors), "]" if f.power == 1 else f"]^{f.power}"
+                factors, close = iter(f.core.factors), "]" if f.power == 1 else _power_text(f.power)
                 prev_letter = False
                 break
         else:
@@ -389,6 +391,16 @@ def render_word(w: Union[BracketedWord, "AveragingWord"]) -> str:
                 return "".join(parts)
             factors, close = stack.pop()
             prev_letter = False
+
+
+def _power_text(power: int) -> str:
+    """The close ``]^power`` of a bracket; a power whose digits pass the
+    int-to-text limit (``sys.set_int_max_str_digits``) cannot be rendered."""
+    try:
+        return f"]^{power}"
+    except ValueError:
+        raise BudgetExceeded(f"a bracket power has more digits than the int-to-text"
+                             f" limit of {sys.get_int_max_str_digits()}") from None
 
 
 # ---------------------------------------------------------------------------

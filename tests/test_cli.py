@@ -33,6 +33,17 @@ def spawn_cli(*args):
     )
 
 
+@contextlib.contextmanager
+def int_digits_limit(digits):
+    """The interpreter's int-to-text limit set to ``digits`` (0: none)."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def payload_of(proc):
     assert proc.returncode == 0, proc.stderr
     envelope = json.loads(proc.stdout)
@@ -241,6 +252,75 @@ class TestExitCodes:
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr == (
             "budget exceeded: the tree would have 100000000 uni-vertices (budget 10000000)\n")
+
+    def test_counting_refusals_come_before_the_work(self, monkeypatch):
+        # a series box past SERIES_BUDGET cells, and an s_n whose digits may
+        # pass the int-to-text limit, are refused without counting anything
+        monkeypatch.setattr(enumeration, "series", None)
+        monkeypatch.setattr(enumeration, "schroeder", None)
+        with int_digits_limit(4300):
+            for argv, message in (
+                (("series", "--kind", "I", "--N", "99999", "--M", "1"),
+                 "series would compute 200000 cells (budget 100000)"),
+                (("schroeder", "--n", "5617"),
+                 "s_5617 would print up to 4301 digits (int-to-text limit 4300)"),
+            ):
+                proc = run_cli(*argv)
+                assert (proc.returncode, proc.stdout) == (3, "")
+                assert proc.stderr == f"budget exceeded: {message}\n"
+        with int_digits_limit(640):
+            proc = run_cli("schroeder", "--n", "1000")
+            assert proc.stderr == ("budget exceeded: s_1000 would print up to 766 digits"
+                                   " (int-to-text limit 640)\n")
+        monkeypatch.undo()
+        # the largest requests admitted: the box at the budget, and the last
+        # s_n whose digit bound fits the limit (s_5616 has 4294 digits)
+        cells = payload_of(run_cli("series", "--kind", "I", "--N", "0", "--M", "99999"))["cells"]
+        assert cells == [] and cli.SERIES_BUDGET == 100_000
+        with int_digits_limit(4300):
+            assert len(str(payload_of(run_cli("schroeder", "--n", "5616"))["value"])) == 4294
+        with int_digits_limit(0):  # no limit
+            assert payload_of(run_cli("schroeder", "--n", "6000"))["value"] == (
+                enumeration.schroeder(6000))
+
+    def test_schroeder_past_the_digit_limit_exits_3_as_a_process(self):
+        proc = subprocess.run([sys.executable, "-m", "avalg", "schroeder", "--n", "1000"],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONINTMAXSTRDIGITS="640"))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("budget exceeded: s_1000 would print up to 766 digits"
+                               " (int-to-text limit 640)\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("normalize", "[[x]^N]^N"), "a bracket power has more digits than"),
+        (("apply-p", "[x]^N"), "a bracket power has more digits than"),
+        (("analyze", "[[x]^N]^N"), "a bracket power has more digits than"),
+        # every power prints; the depth, N + N, does not
+        (("analyze", "[[x]^N x]^N"), "the output holds an integer with more digits than"),
+    ], ids=["normalize", "apply-p", "analyze", "analyze-depth"])
+    def test_a_result_too_long_to_print_is_a_budget(self, argv, message):
+        # N has 4300 digits, so the input parses; only the result has a power
+        # (N + N or N + 1) or an index one digit past the limit
+        with int_digits_limit(4300):
+            proc = run_cli(argv[0], argv[1].replace("N", "9" * 4300))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"budget exceeded: {message} the int-to-text limit of 4300\n"
+
+    @pytest.mark.parametrize("error, code, line", [
+        (OSError(28, "No space left on device"), 5,
+         "resource exhausted: [Errno 28] No space left on device\n"),
+        (RuntimeError("bug"), 4, "internal error: RuntimeError: bug\n"),
+    ], ids=["OSError", "RuntimeError"])
+    def test_a_failed_write_is_one_line(self, monkeypatch, capsys, error, code, line):
+        class Failing(io.StringIO):
+            def write(self, text):
+                raise error
+
+        monkeypatch.setattr(sys, "stdout", Failing())
+        assert cli.main(["schroeder", "--n", "3"]) == code
+        if getattr(sys.stdout, "name", None) == os.devnull:
+            sys.stdout.close()
+        assert capsys.readouterr().err == line
 
     def test_census_count_mismatch_is_internal_under_O(self):
         # a word lost by the generator is caught even with asserts stripped

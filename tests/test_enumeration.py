@@ -52,6 +52,41 @@ def _gf_coefficient(m, k, cap):
     return poly.get(m, 0)
 
 
+def _i_by_convolution(N, M):
+    """Coefficients of I from I = zt + t*I^2 + zt*I, degree by degree: the
+    convolution the library solved before the square-root recurrence, kept
+    as its oracle.  It multiplies the nonzero terms of the rows only; both
+    factors of t*I^2 have degree >= 1."""
+    i = [[0] * (M + 1) for _ in range(N + 1)]
+    terms = [[]]  # the (arity, coefficient) pairs of each row's nonzero cells
+    for n in range(1, N + 1):
+        row = i[n]
+        if n == 1 and M >= 1:
+            row[1] = 1  # zt
+        for m, c in terms[n - 1]:  # zt*I
+            if m < M:
+                row[m + 1] += c
+        for n1 in range(1, n):  # t*I^2
+            for m1, c in terms[n1]:
+                for m2, d in terms[n - n1]:
+                    if m1 + m2 < M:
+                        row[m1 + m2 + 1] += c * d
+        terms.append([(m, c) for m, c in enumerate(row) if c])
+    return tuple(map(tuple, i))
+
+
+def _schroeder_by_compositions(count):
+    """s_0 .. s_(count-1) by the paper's composition recursion, s_0 = 1 and
+    s_n = 2 * sum over compositions (p_1..p_j) of n of s_(p_1-1)...s_(p_j-1),
+    in convolution form: the inner sum is C_0 = 1,
+    C_n = sum_(p=1..n) s_(p-1) * C_(n-p), and s_n = 2 * C_n for n >= 1."""
+    s, c = [1], [1]
+    for n in range(1, count):
+        c.append(sum(s[p - 1] * c[n - p] for p in range(1, n + 1)))
+        s.append(2 * c[n])
+    return s[:count]
+
+
 class TestCompositions:
     def test_unrestricted_pair(self):
         assert set(compositions(3, 2)) == {(1, 2), (2, 1)}
@@ -204,7 +239,7 @@ class TestCensus:
                 drawn.append(c)
                 yield c
 
-        monkeypatch.setattr(avalg.enumeration, "_i_table", unsolved)
+        monkeypatch.setattr(avalg.enumeration, "_solve_i", unsolved)
         monkeypatch.setattr(avalg.enumeration, "iter_schroeder_numbers", counted)
         total = 1 + 2 * sum(s[1:101])
         with pytest.raises(BudgetExceeded, match=f"^census would generate {total} words"
@@ -361,6 +396,17 @@ class TestSeries:
         large = series(kind, 9, 19)
         assert series(kind, N, M).table == tuple(row[:M + 1] for row in large.table[:N + 1])
 
+    @pytest.mark.parametrize("N, M", sorted({
+        # every box that the series, univariate, closed-form and census tests
+        # here solve (a census solves the box of its degree and arity), and
+        # I at N = 100
+        (0, 0), (0, 1), (0, 5), (1, 0), (1, 1), (1, 2), (1, 3), (2, 5), (2, 6),
+        (2, 10), (3, 7), (3, 8), (3, 2000), (4, 0), (4, 1), (4, 9), (4, 10),
+        (5, 4), (5, 11), (5, 12), (6, 13), (7, 15), (8, 17), (8, 20), (9, 3),
+        (9, 19), (12, 25), (25, 51), (30, 61), (100, 201)}))
+    def test_i_equals_the_convolution(self, N, M):
+        assert series("I", N, M).table == _i_by_convolution(N, M)
+
     def test_b_solves_its_own_recurrence(self):
         # B = I/(1 - tI), that is B = I + t*I*B, by a plain loop over both
         # tables; series reads B off I - zt = zt(1+t) B, so that one would
@@ -383,15 +429,19 @@ class TestSchroeder:
         assert schroeder(1) == 2 * schroeder(0) == 2
 
     def test_three_term_recurrence_to_300(self):
-        # A006318: (n + 1) s_n = 3 (2n - 1) s_(n-1) - (n - 2) s_(n-2)
-        ref = [1, 2]
-        for n in range(2, 301):
-            num = 3 * (2 * n - 1) * ref[n - 1] - (n - 2) * ref[n - 2]
-            assert num % (n + 1) == 0
-            ref.append(num // (n + 1))
+        # the library runs A006318's (n + 1) s_n = 3 (2n - 1) s_(n-1) -
+        # (n - 2) s_(n-2); the paper's composition recursion is the oracle
+        ref = _schroeder_by_compositions(301)
         assert schroeder_sequence(301) == ref
         for n in (0, 1, 2, 17, 18, 150, 299, 300):
             assert schroeder(n) == ref[n]
+
+    def test_composition_recursion_as_written(self):
+        # the oracle's convolution form against the sum over compositions
+        s = _schroeder_by_compositions(11)
+        for n in range(1, 11):
+            assert s[n] == 2 * sum(math.prod(s[p - 1] for p in parts)
+                                   for j in range(1, n + 1) for parts in compositions(n, j))
 
     def test_matches_indecomposable_column(self):
         ui = univariate("I", 8)

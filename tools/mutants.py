@@ -7,10 +7,13 @@ grading among them, is checked by ``instances._first_failure``, and
 ``instances._solve`` alone finds units.  One counting grammar,
 ``words._split_family``, is behind the census, ``iter_averaging_words``,
 the uniform words of the property tests and ``random_averaging_word``
-(through ``words._draw``), so they share its bugs too.  One convolution,
-``enumeration._i_table``, solves every series kind: B is read off I, and
-D, C and A off both, so a bug there reaches all five, and the census
-checks each cell against the same series.  Each mutant below
+(through ``words._draw``), so they share its bugs too.  One recurrence,
+``enumeration._solve_i`` (the rows of the square root of I's
+discriminant), solves every series kind: B is read off I, and D, C and A
+off both, so a bug there reaches all five, and the census checks each cell
+against the same series.  One three-term recurrence,
+``enumeration.iter_schroeder_numbers``, gives every Schroeder number.
+Each mutant below
 is one single-line edit to the source file it names.  For each one the script
 copies ``src/`` and ``tests/`` into a temporary directory, applies the edit
 and runs ``pytest -x -q`` on the mutant's test files, stopping it after
@@ -119,12 +122,18 @@ MUTANTS = (
     ("series: B's division adds the previous cell",
      ENUMERATION, "b[n][m] = i[n + 1][m + 1] - (n == m == 0) - b[n][m - 1]",
      "b[n][m] = i[n + 1][m + 1] - (n == m == 0) + b[n][m - 1]", SERIES),
-    ("_i_table: zt*I dropped",
-     ENUMERATION, "total = (n == m == 1) + i[n - 1][m - 1]",
-     "total = (n == m == 1)", SERIES),
-    ("_i_table: t*I^2 reads a term past the arity",
-     ENUMERATION, "if m1 >= m:",
-     "if m1 > m:", SERIES),
+    ("_solve_i: the sign of a flipped",
+     ENUMERATION, "a = [_DELTA.get((1, j), 0) for j in range(3)]",
+     "a = [-_DELTA.get((1, j), 0) for j in range(3)]", SERIES),
+    ("_solve_i: 3 - 2n off by two",
+     ENUMERATION, "((3 - 2 * n) * x",
+     "((1 - 2 * n) * x", SERIES),
+    ("_solve_i: b times f_(n-1) for f_(n-2)",
+     ENUMERATION, "_t_times(b, f[n - 2])",
+     "_t_times(b, f[n - 1])", SERIES),
+    ("iter_schroeder_numbers: (n - 2) off by one",
+     ENUMERATION, "- (n - 2) * prev",
+     "- (n - 1) * prev", SERIES),
     ("count_compositions: sign dropped",
      ENUMERATION, "(-1) ** j * math.comb(k, j)",
      "math.comb(k, j)", SERIES),
