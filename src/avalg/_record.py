@@ -9,7 +9,31 @@ every slot that is set.  A class declared with ``frozen=False`` takes
 assignment and is unhashable, like a plain dataclass.  ``dataclasses`` is
 not used: it loads ``inspect`` and ``ast`` and generates every method at
 class creation, a cost each command-line process paid at start-up.
+
+The failures every layer shares live here too, so that the command line
+names them without loading a layer.
 """
+
+import sys
+
+
+class InputError(ValueError):
+    """A caller's input is malformed, or outside what a function accepts."""
+
+
+class BudgetExceeded(RuntimeError):
+    """A request would build more words or trees than its budget allows, or
+    print an integer past the interpreter's int-to-text limit."""
+
+
+def printed(what: str, render, *args) -> str:
+    """``render(*args)``, which only formats, so its ValueError is an integer
+    past the int-to-text limit: a BudgetExceeded that begins with ``what``."""
+    try:
+        return render(*args)
+    except ValueError:
+        raise BudgetExceeded(f"{what} more digits than the int-to-text limit"
+                             f" of {sys.get_int_max_str_digits()}") from None
 
 
 class Record:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from ._record import Record
+from ._record import BudgetExceeded, InputError, Record, printed
 from .words import (
     AveragingWord,
     Bracket,
@@ -244,7 +244,7 @@ def _value(w: BracketedWord) -> list:
 # rules and search; it shares with evaluation only the _Node container (whose
 # ``clean`` mark it alone reads) and _freeze.
 
-class StepBudgetExceeded(RuntimeError):
+class StepBudgetExceeded(BudgetExceeded):
     """The rewrite loop ran past its step budget; signals a termination bug."""
 
 
@@ -410,7 +410,7 @@ def rewrite_reduce(w: Union[BracketedWord, AveragingWord], strategy: str = "inne
     certified by a scan.
     """
     if strategy not in ("innermost", "outermost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise InputError(f"unknown strategy {strategy!r}")
     current = raw(w)
     factors = _rewrite(current, strategy == "innermost", budget)
     return AveragingWord(current if factors is None else _trusted(factors))
@@ -419,7 +419,7 @@ def rewrite_reduce(w: Union[BracketedWord, AveragingWord], strategy: str = "inne
 # ---------------------------------------------------------------------------
 # Linear combinations with exact rational coefficients
 
-class LinCombSyntaxError(ValueError):
+class LinCombSyntaxError(InputError):
     pass
 
 
@@ -517,7 +517,8 @@ class LinearCombination(Record):
     def to_json(self) -> dict:
         return {
             "terms": [
-                {"coeff": str(c), "word": render_word(w)} for w, c in self.terms
+                {"coeff": printed("a coefficient has", str, c), "word": render_word(w)}
+                for w, c in self.terms
             ]
         }
 

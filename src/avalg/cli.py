@@ -1,14 +1,16 @@
 """Batch command-line front end.
 
-JSON payloads go to stdout inside a small envelope; diagnostics go to
-stderr.  Exit codes: 0 ok, 1 usage, 2 input parse error, 3 budget exceeded
-(or a result with an integer past the int-to-text limit), 4 internal
-invariant failure (or any other internal error), 5 resource exhausted (a
-JSON file nested too deeply for the standard library's recursive decoder,
-out of memory, or stdout not writable; words and trees of any depth are
-read without recursion), 6 stdout closed before the output was written (a
-reader such as ``head`` stopped early).  Tabular subcommands accept
-``--format {json,csv,text}``.
+JSON payloads go to stdout inside a small envelope; a failure prints at
+most one line to stderr.  Exit codes: 0 ok, 1 usage, 2 input error (an
+InputError: the library rejected the input, or the instance file cannot be
+read), 3 budget exceeded (or a result with an integer past the int-to-text
+limit), 4 internal error (an invariant failure, or any other exception: a
+bug), 5 resource exhausted (a JSON file nested too deeply for the standard
+library's recursive decoder, out of memory, or another OSError such as
+stdout not writable; words and trees of any depth are read without
+recursion), 6 stdout closed before the output was written (a reader such as
+``head`` stopped early).  Tabular subcommands accept ``--format
+{json,csv,text}``.
 
 A process runs the code of a layer only when its subcommand first uses it:
 the layers are registered lazily and called through their modules, so
@@ -24,7 +26,6 @@ the base of its value classes; none loads ``dataclasses``.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.util
 import itertools
 import json
@@ -47,8 +48,8 @@ def _lazy(name: str):
     return sys.modules[fullname]
 
 
-words, algebra, enumeration, instances, trees, operad = map(
-    _lazy, ("words", "algebra", "enumeration", "instances", "trees", "operad"))
+words, algebra, enumeration, instances, trees, operad, _record = map(_lazy, (
+    "words", "algebra", "enumeration", "instances", "trees", "operad", "_record"))
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -167,7 +168,7 @@ def _phi(w) -> trees.AveragingTree:
     budget = words.DEFAULT_BUDGET
     layers = words.degree(w)
     if layers > budget:
-        raise words.BudgetExceeded(
+        raise _record.BudgetExceeded(
             f"the tree would have {layers} uni-vertices (budget {budget})")
     return trees.phi(w)
 
@@ -240,7 +241,7 @@ def _handle(args) -> tuple:
         _check_sizes(args, "--N", "--M")
         cells = (args.N + 1) * (args.M + 1)
         if cells > SERIES_BUDGET:
-            raise enumeration.BudgetExceeded(
+            raise _record.BudgetExceeded(
                 f"series would compute {cells} cells (budget {SERIES_BUDGET})")
         s = enumeration.series(args.kind, args.N, args.M)
         return s.to_json(), args.format
@@ -251,7 +252,7 @@ def _handle(args) -> tuple:
         digits = 7656 * args.n // 10000 + 1
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if 0 < limit < digits:
-            raise enumeration.BudgetExceeded(
+            raise _record.BudgetExceeded(
                 f"s_{args.n} would print up to {digits} digits (int-to-text limit {limit})")
         return {"n": args.n, "value": enumeration.schroeder(args.n)}, "json"
 
@@ -276,7 +277,7 @@ def _handle(args) -> tuple:
         budget = enumeration.DEFAULT_BUDGET
         for count in itertools.islice(enumeration.iter_schroeder_numbers(), args.n):
             if count > budget:
-                raise enumeration.BudgetExceeded(
+                raise _record.BudgetExceeded(
                     f"schroeder-trees would list at least {count} trees (budget {budget})")
         family = trees.enumerate_schroeder(args.n)
         return {
@@ -295,9 +296,7 @@ def _handle(args) -> tuple:
         }, "json"
 
     # check-instance: argparse's required subparsers admit no other command
-    with open(args.path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    alg = instances.algebra_from_json(data)
+    alg = instances.load_algebra(args.path)
     averaging = instances.check_averaging(alg)
     reynolds = instances.check_reynolds(alg)
     return {
@@ -317,66 +316,43 @@ def _handle(args) -> tuple:
 
 
 def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps({"status": "ok", "payload": payload}, indent=2))
-        return
-    cells = payload.get("cells", [])
-    if fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "m", "count"])
-        for n, m, c in cells:
-            writer.writerow([n, m, c])
-        return
-    for n, m, c in cells:
-        print(f"{n}\t{m}\t{c}")
+    """Write JSON in its envelope, or the cells (integers) as CSV or text; all
+    of it is made first, so an integer too long to print writes nothing."""
+    def text() -> str:
+        if fmt == "json":
+            return json.dumps({"status": "ok", "payload": payload}, indent=2) + "\n"
+        sep, end, head = {"csv": (",", "\r\n", "n,m,count\r\n"), "text": ("\t", "\n", "")}[fmt]
+        return head + "".join(f"{n}{sep}{m}{sep}{c}{end}" for n, m, c in payload["cells"])
+
+    sys.stdout.write(_record.printed("the output holds an integer with", text))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # the exit table: the first clause that matches wins, and a clause's class
+    # is read only when those above it miss, so a usage error loads no layer
     try:
-        args = parser.parse_args(argv)
-        payload, fmt = _handle(args)
+        _emit(*_handle(build_parser().parse_args(argv)))
+        return EXIT_OK
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, IndexError, KeyError, OSError) as exc:
-        # every input-layer error (word, lincomb, tree and JSON syntax, and
-        # non-averaging words) is a ValueError; an instance file that cannot
-        # be read (missing, a directory, no permission) is an OSError
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code, line = EXIT_USAGE, f"usage error: {exc}"
+    except _record.InputError as exc:
+        code, line = EXIT_PARSE, f"input error: {exc}"
+    except _record.BudgetExceeded as exc:
+        code, line = EXIT_BUDGET, f"budget exceeded: {exc}"
     except AssertionError as exc:  # an invariant failed; never expected
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code, line = EXIT_INTERNAL, f"internal invariant failure: {exc}"
+    except BrokenPipeError:  # the reader stopped early; an OSError, so first
+        sys.stdout, code, line = open(os.devnull, "w"), EXIT_PIPE, None
+    except OSError as exc:  # stdout not writable (a full disk), say
+        sys.stdout = open(os.devnull, "w")  # so the flush at exit does not raise again
+        code, line = EXIT_RESOURCE, f"resource exhausted: {exc}"
     except (RecursionError, MemoryError) as exc:
-        print(f"resource exhausted: {exc or type(exc).__name__}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (words.BudgetExceeded, algebra.StepBudgetExceeded) as exc:
-        # last of the expected errors: naming them loads both layers
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        code, line = EXIT_RESOURCE, f"resource exhausted: {exc or type(exc).__name__}"
     except Exception as exc:  # any other failure is a bug, never an input error
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    try:
-        _emit(payload, fmt)
-    except BrokenPipeError:
-        # the reader closed the pipe; the rest goes to the null device, so
-        # the flush at interpreter exit does not raise again
-        sys.stdout = open(os.devnull, "w")
-        return EXIT_PIPE
-    except ValueError:  # what json, csv and print raise for an integer too long to print
-        print("budget exceeded: the output holds an integer with more digits than the"
-              f" int-to-text limit of {sys.get_int_max_str_digits()}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (OSError, MemoryError) as exc:  # a full disk, say
-        sys.stdout = open(os.devnull, "w")
-        print(f"resource exhausted: {exc or type(exc).__name__}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    return EXIT_OK
+        code, line = EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}"
+    if line:
+        print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -28,13 +28,12 @@ import operator
 import re
 from typing import Dict, Iterator, Sequence, Tuple, Union
 
-from ._record import Record
+from ._record import BudgetExceeded, InputError, Record
 from .words import (
     DEFAULT_BUDGET,
     AveragingWord,
     Bracket,
     BracketedWord,
-    BudgetExceeded,
     Letter,
     _IDENT_RE,
     _bracket_group,
@@ -76,12 +75,12 @@ def _check_cap(cap: Cap) -> Cap:
         return math.inf
     if type(cap) is int and cap >= 1:  # not a bool
         return cap
-    raise ValueError("run cap must be a positive integer or math.inf")
+    raise InputError("run cap must be a positive integer or math.inf")
 
 
 def _check_sizes(*sizes: int) -> None:
     if min(sizes) < 0:
-        raise ValueError("table sizes must be nonnegative")
+        raise InputError("table sizes must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +144,7 @@ def indecomposable_words_v(run_cap: Cap, n: int, m: int = -1) -> tuple:
     """
     cap = _check_cap(run_cap)
     if m < 0 and cap == math.inf:
-        raise ValueError("an explicit arity is required when the run cap is infinite")
+        raise InputError("an explicit arity is required when the run cap is infinite")
     arities = [m] if m >= 0 else range(1, int(cap) * max(2 * n - 1, 1) + 1)
     out = []
     for mm in arities:
@@ -302,18 +301,18 @@ def expand_runs(w: Union[BracketedWord, AveragingWord], parts: Sequence[int]) ->
     w = raw(w)
     parts = list(parts)
     if any(p < 1 for p in parts):
-        raise ValueError("run lengths must be positive")
+        raise InputError("run lengths must be positive")
     it = iter(parts)
 
     def run(f: Letter) -> tuple:
         try:
             return (f,) * next(it)
         except StopIteration:
-            raise ValueError("composition has fewer parts than letters") from None
+            raise InputError("composition has fewer parts than letters") from None
 
     out = substitute_letters(w, run)
     if next(it, None) is not None:
-        raise ValueError("composition has more parts than letters")
+        raise InputError("composition has more parts than letters")
     return out
 
 
@@ -405,7 +404,7 @@ def series(kind: str, max_degree: int, max_arity: int) -> BivariateSeries:
     D = B - I; C = t + (2t + t^2) B; A = 1 + B + C.
     """
     if kind not in _KINDS:
-        raise ValueError(f"unknown series kind {kind!r}; expected one of {_KINDS}")
+        raise InputError(f"unknown series kind {kind!r}; expected one of {_KINDS}")
     _check_sizes(max_degree, max_arity)
     N, M = max_degree, max_arity
     i = _solve_i(N + 1, M + 1)
@@ -443,7 +442,7 @@ def univariate(kind: str, max_degree: int) -> list:
 def schroeder(n: int) -> int:
     """The large Schroeder number s_n, read off :func:`iter_schroeder_numbers`."""
     if n < 0:
-        raise ValueError("index must be nonnegative")
+        raise InputError("index must be nonnegative")
     return next(itertools.islice(iter_schroeder_numbers(), n, None))
 
 
@@ -513,7 +512,7 @@ def _poly_value(poly: dict, z: float, t: float) -> float:
 def closed_form(kind: str, z: float, t: float) -> float:
     """The radical expression for each series, in double precision."""
     if kind not in _RADICAL_FORMS:
-        raise ValueError(f"unknown series kind {kind!r}")
+        raise InputError(f"unknown series kind {kind!r}")
     p, q, r = _RADICAL_FORMS[kind]
     root = math.sqrt(_poly_value(_DELTA, z, t))
     return (_poly_value(p, z, t) + _poly_value(q, z, t) * root) / _poly_value(r, z, t)

@@ -29,12 +29,13 @@ verify their identities on all basis pairs, which suffices by bilinearity.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from ._record import Record
+from ._record import InputError, Record
 
 __all__ = [
     "FiniteAlgebra",
@@ -49,6 +50,7 @@ __all__ = [
     "is_idempotent",
     "decomposition_is_graded",
     "algebra_from_json",
+    "load_algebra",
     "algebra_to_json",
     "standard_fixtures",
 ]
@@ -64,8 +66,8 @@ def _frac(x) -> Fraction:
     if isinstance(x, str):
         try:
             return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
+        except (ValueError, ZeroDivisionError):  # 1/0 too, and past the int-to-text limit
+            raise InputError(f"not a rational number: {x!r}") from None
     raise _inexact(x)
 
 
@@ -115,9 +117,9 @@ class FiniteAlgebra(Record):
         if len(mul) != n or any(len(p) != n for p in mul) or any(
             len(row) != n for p in mul for row in p
         ):
-            raise ValueError("multiplication table has wrong shape")
+            raise InputError("multiplication table has wrong shape")
         if len(op) != n or any(len(row) != n for row in op):
-            raise ValueError("operator matrix has wrong shape")
+            raise InputError("operator matrix has wrong shape")
         Record.__init__(self, basis, mul, op)
         dm, rows = _integer_rows([row for plane in mul for row in plane])
         object.__setattr__(self, "_mul_int", (dm, tuple(rows[i * n:(i + 1) * n] for i in range(n))))
@@ -127,7 +129,7 @@ class FiniteAlgebra(Record):
             self.multiply(mul[i][j], e[k]), self.multiply(e[i], mul[j][k])))
         if bad is not None:
             triple = tuple(self.basis[i] for i in bad)
-            raise ValueError(f"multiplication is not associative at basis triple {triple}")
+            raise InputError(f"multiplication is not associative at basis triple {triple}")
 
     @property
     def dim(self) -> int:
@@ -207,7 +209,7 @@ class FiniteAlgebra(Record):
 
     def element(self, coeffs: Sequence) -> Vector:
         if len(coeffs) != self.dim:
-            raise ValueError("wrong coefficient count")
+            raise InputError("wrong coefficient count")
         return tuple(_frac(c) for c in coeffs)
 
     def unit(self) -> Optional[Vector]:
@@ -316,7 +318,7 @@ def decomposition_is_graded(alg: FiniteAlgebra) -> bool:
     on all basis pairs.
     """
     if not is_idempotent(alg):
-        raise ValueError("decomposition test needs an idempotent operator")
+        raise InputError("decomposition test needs an idempotent operator")
     e, p = _images(alg)
     k = [alg.add(v, alg.scale(-1, pv)) for v, pv in zip(e, p)]
     return _first_failure(alg, 2, lambda i, j: (
@@ -336,7 +338,7 @@ def central_multiplier(basis, mul, a) -> FiniteAlgebra:
     left = [probe.multiply(a, probe.basis_vector(i)) for i in range(probe.dim)]
     bad = _first_failure(probe, 1, lambda i: (left[i], probe.multiply(probe.basis_vector(i), a)))
     if bad is not None:
-        raise ValueError(f"element is not central (fails at basis {basis[bad[0]]!r})")
+        raise InputError(f"element is not central (fails at basis {basis[bad[0]]!r})")
     return probe.with_operator(tuple(left))
 
 
@@ -351,18 +353,18 @@ def group_average(basis, mul, perms) -> FiniteAlgebra:
     perms = [tuple(p) for p in perms]
     for p in perms:
         if sorted(p) != list(range(n)):
-            raise ValueError(f"not a permutation of the basis: {p}")
+            raise InputError(f"not a permutation of the basis: {p}")
     ptuples = set(perms)
     if tuple(range(n)) not in ptuples:
-        raise ValueError("the action must contain the identity permutation")
+        raise InputError("the action must contain the identity permutation")
     for p in perms:
         for q in perms:
             if tuple(p[q[i]] for i in range(n)) not in ptuples:
-                raise ValueError("the permutations are not closed under composition")
+                raise InputError("the permutations are not closed under composition")
     for p in perms:
         if _first_failure(probe, 2, lambda i, j: (
                 _apply_perm_vector(p, probe.mul[i][j]), probe.mul[p[i]][p[j]])) is not None:
-            raise ValueError(f"permutation {p} is not an algebra automorphism")
+            raise InputError(f"permutation {p} is not an algebra automorphism")
     op = []
     for i in range(n):
         acc = probe.zero
@@ -383,16 +385,16 @@ def group_algebra_average(table, labels=None) -> FiniteAlgebra:
     if labels is None:
         labels = tuple(f"g{i}" for i in range(n))
     if any(len(row) != n for row in table):
-        raise ValueError("Cayley table must be square")
+        raise InputError("Cayley table must be square")
     ident = next(
         (e for e in range(n) if all(table[e][j] == j and table[j][e] == j for j in range(n))),
         None,
     )
     if ident is None:
-        raise ValueError("Cayley table has no identity element")
+        raise InputError("Cayley table has no identity element")
     for i in range(n):
         if ident not in table[i]:
-            raise ValueError("Cayley table has no inverses")
+            raise InputError("Cayley table has no inverses")
     mul = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -409,13 +411,13 @@ def super_projection(basis, mul, grading) -> FiniteAlgebra:
     probe = FiniteAlgebra(tuple(basis), mul, _zero_matrix(len(basis)))
     grading = tuple(int(g) for g in grading)
     if len(grading) != probe.dim or any(g not in (0, 1) for g in grading):
-        raise ValueError("grading must assign 0 or 1 to every basis vector")
+        raise InputError("grading must assign 0 or 1 to every basis vector")
     # e_i e_j may have an e_k term only when grading[k] = grading[i] + grading[j] mod 2
     bad = _first_failure(probe, 3, lambda i, j, k: (
         (grading[i] + grading[j] + grading[k]) % 2 if probe.mul[i][j][k] else 0, 0))
     if bad is not None:
         i, j, _ = bad
-        raise ValueError(f"products of grades {grading[i]},{grading[j]} leave grade "
+        raise InputError(f"products of grades {grading[i]},{grading[j]} leave grade "
                          f"{(grading[i] + grading[j]) % 2}")
     op = tuple(
         probe.basis_vector(i) if grading[i] == 0 else probe.zero
@@ -429,13 +431,13 @@ def square_zero_derivation(basis, mul, d) -> FiniteAlgebra:
     probe = FiniteAlgebra(tuple(basis), mul, d)
     e, p = _images(probe)
     if _first_failure(probe, 1, lambda i: (probe.operator(p[i]), probe.zero)) is not None:
-        raise ValueError("d^2 is not zero")
+        raise InputError("d^2 is not zero")
     bad = _first_failure(probe, 2, lambda i, j: (
         probe.operator(probe.multiply(e[i], e[j])),
         probe.add(probe.multiply(p[i], e[j]), probe.multiply(e[i], p[j]))))
     if bad is not None:
         i, j = bad
-        raise ValueError(f"Leibniz rule fails at ({basis[i]!r}, {basis[j]!r})")
+        raise InputError(f"Leibniz rule fails at ({basis[i]!r}, {basis[j]!r})")
     return probe
 
 
@@ -454,7 +456,7 @@ def build_instance(kind: str, **params) -> FiniteAlgebra:
         return super_projection(params["basis"], params["mul"], params["grading"])
     if kind == "SquareZeroDerivation":
         return square_zero_derivation(params["basis"], params["mul"], params["d"])
-    raise ValueError(f"unknown instance kind {kind!r}; expected one of {sorted(_KINDS)}")
+    raise InputError(f"unknown instance kind {kind!r}; expected one of {sorted(_KINDS)}")
 
 
 def _apply_perm_vector(p, v):
@@ -480,22 +482,40 @@ def algebra_to_json(alg: FiniteAlgebra) -> dict:
     }
 
 
+class MissingKey(InputError, KeyError):
+    """An instance lacks a key it needs; a KeyError too, as it always was."""
+
+
 def algebra_from_json(data) -> FiniteAlgebra:
     """The algebra a decoded JSON value describes: an object with a list
     ``basis``, the tables ``mul`` (n x n x n) and ``op`` (n x n) of integers
-    or rational strings, and optionally ``dim``.  A missing key is a
-    KeyError; any other wrong shape is a ValueError, like a table that is not
-    an associative algebra's."""
+    or rational strings, and optionally ``dim``.  Every wrong shape is an
+    :class:`~avalg._record.InputError`, like a table that is not an
+    associative algebra's; a missing key is also a KeyError."""
     if not isinstance(data, dict):
-        raise ValueError("an instance is a JSON object")
+        raise InputError("an instance is a JSON object")
+    for key in ("basis", "mul", "op"):
+        if key not in data:
+            raise MissingKey(key)
     if not isinstance(data["basis"], list):
-        raise ValueError("basis must be a list")
+        raise InputError("basis must be a list")
     basis = tuple(data["basis"])
     dim = data.get("dim")
     if dim is not None and (isinstance(dim, bool) or not isinstance(dim, (int, str))
-                            or int(dim) != len(basis)):
-        raise ValueError("dim does not match basis length")
+                            or _frac(dim) != len(basis)):
+        raise InputError("dim does not match basis length")
     return FiniteAlgebra(basis, _table(data["mul"], 3, "mul"), _table(data["op"], 2, "op"))
+
+
+def load_algebra(path) -> FiniteAlgebra:
+    """:func:`algebra_from_json` of the JSON file at ``path``; a file that
+    cannot be opened or decoded is an InputError too."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise InputError(exc) from exc
+    return algebra_from_json(data)
 
 
 def _table(value, depth: int, name: str):
@@ -504,10 +524,10 @@ def _table(value, depth: int, name: str):
     level = [value]
     for _ in range(depth):
         if not all(isinstance(v, list) for v in level):
-            raise ValueError(f"{name} must be lists nested {depth} deep")
+            raise InputError(f"{name} must be lists nested {depth} deep")
         level = [item for v in level for item in v]
     if not all(isinstance(item, (int, str)) and not isinstance(item, bool) for item in level):
-        raise ValueError(f"{name} entries must be integers or rational strings")
+        raise InputError(f"{name} entries must be integers or rational strings")
     return value
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from ._record import Record
+from ._record import InputError, Record
 from .algebra import _Node, _apply_p, _collect, _freeze, _merge
 from .trees import (
     LEAF,
@@ -59,11 +59,15 @@ def _as_tree(t: TreeLike) -> AveragingTree:
     return t if isinstance(t, AveragingTree) else AveragingTree(t)
 
 
+class LeafIndexError(InputError, IndexError):
+    """A leaf index outside a tree's arity; an IndexError too, as it always was."""
+
+
 def compose(tau: TreeLike, index: int, sigma: TreeLike) -> AveragingTree:
     """Partial composition: graft ``sigma`` into the i-th leaf of ``tau``."""
     tau, sigma = _as_tree(tau), _as_tree(sigma)
     if not 1 <= index <= tau.arity:
-        raise IndexError(f"leaf index {index} out of range 1..{tau.arity}")
+        raise LeafIndexError(f"leaf index {index} out of range 1..{tau.arity}")
     # the tree check certifies the new vertices on the path and counts leaves
     result = AveragingTree(_graft(tau.tree, index, sigma.tree))
     if result.arity != tau.arity + sigma.arity - 1:
@@ -173,10 +177,10 @@ class OperadElement(Record):
 
     def __init__(self, arity: int, terms: tuple):
         if arity < 1:
-            raise ValueError("operad arities start at 1; the arity-0 space is zero")
+            raise InputError("operad arities start at 1; the arity-0 space is zero")
         for t, _ in terms:
             if t.arity != arity:
-                raise ValueError("all trees in a component share its arity")
+                raise InputError("all trees in a component share its arity")
         Record.__init__(self, arity, terms)
 
     @staticmethod
@@ -190,7 +194,7 @@ class OperadElement(Record):
 
     def __add__(self, other: "OperadElement") -> "OperadElement":
         if other.arity != self.arity:
-            raise ValueError("can only add elements of equal arity")
+            raise InputError("can only add elements of equal arity")
         return OperadElement.from_terms(self.arity, list(self.terms) + list(other.terms))
 
     def scale(self, c) -> "OperadElement":

@@ -26,7 +26,7 @@ import weakref
 from functools import lru_cache
 from typing import Iterator, Tuple, Union
 
-from ._record import Record
+from ._record import InputError, Record
 from .words import (
     AveragingWord,
     Bracket,
@@ -82,7 +82,7 @@ __all__ = [
 ]
 
 
-class TreeSyntaxError(ValueError):
+class TreeSyntaxError(InputError):
     pass
 
 
@@ -338,7 +338,7 @@ def _averaging_leaves(t: UnreducedBinaryTree) -> int:
     return t._leaves
 
 
-class InvalidAveragingTree(ValueError):
+class InvalidAveragingTree(InputError):
     pass
 
 
@@ -386,7 +386,7 @@ def phi(w: Union[AveragingWord, BracketedWord]) -> AveragingTree:
     is, so it is not scanned again.
     """
     if letters_of(raw(w)) != {"x"}:
-        raise ValueError("the tree bijection needs words over the single letter x")
+        raise InputError("the tree bijection needs words over the single letter x")
     return AveragingTree(_phi(certified(w).word))
 
 
@@ -532,7 +532,7 @@ class SLeaf(Record):
 
     def __init__(self, decoration: str):
         if decoration not in (IOTA, OMEGA):
-            raise ValueError("leaf decoration must be iota or omega")
+            raise InputError("leaf decoration must be iota or omega")
         Record.__init__(self, decoration)
 
     def __str__(self) -> str:
@@ -552,7 +552,7 @@ class SNode(Record):
     def __init__(self, branches: tuple):
         branches = tuple(branches)
         if len(branches) < 2:
-            raise ValueError("an internal vertex needs at least two branches")
+            raise InputError("an internal vertex needs at least two branches")
         for b in branches:
             if b.__class__ is not SLeaf and b.__class__ is not SNode:
                 raise TypeError(f"not a Schroeder tree: {b!r}")
@@ -628,18 +628,18 @@ def psi(w: Union[AveragingWord, BracketedWord]) -> SchroederTree:
     even factors recursively; [x] is the omega leaf.  The tree's text is a
     token-for-token translation of the word's text, read back as a tree."""
     if letters_of(raw(w)) != {"x"}:
-        raise ValueError("the tree bijection needs words over the single letter x")
+        raise InputError("the tree bijection needs words over the single letter x")
     v = certified(w).word
     if len(v.factors) != 1 or not isinstance(v.factors[0], Bracket):
-        raise ValueError("the word must be a single bracket (indecomposable)")
+        raise InputError("the word must be a single bracket (indecomposable)")
     text = render_word(v)
     if "^" in text:
-        raise ValueError("bracket powers must all be 1 under the idempotent convention")
+        raise InputError("bracket powers must all be 1 under the idempotent convention")
     # a certified word's contents begin with x and never hold two adjacent
     # brackets, so they alternate unless two letters meet, the one place
     # render_word writes a space
     if " " in text:
-        raise ValueError("even positions of the content must be brackets")
+        raise InputError("even positions of the content must be brackets")
     text = _FACTOR_GAP.sub(",", text.replace("[x]", "o")).translate(_WORD_TO_SCHROEDER)
     return parse_schroeder_tree(text)
 
@@ -647,7 +647,7 @@ def psi(w: Union[AveragingWord, BracketedWord]) -> SchroederTree:
 def psi_inverse(t: SchroederTree) -> AveragingWord:
     text = render_schroeder_tree(t)
     if _BREAKS_ALTERNATION.search(text):
-        raise ValueError("not a Schroeder tree")
+        raise InputError("not a Schroeder tree")
     return _normal(parse_word(text.translate(_SCHROEDER_TO_WORD)))
 
 

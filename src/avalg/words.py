@@ -33,13 +33,12 @@ from __future__ import annotations
 import math
 import operator
 import re
-import sys
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
 from typing import Callable, Iterator, Sequence, Union
 
-from ._record import Record
+from ._record import BudgetExceeded, InputError, Record, printed  # BudgetExceeded: re-exported
 
 __all__ = [
     "Letter",
@@ -84,7 +83,7 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(rf"({_IDENT_RE.pattern})|(\[)|(\](?:\^(\d*))?)|\s+|(.)", re.DOTALL)
 
 
-class WordSyntaxError(ValueError):
+class WordSyntaxError(InputError):
     """Raised on malformed word text; carries the 0-based offset."""
 
     def __init__(self, message: str, position: int):
@@ -97,11 +96,6 @@ class WordSyntaxError(ValueError):
 DEFAULT_BUDGET = 10**7
 
 
-class BudgetExceeded(RuntimeError):
-    """A request would build more words or trees than its budget allows, or
-    print an integer past the interpreter's int-to-text limit."""
-
-
 # The letters, brackets and words are on the hot paths of every layer, so
 # each has its own equality and hash in place of Record's generic ones.
 
@@ -110,7 +104,7 @@ class Letter(Record):
 
     def __init__(self, symbol: str):
         if not _IDENT_RE.fullmatch(symbol):
-            raise ValueError(f"letter symbol {symbol!r} is not an identifier")
+            raise InputError(f"letter symbol {symbol!r} is not an identifier")
         _set_symbol(self, symbol)
 
     def __eq__(self, other):
@@ -134,7 +128,7 @@ class Bracket(Record):
         if type(power) is not int:
             raise TypeError(f"bracket power must be an int, not {type(power).__name__}")
         if power < 1:
-            raise ValueError("bracket power must be >= 1")
+            raise InputError("bracket power must be >= 1")
         try:
             factors = core.factors
         except AttributeError:
@@ -172,7 +166,7 @@ class BracketedWord(Record):
     def __post_init__(self):
         factors = tuple(self.factors)
         if not factors:
-            raise ValueError("a bracketed word has at least one factor")
+            raise InputError("a bracketed word has at least one factor")
         for f in factors:
             if not isinstance(f, (Letter, Bracket)):
                 raise TypeError(f"not a word factor: {f!r}")
@@ -349,7 +343,10 @@ def parse_word(text: str) -> BracketedWord:
             if digits is not None:
                 if not digits:
                     raise WordSyntaxError("expected an integer after '^'", m.start(4))
-                power = int(digits)
+                try:
+                    power = int(digits)
+                except ValueError:  # more digits than the int-to-text limit
+                    raise WordSyntaxError("power too long to read", m.start(4)) from None
                 if power == 0:
                     raise WordSyntaxError("zero power", m.start(4))
             f = _close(_trusted(tuple(factors)), power)
@@ -382,7 +379,8 @@ def render_word(w: Union[BracketedWord, "AveragingWord"]) -> str:
             else:
                 parts.append("[")
                 stack.append((factors, close))
-                factors, close = iter(f.core.factors), "]" if f.power == 1 else _power_text(f.power)
+                factors = iter(f.core.factors)
+                close = "]" if f.power == 1 else printed("a bracket power has", "]^{}".format, f.power)
                 prev_letter = False
                 break
         else:
@@ -391,16 +389,6 @@ def render_word(w: Union[BracketedWord, "AveragingWord"]) -> str:
                 return "".join(parts)
             factors, close = stack.pop()
             prev_letter = False
-
-
-def _power_text(power: int) -> str:
-    """The close ``]^power`` of a bracket; a power whose digits pass the
-    int-to-text limit (``sys.set_int_max_str_digits``) cannot be rendered."""
-    try:
-        return f"]^{power}"
-    except ValueError:
-        raise BudgetExceeded(f"a bracket power has more digits than the int-to-text"
-                             f" limit of {sys.get_int_max_str_digits()}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +460,7 @@ def factor_at(w: BracketedWord, path: Sequence[int]) -> Factor:
     f = w.factors[path[0]]
     for idx in path[1:]:
         if not isinstance(f, Bracket):
-            raise ValueError(f"path {tuple(path)} passes through the letter {f.symbol!r}")
+            raise InputError(f"path {tuple(path)} passes through the letter {f.symbol!r}")
         f = f.core.factors[idx]
     return f
 
@@ -511,7 +499,7 @@ def _scan_violation(w: BracketedWord) -> Union[Violation, None]:
     return Violation(pattern, tuple([frame[2] for frame in stack]) + (idx,))
 
 
-class InvalidAveragingWord(ValueError):
+class InvalidAveragingWord(InputError):
     def __init__(self, violation: Violation):
         super().__init__(
             f"forbidden pattern {violation.pattern.value} at path {violation.path}"
@@ -636,7 +624,7 @@ def peel(w: Union[AveragingWord, BracketedWord]) -> tuple:
     """
     v = certified(w).word
     if len(v.factors) != 1 or not isinstance(v.factors[0], Bracket):
-        raise ValueError("peel needs a word that is a single bracket factor")
+        raise InputError("peel needs a word that is a single bracket factor")
     b = v.factors[0]
     return _normal(b.core), b.power
 
@@ -867,7 +855,7 @@ def random_averaging_word(rng, alphabet: Sequence[str] = ("x", "y"),
     max_depth``, a word uniform among those of degree ``d`` over ``x`` (drawn
     by :func:`_draw`), and each letter uniform from ``alphabet``."""
     if max_depth < 0 or max_run < 1:
-        raise ValueError("random_averaging_word needs max_depth >= 0 and max_run >= 1")
+        raise InputError("random_averaging_word needs max_depth >= 0 and max_run >= 1")
     letters = [Letter(symbol) for symbol in alphabet]
     d = rng.randint(0, max_depth)
     # a word of degree d has at most 2d + 1 runs

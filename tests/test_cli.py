@@ -10,7 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from avalg import cli, enumeration, trees, words
+from avalg import algebra, cli, enumeration, instances, trees, words
+from avalg._record import InputError
 from avalg.instances import algebra_to_json, standard_fixtures
 from avalg.words import render_word
 
@@ -297,12 +298,14 @@ class TestExitCodes:
         (("analyze", "[[x]^N]^N"), "a bracket power has more digits than"),
         # every power prints; the depth, N + N, does not
         (("analyze", "[[x]^N x]^N"), "the output holds an integer with more digits than"),
-    ], ids=["normalize", "apply-p", "analyze", "analyze-depth"])
+        # the coefficient N * N of the product
+        (("product", "N*x", "N*x"), "a coefficient has more digits than"),
+    ], ids=["normalize", "apply-p", "analyze", "analyze-depth", "product"])
     def test_a_result_too_long_to_print_is_a_budget(self, argv, message):
         # N has 4300 digits, so the input parses; only the result has a power
-        # (N + N or N + 1) or an index one digit past the limit
+        # (N + N or N + 1), an index or a coefficient past the limit
         with int_digits_limit(4300):
-            proc = run_cli(argv[0], argv[1].replace("N", "9" * 4300))
+            proc = run_cli(*[a.replace("N", "9" * 4300) for a in argv])
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == f"budget exceeded: {message} the int-to-text limit of 4300\n"
 
@@ -321,6 +324,36 @@ class TestExitCodes:
         if getattr(sys.stdout, "name", None) == os.devnull:
             sys.stdout.close()
         assert capsys.readouterr().err == line
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError, IndexError])
+    def test_a_library_bug_is_internal_not_input(self, monkeypatch, error):
+        # a builtin error raised by a bug is no input error, whatever its type
+        def broken(*args):
+            raise error("bug")
+
+        monkeypatch.setattr(algebra, "_merge", broken)
+        proc = run_cli("normalize", "[x][x]")
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == f"internal error: {error.__name__}: {error('bug')}\n"
+
+    def test_an_os_error_past_the_instance_file_is_a_resource(self, monkeypatch, capsys):
+        def broken(n):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(enumeration, "schroeder", broken)
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert cli.main(["schroeder", "--n", "3"]) == cli.EXIT_RESOURCE == 5
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+        assert capsys.readouterr().err == "resource exhausted: [Errno 5] Input/output error\n"
+
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_an_unreadable_instance_file_is_an_input_error(self, tmp_path, name):
+        with pytest.raises(InputError):
+            instances.load_algebra(tmp_path / name)
+        proc = run_cli("check-instance", str(tmp_path / name))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("input error: [Errno ")
 
     def test_census_count_mismatch_is_internal_under_O(self):
         # a word lost by the generator is caught even with asserts stripped

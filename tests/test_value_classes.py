@@ -179,3 +179,13 @@ def test_pickle_round_trip_keeps_the_hidden_slots(name):
 def test_unmarked_vertices_stay_unmarked_through_pickle():
     for vertex in (Uni(LEAF), Bi(LEAF, Uni(LEAF))):
         assert pickle.loads(pickle.dumps(vertex))._leaves == 0
+
+
+@pytest.mark.parametrize("make, a, b", [
+    (lambda tree: OperadElement.of(phi(parse_word(tree))), "x[x]", "[x]x"),
+    (lambda op: FiniteAlgebra(("1",), [[["1"]]], [[op]]), "1", "0"),
+    (lambda top: BivariateSeries("I", 1, 2, ((0, 0, 0), (0, 1, top))), 0, 1),
+], ids=["OperadElement", "FiniteAlgebra", "BivariateSeries"])
+def test_values_that_differ_in_their_last_field_are_unequal(make, a, b):
+    # Record compares the tuple of every field, not a prefix of it
+    assert make(a) == make(a) and make(a) != make(b)

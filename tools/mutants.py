@@ -13,7 +13,11 @@ discriminant), solves every series kind: B is read off I, and D, C and A
 off both, so a bug there reaches all five, and the census checks each cell
 against the same series.  One three-term recurrence,
 ``enumeration.iter_schroeder_numbers``, gives every Schroeder number.
-Each mutant below
+``words._close`` closes every bracket that ``parse_word``, the reducers and
+the counting grammar build, folding ``[[w]^p]^q`` into ``[w]^(p+q)``; every
+value class compares through ``_record.Record.__eq__``; and the exit code
+of every command comes from the one table in ``cli.main``, whose input
+entry must not widen back to any ``ValueError``.  Each mutant below
 is one single-line edit to the source file it names.  For each one the script
 copies ``src/`` and ``tests/`` into a temporary directory, applies the edit
 and runs ``pytest -x -q`` on the mutant's test files, stopping it after
@@ -42,6 +46,8 @@ ALGEBRA = "src/avalg/algebra.py"
 INSTANCES = "src/avalg/instances.py"
 WORDS = "src/avalg/words.py"
 ENUMERATION = "src/avalg/enumeration.py"
+RECORD = "src/avalg/_record.py"
+CLI = "src/avalg/cli.py"
 TIMEOUT = 300  # seconds per mutant
 
 # test_algebra.py comes first, so a mutant of the evaluation core is named
@@ -52,6 +58,8 @@ REWRITE = ("tests/test_rewrite.py", "tests/test_algebra.py")
 CHECKS = ("tests/test_instances.py", "tests/test_acceptance.py")
 GRAMMAR = ("tests/test_words.py", "tests/test_enumeration.py", "tests/test_uniform_words.py")
 SERIES = ("tests/test_enumeration.py",)
+VALUES = ("tests/test_value_classes.py",)
+CONTRACT = ("tests/test_cli.py", "tests/test_cli_fuzz.py")
 
 # (name, file, source text, mutated text, test files); each edit changes one
 # line, and its source text occurs once in its file
@@ -140,6 +148,15 @@ MUTANTS = (
     ("_RADICAL_FORMS: I's denominator halved",
      ENUMERATION, "{(0, 1): 2}",
      "{(0, 1): 1}", SERIES),
+    ("_close: [[w]^p]^q folds to the power p + q - 1",
+     WORDS, "core, power = inner.core, inner.power + power",
+     "core, power = inner.core, inner.power + power - 1", GRAMMAR),
+    ("Record.__eq__: only the first field compared",
+     RECORD, "return self._values() == other._values()",
+     "return self._values()[:1] == other._values()[:1]", VALUES),
+    ("main: every ValueError an input error",
+     CLI, "except _record.InputError as exc:",
+     "except ValueError as exc:", CONTRACT),
 )
 
 
