@@ -4,6 +4,8 @@
 ``avalg.trees``, is imported on first use (PEP 562) through the ordinary
 import system, so ``from avalg import X`` and ``avalg.X`` behave as if the
 names were imported here, and threads that race to a name get one module.
+Each layer reads the names of its code that most commands never run from
+a module of their own the same way (:func:`_forward`).
 """
 
 import importlib
@@ -60,23 +62,34 @@ _LAYERS = {
     "operad": ("OperadElement", "compose", "tree_apply", "tree_product"),
 }
 
-_HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
+# where each name lives; a layer, under its own name, is that module
+_HOME = {layer: layer for layer in _LAYERS}
+_HOME.update((name, layer) for layer, names in _LAYERS.items() for name in names)
 
-__all__ = list(_HOME)
+__all__ = [name for names in _LAYERS.values() for name in names]
 
 __version__ = "0.1.0"
 
 
-def __getattr__(name):
-    if name in _LAYERS:
-        value = importlib.import_module(f"{__name__}.{name}")
-    elif name in _HOME:
-        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
+def _forward(namespace: dict) -> None:
+    """Give the module whose globals are ``namespace`` the PEP 562 hooks for
+    the names of its ``_HOME`` table: a name is read from the module
+    ``avalg.<home>`` on first use and kept in ``namespace``, so later reads
+    are plain global lookups.  A name that is its own home is that module."""
+    homes = namespace["_HOME"]
+
+    def __getattr__(name):
+        home = homes.get(name)
+        if home is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        module = importlib.import_module(f"{__name__}.{home}")
+        value = namespace[name] = module if home == name else getattr(module, name)
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *homes})
+
+    namespace.update(__getattr__=__getattr__, __dir__=__dir__)
 
 
-def __dir__():
-    return sorted({*globals(), *_LAYERS, *__all__})
+_forward(globals())

@@ -10,10 +10,11 @@ assignment and is unhashable, like a plain dataclass.  ``dataclasses`` is
 not used: it loads ``inspect`` and ``ast`` and generates every method at
 class creation, a cost each command-line process paid at start-up.
 
-The failures every layer shares live here too, so that the command line
-names them without loading a layer.
+The failures and the budget every layer shares live here too, so that the
+command line names them without loading a layer.
 """
 
+import re
 import sys
 
 
@@ -26,14 +27,53 @@ class BudgetExceeded(RuntimeError):
     print an integer past the interpreter's int-to-text limit."""
 
 
+# what one request may build: the words a census generates, the trees
+# schroeder-trees lists, the uni-vertices of a tree built from a word
+DEFAULT_BUDGET = 10**7
+
+
+def _past_limit(what: str) -> BudgetExceeded:
+    return BudgetExceeded(f"{what} more digits than the int-to-text limit"
+                          f" of {sys.get_int_max_str_digits()}")
+
+
 def printed(what: str, render, *args) -> str:
     """``render(*args)``, which only formats, so its ValueError is an integer
     past the int-to-text limit: a BudgetExceeded that begins with ``what``."""
     try:
         return render(*args)
     except ValueError:
-        raise BudgetExceeded(f"{what} more digits than the int-to-text limit"
-                             f" of {sys.get_int_max_str_digits()}") from None
+        raise _past_limit(what) from None
+
+
+# a rational in exponent notation as Fraction reads it: its whole digits,
+# the digits after its point and the exponent
+_EXPONENT = r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*"
+
+
+def exact(what: str, text: str, read):
+    """``read(text)`` for a reader of rationals such as Fraction (passed in,
+    so that every process need not import it), which builds the power of ten
+    of an exponent in full.  A value whose numerator or denominator would
+    pass the int-to-text limit is a BudgetExceeded that begins with
+    ``what``, refused before any power past the limit is built."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    number = limit and ("e" in text or "E" in text) and re.fullmatch(_EXPONENT, text)
+    if not number:
+        return read(text)
+    whole, point, exponent = (part.replace("_", "") for part in number.groups(""))
+    if not (whole + point).strip("0"):  # zero, whatever its exponent
+        return read(text[:number.start(3) - 1])
+    # the value is m * 10**power with 0 < m < 10**len(whole + point): a
+    # numerator of at least 10**power, or a denominator of more than
+    # 10**(-power - len(whole + point)); else the power is cheap to build
+    power = int(exponent) - len(point)
+    if power >= limit or -power - len(whole + point) >= limit:
+        raise _past_limit(what)
+    value = read(text)
+    if max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise _past_limit(what)
+    return value
 
 
 class Record:

@@ -12,15 +12,19 @@ recursion), 6 stdout closed before the output was written (a reader such as
 ``head`` stopped early).  Tabular subcommands accept ``--format
 {json,csv,text}``.
 
-A process runs the code of a layer only when its subcommand first uses it:
-the layers are registered lazily and called through their modules, so
-``check-instance`` loads ``instances`` alone, ``analyze`` ``words`` alone,
-``normalize``, ``product`` and ``apply-p`` ``words`` and ``algebra``,
-``census``, ``series`` and ``schroeder`` ``words`` and ``enumeration``,
-``word2tree`` and ``tree2word`` ``words`` and ``trees``, ``schroeder-trees``
-those two and ``enumeration``, and ``compose`` every layer but
-``instances`` and ``enumeration``.  Each layer also loads ``avalg._record``,
-the base of its value classes; none loads ``dataclasses``.
+A process runs the code of a module only when its subcommand first uses it:
+the layers are registered lazily and called through their modules, and each
+layer reads the names that most subcommands never run from a module of
+their own (``avalg._forward``).  So ``check-instance`` loads ``instances``
+alone, ``analyze`` ``words`` alone, ``series`` and ``schroeder``
+``enumeration`` alone, ``normalize`` and ``apply-p`` ``words`` and
+``algebra``, ``product`` those two and ``_lincomb``, ``census`` ``words``,
+``enumeration`` and ``_grammar``, ``word2tree`` and ``tree2word`` ``words``
+and ``trees``, ``schroeder-trees`` those two, ``_families`` and
+``enumeration``, and ``compose`` ``words``, ``algebra``, ``trees`` and
+``operad``.  Each also loads ``avalg._record``, the base of the value
+classes; none loads ``dataclasses``, and only ``product`` and
+``check-instance`` load ``fractions``.
 """
 
 from __future__ import annotations
@@ -165,7 +169,7 @@ def _phi(w) -> trees.AveragingTree:
     """The tree of ``w``, whose uni-vertices, one per bracket layer, are
     counted first (``degree`` walks the factors, not the layers), so a power
     past the budget exits 3 before any vertex is built."""
-    budget = words.DEFAULT_BUDGET
+    budget = _record.DEFAULT_BUDGET
     layers = words.degree(w)
     if layers > budget:
         raise _record.BudgetExceeded(
@@ -227,7 +231,7 @@ def _handle(args) -> tuple:
             max_arity,
             include_one=args.include_one,
             list_words=args.list_words,
-            budget=enumeration.DEFAULT_BUDGET if args.budget is None else args.budget,
+            budget=_record.DEFAULT_BUDGET if args.budget is None else args.budget,
         )
         payload = result.a.to_json()
         payload["degree_totals"] = result.a.degree_totals()
@@ -274,7 +278,7 @@ def _handle(args) -> tuple:
         if args.n < 1:
             raise UsageError("--n must be >= 1")
         # the s_k grow with k, so the first one above the budget settles it
-        budget = enumeration.DEFAULT_BUDGET
+        budget = _record.DEFAULT_BUDGET
         for count in itertools.islice(enumeration.iter_schroeder_numbers(), args.n):
             if count > budget:
                 raise _record.BudgetExceeded(

@@ -6,11 +6,12 @@ brackets are adjacent, and runs of the generator ``x`` are capped at
 (bracket pairs) and *arity* (number of ``x``'s).  Two independent routes compute the same tables:
 
 * ``census`` walks the words themselves, one at a time, with the one
-  averaging-word grammar of :mod:`avalg.words`, held to bracket power 1 and
-  the run cap, and classifies each word: *bracketed* (b) words start and
-  end with a bracket, *indecomposable* (i) ones are bracketed of breadth 1,
-  and the decomposable (d = b - i) and associate (c = a - b) columns
-  follow.
+  averaging-word grammar, held to bracket power 1 and the run cap, and
+  classifies each word: *bracketed* (b) words start and end with a bracket,
+  *indecomposable* (i) ones are bracketed of breadth 1, and the
+  decomposable (d = b - i) and associate (c = a - b) columns follow.  It
+  lives with that grammar in :mod:`avalg._grammar`, as do the word lists
+  and the run collapse, so counting loads no word code.
 
 * ``series`` reads I off the square root of its discriminant, whose rows in
   z follow each from the two before it by a linear recurrence in exact
@@ -25,25 +26,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import re
-from typing import Dict, Iterator, Sequence, Tuple, Union
+from typing import Dict, Iterator, Tuple, Union
 
-from ._record import BudgetExceeded, InputError, Record
-from .words import (
-    DEFAULT_BUDGET,
-    AveragingWord,
-    Bracket,
-    BracketedWord,
-    Letter,
-    _IDENT_RE,
-    _bracket_group,
-    _trusted,
-    _walk_family,
-    parse_word,
-    raw,
-    render_word,
-    substitute_letters,
-)
+from . import _forward
+from ._record import BudgetExceeded, InputError, Record  # BudgetExceeded: re-exported
 
 __all__ = [
     "BudgetExceeded",
@@ -66,6 +52,10 @@ __all__ = [
     "closed_form",
     "series_value",
 ]
+
+_HOME = dict.fromkeys(("census", "averaging_words_v", "indecomposable_words_v",
+                       "collapse_runs", "expand_runs"), "_grammar")
+_forward(globals())
 
 Cap = Union[int, float]
 
@@ -115,44 +105,6 @@ def count_compositions(m: int, k: int, cap: Cap = math.inf) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Word generation under the idempotent convention
-
-def _cell_factors(cap: Cap, n: int, m: int) -> Iterator[tuple]:
-    """Factor tuples of the words of degree n and arity m, in generation
-    order, walked one at a time.  At power 1 no word ends in a bracket of
-    power >= 2, so the families are named as cores, whose counts the
-    brackets' cores share."""
-    caps = (1, cap)
-    return itertools.chain(_walk_family((m, n, 0, True), caps), _walk_family((m, n, 1, True), caps))
-
-
-def _canonical(found) -> tuple:
-    """Factor tuples as words, in canonical (rendered) order."""
-    return tuple(sorted(map(BracketedWord, found), key=render_word))
-
-
-def averaging_words_v(run_cap: Cap, n: int, m: int) -> tuple:
-    """The words of degree n and arity m, canonical order (no trivial word)."""
-    return _canonical(_cell_factors(_check_cap(run_cap), n, m))
-
-
-def indecomposable_words_v(run_cap: Cap, n: int, m: int = -1) -> tuple:
-    """Indecomposable words of degree n (all arities when m is omitted).
-
-    Omitting the arity needs a finite run cap, since an indecomposable word
-    of degree n has at most 2n - 1 runs of at most cap letters each.
-    """
-    cap = _check_cap(run_cap)
-    if m < 0 and cap == math.inf:
-        raise InputError("an explicit arity is required when the run cap is infinite")
-    arities = [m] if m >= 0 else range(1, int(cap) * max(2 * n - 1, 1) + 1)
-    out = []
-    for mm in arities:
-        out.extend(_canonical((b,) for b in _bracket_group(mm, n, 1, (1, cap))))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # Count tables
 
 class CountTable(Record, frozen=False):
@@ -197,123 +149,6 @@ class Census(Record, frozen=False):
     def __init__(self, a: CountTable, b: CountTable, c: CountTable, d: CountTable,
                  i: CountTable, words: Union[dict, None] = None):
         Record.__init__(self, a, b, c, d, i, words)
-
-
-def census(run_cap: Cap, max_degree: int, max_arity: int, include_one: bool = False,
-           list_words: bool = False, budget: int = DEFAULT_BUDGET) -> Census:
-    """Exhaustively generate and count the idempotent-convention words.
-
-    The trivial word contributes 1 at cell (0, 0) when ``include_one`` is
-    set.  Raises :class:`BudgetExceeded` when the total number of words to
-    generate, predicted by :func:`reduce_to_v1`, would exceed ``budget``.
-    Every cell is checked against that prediction.
-    """
-    cap = _check_cap(run_cap)
-    _check_sizes(max_degree, max_arity)
-    # At cap 1, x is the one word of degree 0, and the 2 s_n words of degree
-    # n >= 1 have arity at most 2n + 1.  Every cap keeps them, so those that
-    # fit the box bound the census from below before the series is solved,
-    # and count it exactly when the cap is 1 and every degree fits.  Past the
-    # budget the sum stops at degree 128 (under 1 ms), so a refusal does not
-    # cost what the box does: degree 3200 alone takes 40 s.
-    top = min(max_degree, (max_arity - 1) // 2)
-    held, summed = int(top >= 0), 0
-    numbers = itertools.islice(iter_schroeder_numbers(), 1, None)
-    while summed < top and not (held > budget and summed >= 128):
-        summed += 1
-        held += 2 * next(numbers)
-    if held > budget:
-        at_least = "" if cap == 1 and summed == max_degree else "at least "
-        raise BudgetExceeded(f"census would generate {at_least}{held} words (budget {budget})")
-    cells = [(n, m) for n in range(max_degree + 1) for m in range(1, max_arity + 1)]
-    expected = reduce_to_v1(cap, max_degree, max_arity, include_one=False)
-    predicted = sum(expected.counts.values())
-    if predicted > budget:
-        raise BudgetExceeded(
-            f"census would generate {predicted} words (budget {budget})"
-        )
-
-    tables = {name: {} for name in "abcdi"}
-    words = {} if list_words else None
-    for n, m in cells:
-        a = b = i = 0
-        texts = [] if words is not None else None
-        for f in _cell_factors(cap, n, m):
-            a += 1
-            if type(f[-1]) is Bracket and type(f[0]) is Bracket:
-                b += 1
-                i += len(f) == 1
-            if texts is not None:
-                texts.append(render_word(_trusted(f)))
-        if a != expected.count(n, m):
-            raise AssertionError(
-                f"census generated {a} words of degree {n} and arity {m},"
-                f" the series predicts {expected.count(n, m)}"
-            )
-        for name, count in zip("abcdi", (a, b, a - b, b - i, i)):
-            if count:
-                tables[name][(n, m)] = count
-        if texts:
-            words[(n, m)] = tuple(sorted(texts))
-    if include_one:
-        tables["a"][(0, 0)] = 1
-
-    def table(name: str, with_one: bool = False) -> CountTable:
-        return CountTable(tables[name], cap, with_one, max_degree, max_arity)
-
-    return Census(
-        a=table("a", include_one),
-        b=table("b"),
-        c=table("c"),
-        d=table("d"),
-        i=table("i"),
-        words=words,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Run collapse: the bijection behind the run-cap reduction
-
-# A maximal run of letters: the renderer puts one space between two adjacent
-# letters and nowhere else.
-_RUN_RE = re.compile(rf"{_IDENT_RE.pattern}(?: {_IDENT_RE.pattern})*")
-
-
-def collapse_runs(w: Union[BracketedWord, AveragingWord]) -> tuple:
-    """Replace each maximal x-run by a single x; return (collapsed, run lengths).
-
-    Runs are read left to right in the text, and never span a bracket
-    boundary; a run of mixed letters keeps its last one.  Together with the
-    composition the collapsed word determines the original uniquely.
-    """
-    lengths = []
-
-    def last(run) -> str:
-        letters = run.group().split(" ")
-        lengths.append(len(letters))
-        return letters[-1]
-
-    return parse_word(_RUN_RE.sub(last, render_word(w))), tuple(lengths)
-
-
-def expand_runs(w: Union[BracketedWord, AveragingWord], parts: Sequence[int]) -> BracketedWord:
-    """Inverse of :func:`collapse_runs`: the i-th letter becomes a run."""
-    w = raw(w)
-    parts = list(parts)
-    if any(p < 1 for p in parts):
-        raise InputError("run lengths must be positive")
-    it = iter(parts)
-
-    def run(f: Letter) -> tuple:
-        try:
-            return (f,) * next(it)
-        except StopIteration:
-            raise InputError("composition has fewer parts than letters") from None
-
-    out = substitute_letters(w, run)
-    if next(it, None) is not None:
-        raise InputError("composition has more parts than letters")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,10 @@ are compositions into the generators ``x x`` and ``[x]``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Union
 
 from ._record import InputError, Record
-from .algebra import _Node, _apply_p, _collect, _freeze, _merge
+from .algebra import _Node, _apply_p, _freeze, _merge
 from .trees import (
     LEAF,
     AveragingTree,
@@ -171,7 +170,9 @@ def tree_apply(t: TreeLike) -> AveragingTree:
 
 
 class OperadElement(Record):
-    """Exact-rational combination of averaging trees of one arity."""
+    """Exact-rational combination of averaging trees of one arity.  Its
+    coefficients come from :mod:`avalg._lincomb` and ``fractions``, imported
+    where they are used, so ``compose`` loads neither."""
 
     __slots__ = _fields = ("arity", "terms")  # terms: tuple[tuple[AveragingTree, Fraction], ...]
 
@@ -185,6 +186,8 @@ class OperadElement(Record):
 
     @staticmethod
     def from_terms(arity: int, pairs) -> "OperadElement":
+        from ._lincomb import _collect
+
         return OperadElement(arity, _collect(pairs, _as_tree, _tree_key))
 
     @staticmethod
@@ -198,6 +201,8 @@ class OperadElement(Record):
         return OperadElement.from_terms(self.arity, list(self.terms) + list(other.terms))
 
     def scale(self, c) -> "OperadElement":
+        from fractions import Fraction
+
         return OperadElement.from_terms(self.arity, [(t, Fraction(c) * ci) for t, ci in self.terms])
 
 

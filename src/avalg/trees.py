@@ -15,17 +15,17 @@ Two kinds of trees appear:
   matching x's and uni-vertices matching bracket layers.
 
 Text forms: Schroeder trees as ``w(...)`` / ``i`` / ``o``; binary trees as
-``L`` / ``U(t)`` / ``B(l,r)``.
+``L`` / ``U(t)`` / ``B(l,r)``.  The Schroeder trees and the exhaustive tree
+families live in :mod:`avalg._families`, and their names are read from there
+on first use.
 """
 
 from __future__ import annotations
 
-import itertools
-import re
 import weakref
-from functools import lru_cache
 from typing import Iterator, Tuple, Union
 
+from . import _forward
 from ._record import InputError, Record
 from .words import (
     AveragingWord,
@@ -37,11 +37,8 @@ from .words import (
     _normal,
     _trusted,
     certified,
-    iter_averaging_words,
     letters_of,
-    parse_word,
     raw,
-    render_word,
 )
 
 __all__ = [
@@ -80,6 +77,12 @@ __all__ = [
     "parse_schroeder_tree",
     "TreeSyntaxError",
 ]
+
+_HOME = dict.fromkeys((
+    "enumerate_unreduced", "enumerate_averaging_trees", "SLeaf", "SNode", "SchroederTree",
+    "IOTA", "OMEGA", "is_schroeder", "omega_count", "enumerate_schroeder", "psi",
+    "psi_inverse", "render_schroeder_tree", "parse_schroeder_tree"), "_families")
+_forward(globals())
 
 
 class TreeSyntaxError(InputError):
@@ -475,189 +478,10 @@ def _phi_inverse(t: UnreducedBinaryTree) -> BracketedWord:
         factors.append(Bracket(core, power))
 
 
-# ---------------------------------------------------------------------------
-# Exhaustive tree families
-
-@lru_cache(maxsize=None)
-def _unreduced_exact(leaves: int, unis: int) -> tuple:
-    """All unreduced binary trees with ``leaves >= 1`` leaves and ``unis >= 0``
-    uni-vertices."""
-    out = []
-    if unis == 0 and leaves == 1:
-        out.append(LEAF)
-    if unis >= 1:
-        out.extend(Uni(t) for t in _unreduced_exact(leaves, unis - 1))
-    if leaves >= 2:
-        for l_leaves in range(1, leaves):
-            for l_unis in range(unis + 1):
-                lefts = _unreduced_exact(l_leaves, l_unis)
-                rights = _unreduced_exact(leaves - l_leaves, unis - l_unis)
-                out.extend(Bi(a, b) for a in lefts for b in rights)
-    return tuple(out)
-
-
-def enumerate_unreduced(max_leaves: int, max_unis: int) -> list:
-    out = []
-    for leaves in range(1, max_leaves + 1):
-        for unis in range(max_unis + 1):
-            out.extend(_unreduced_exact(leaves, unis))
-    return out
-
-
 def _tree_key(t: AveragingTree):
     """Canonical tree order: (arity, uni-vertex count, rendered text)."""
     text = render_binary_tree(t.tree)
     return (t.arity, text.count("U"), text)
-
-
-def enumerate_averaging_trees(max_leaves: int, max_unis: int) -> list:
-    """Averaging trees within the bounds, via the word bijection."""
-    out = [
-        AveragingTree(_phi(raw(w)))
-        for w in iter_averaging_words(max_leaves, max_unis)
-    ]
-    out.sort(key=_tree_key)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Schroeder trees
-
-IOTA = "iota"
-OMEGA = "omega"
-
-
-class SLeaf(Record):
-    __slots__ = _fields = ("decoration",)
-
-    def __init__(self, decoration: str):
-        if decoration not in (IOTA, OMEGA):
-            raise InputError("leaf decoration must be iota or omega")
-        Record.__init__(self, decoration)
-
-    def __str__(self) -> str:
-        return render_schroeder_tree(self)
-
-    def __repr__(self) -> str:
-        return f"parse_schroeder_tree({str(self)!r})"
-
-
-class SNode(Record):
-    """Equality, hashing and ``repr`` read the rendered text, which is unique
-    to the tree (``parse_schroeder_tree`` inverts it), so any depth compares,
-    hashes and shows."""
-
-    __slots__ = _fields = ("branches",)  # >= 2 branches; the vertex itself is decorated omega
-
-    def __init__(self, branches: tuple):
-        branches = tuple(branches)
-        if len(branches) < 2:
-            raise InputError("an internal vertex needs at least two branches")
-        for b in branches:
-            if b.__class__ is not SLeaf and b.__class__ is not SNode:
-                raise TypeError(f"not a Schroeder tree: {b!r}")
-        Record.__init__(self, branches)
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not SNode:
-            return NotImplemented
-        return render_schroeder_tree(self) == render_schroeder_tree(other)
-
-    def __hash__(self) -> int:
-        return hash(render_schroeder_tree(self))
-
-    def __str__(self) -> str:
-        return render_schroeder_tree(self)
-
-    def __repr__(self) -> str:
-        return f"parse_schroeder_tree({str(self)!r})"
-
-
-SchroederTree = Union[SLeaf, SNode]
-_IOTA_LEAF = SLeaf(IOTA)
-_OMEGA_LEAF = SLeaf(OMEGA)
-
-# Under each vertex the branches alternate iota leaf, other, iota leaf, ...
-# In the text that is local: a vertex opens on ``i``, and after a comma comes
-# ``i`` exactly when the branch before it is not ``i``.  A lone ``i`` is not
-# a tree either.
-_BREAKS_ALTERNATION = re.compile(r"^i$|w\((?!i)|i,i|[o)],(?!i)")
-
-
-def is_schroeder(t: SchroederTree) -> bool:
-    """The alternating branch condition at every vertex, or the omega leaf,
-    read off the rendered text."""
-    return not _BREAKS_ALTERNATION.search(render_schroeder_tree(t))
-
-
-def omega_count(t: SchroederTree) -> int:
-    text = render_schroeder_tree(t)
-    return text.count("w") + text.count("o")
-
-
-@lru_cache(maxsize=None)
-def enumerate_schroeder(n: int) -> tuple:
-    """All Schroeder trees with n omega decorations, by the grafting recursion."""
-    if n < 1:
-        return ()
-    if n == 1:
-        return (_OMEGA_LEAF,)
-    from .enumeration import compositions  # here only: tree commands run without it
-
-    out = []
-    for k in range(1, n):
-        for parts in compositions(n - 1, k):
-            choices = [enumerate_schroeder(p) for p in parts]
-            for picks in itertools.product(*choices):
-                branches = []
-                for sub in picks:
-                    branches.append(_IOTA_LEAF)
-                    branches.append(sub)
-                out.append(SNode(tuple(branches)))
-                out.append(SNode(tuple(branches) + (_IOTA_LEAF,)))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# The bijection with indecomposable words (cap 1, powers all 1)
-
-def psi(w: Union[AveragingWord, BracketedWord]) -> SchroederTree:
-    """Indecomposable word to Schroeder tree: odd factors x to iota leaves,
-    even factors recursively; [x] is the omega leaf.  The tree's text is a
-    token-for-token translation of the word's text, read back as a tree."""
-    if letters_of(raw(w)) != {"x"}:
-        raise InputError("the tree bijection needs words over the single letter x")
-    v = certified(w).word
-    if len(v.factors) != 1 or not isinstance(v.factors[0], Bracket):
-        raise InputError("the word must be a single bracket (indecomposable)")
-    text = render_word(v)
-    if "^" in text:
-        raise InputError("bracket powers must all be 1 under the idempotent convention")
-    # a certified word's contents begin with x and never hold two adjacent
-    # brackets, so they alternate unless two letters meet, the one place
-    # render_word writes a space
-    if " " in text:
-        raise InputError("even positions of the content must be brackets")
-    text = _FACTOR_GAP.sub(",", text.replace("[x]", "o")).translate(_WORD_TO_SCHROEDER)
-    return parse_schroeder_tree(text)
-
-
-def psi_inverse(t: SchroederTree) -> AveragingWord:
-    text = render_schroeder_tree(t)
-    if _BREAKS_ALTERNATION.search(text):
-        raise InputError("not a Schroeder tree")
-    return _normal(parse_word(text.translate(_SCHROEDER_TO_WORD)))
-
-
-# The two text forms match token for token, so the word of a Schroeder tree
-# is a translation of its text: w( to [, i to x, o to [x], the comma to a
-# space and ) to ].  Back the other way, [x] is o, [ is w(, x is i and ] is
-# ), with a comma between two adjacent factors.
-_SCHROEDER_TO_WORD = str.maketrans({"w": "[", "(": None, "i": "x", "o": "[x]", ",": " ", ")": "]"})
-_WORD_TO_SCHROEDER = str.maketrans({"[": "w(", "x": "i", "]": ")"})
-_FACTOR_GAP = re.compile(r"(?<=[ox\]])(?=[ox\[])")
 
 
 # ---------------------------------------------------------------------------
@@ -692,36 +516,6 @@ def _unpickle(text: str, marked: bool) -> UnreducedBinaryTree:
     if marked:
         _averaging_leaves(t)
     return t
-
-
-def render_schroeder_tree(t: SchroederTree) -> str:
-    """``i`` / ``o`` / ``w(b,...)``.  Iterative: the stack holds the branch
-    iterators of the open vertices, so any depth renders."""
-    parts = []
-    stack = []
-    branches = enumerate((t,))
-    while True:
-        for k, s in branches:
-            if k:
-                parts.append(",")
-            if isinstance(s, SLeaf):
-                parts.append("i" if s.decoration == IOTA else "o")
-            else:
-                parts.append("w(")
-                stack.append(branches)
-                branches = enumerate(s.branches)
-                break
-        else:
-            if not stack:
-                return "".join(parts)
-            parts.append(")")
-            branches = stack.pop()
-
-
-def parse_schroeder_tree(text: str) -> SchroederTree:
-    return _read_term(
-        text, {"i": _IOTA_LEAF, "o": _OMEGA_LEAF}, {"w": (None, lambda *bs: SNode(bs))}
-    )
 
 
 def _read_term(text: str, leaves: dict, heads: dict):

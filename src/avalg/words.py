@@ -26,19 +26,20 @@ identifier), which keeps ``parse_word(render_word(w)) == w`` exact.
 Images of the letters extend uniquely along juxtaposition and brackets;
 ``_evaluate`` is that one fold, which ``depth``, ``letters_of``,
 ``substitute_letters``, ``trees.phi`` and ``algebra.universal_map`` run.
+The exhaustive and random words live in :mod:`avalg._grammar` (averaging
+words, from the counting grammar) and :mod:`avalg._families` (bracketed
+words).
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from enum import Enum
-from functools import lru_cache
-from itertools import chain
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Sequence, Union
 
-from ._record import BudgetExceeded, InputError, Record, printed  # BudgetExceeded: re-exported
+from . import _forward
+from ._record import BudgetExceeded, InputError, Record, printed
 
 __all__ = [
     "Letter",
@@ -75,6 +76,10 @@ __all__ = [
     "random_averaging_word",
 ]
 
+_HOME = {"iter_averaging_words": "_grammar", "random_averaging_word": "_grammar",
+         "iter_bracketed_words": "_families", "random_bracketed_word": "_families"}
+_forward(globals())
+
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # The tokens of parse_word, one per match and numbered by ``lastindex``:
 # 1 an identifier, 2 '[', 3 ']' with an optional '^' and its digits (group
@@ -89,11 +94,6 @@ class WordSyntaxError(InputError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-# what one request may build: the words a census generates, the trees
-# schroeder-trees lists, the uni-vertices of a tree built from a word
-DEFAULT_BUDGET = 10**7
 
 
 # The letters, brackets and words are on the hot paths of every layer, so
@@ -155,7 +155,8 @@ class Bracket(Record):
 class BracketedWord(Record):
     """Equality, hashing and ``repr`` read the rendered text, which is unique
     to the word (``parse_word`` inverts it), so any depth compares, hashes
-    and shows."""
+    and shows.  A word with a power past the int-to-text limit, which does
+    not render, compares and hashes by its unrendered text (:func:`_tokens`)."""
 
     __slots__ = _fields = ("factors",)  # tuple[Factor, ...], nonempty
 
@@ -177,10 +178,16 @@ class BracketedWord(Record):
             return True
         if type(other) is not BracketedWord:
             return NotImplemented
-        return render_word(self) == render_word(other)
+        try:
+            return render_word(self) == render_word(other)
+        except BudgetExceeded:
+            return _tokens(self) == _tokens(other)
 
     def __hash__(self) -> int:
-        return hash(render_word(self))
+        try:
+            return hash(render_word(self))
+        except BudgetExceeded:
+            return hash(_tokens(self))
 
     def __str__(self) -> str:
         return render_word(self)
@@ -389,6 +396,29 @@ def render_word(w: Union[BracketedWord, "AveragingWord"]) -> str:
                 return "".join(parts)
             factors, close = stack.pop()
             prev_letter = False
+
+
+def _tokens(w: BracketedWord) -> tuple:
+    """The text of ``w`` as tokens, no power rendered: each letter's symbol,
+    None for a '[' and the power of its bracket for the ']'.  Tokens, like
+    the text, tell words apart; iterative, so any depth reads."""
+    tokens = []
+    stack = []  # (factors left around an open bracket, its power)
+    factors = iter(w.factors)
+    while True:
+        for f in factors:
+            if type(f) is Letter:
+                tokens.append(f.symbol)
+            else:
+                tokens.append(None)
+                stack.append((factors, f.power))
+                factors = iter(f.core.factors)
+                break
+        else:
+            if not stack:
+                return tuple(tokens)
+            factors, power = stack.pop()
+            tokens.append(power)
 
 
 # ---------------------------------------------------------------------------
@@ -629,236 +659,5 @@ def peel(w: Union[AveragingWord, BracketedWord]) -> tuple:
     return _normal(b.core), b.power
 
 
-# ---------------------------------------------------------------------------
-# Exhaustive enumeration (single-letter alphabet)
-
-_X = Letter("x")  # the one generator of the enumerators below and of the tree bijection
-
-
-@lru_cache(maxsize=None)
-def _all_words_exact(size: int) -> tuple:
-    """All canonical bracketed words with ``arity + degree == size >= 1``."""
-    out = []
-    for k in range(1, size + 1):
-        for f in _all_factors_exact(k):
-            if k == size:
-                out.append(word(f))
-            else:
-                for rest in _all_words_exact(size - k):
-                    out.append(_trusted((f,) + rest.factors))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _all_factors_exact(size: int) -> tuple:
-    out = []
-    if size == 1:
-        out.append(_X)
-    for power in range(1, size):
-        for core in _all_words_exact(size - power):
-            if len(core.factors) == 1 and isinstance(core.factors[0], Bracket):
-                continue  # that shape is already produced at a higher power
-            out.append(Bracket(core, power))
-    return tuple(out)
-
-
-def iter_bracketed_words(max_size: int) -> Iterator[BracketedWord]:
-    """Every canonical bracketed word over ``x`` with size <= ``max_size``."""
-    for size in range(1, max_size + 1):
-        yield from _all_words_exact(size)
-
-
-# ---------------------------------------------------------------------------
-# Averaging words over x: one recursion counts, walks and unranks them
-#
-# A family is named by ``(a, d, head, core)`` under ``caps = (power_cap,
-# run_cap)``: the averaging words over ``x`` of arity ``a`` and degree ``d``
-# whose first factor is a letter (head 0) or a bracket (head 1), in which
-# runs have at most ``run_cap`` letters and brackets ``[u]^s`` have
-# ``s <= power_cap``.  With ``core`` set, a word also does not end in a
-# bracket of power >= 2, as the core ``u`` of a bracket must not; a core has
-# head 0.  Only the counts, with the branches that hold words, and the
-# bracket groups, which stand inside larger words, are memoised; words are
-# walked, never held.
-
-
-def _split_family(family: tuple, caps: tuple) -> Iterator[tuple]:
-    """The case split of a family: each way its words begin, as ``(first,
-    rest)``.  ``first`` is a run length ``r`` (a run of ``r`` letters) or
-    ``(ba, bd, top)``, the brackets of arity ``ba`` and degree ``bd`` with
-    power at most ``top``; ``rest`` is the family of what follows, or None
-    when ``first`` is the whole word."""
-    a, d, head, core = family
-    power_cap, run_cap = caps
-    if a > run_cap * (2 * d + 1):
-        return  # a word of degree d has at most 2d + 1 runs
-    if head == 0:
-        for r in range(1, min(a, run_cap) + 1):
-            if r < a:
-                yield r, (a - r, d, 1, core)
-            elif d == 0:
-                yield r, None
-        return
-    for ba in range(1, a + 1):
-        for bd in range(1, d + 1):
-            if (ba, bd) != (a, d):
-                yield (ba, bd, min(bd, power_cap)), (a - ba, d - bd, 0, core)
-            else:
-                yield (ba, bd, 1 if core else min(bd, power_cap)), None
-
-
-@lru_cache(maxsize=None)
-def _branches(family: tuple, caps: tuple) -> tuple:
-    """The branches of a family's split that hold words, as ``(first, rest,
-    firsts, rests)``: ``firsts`` first factors (one run, or a bracket
-    ``[u]^s`` for each core ``u`` of each power ``s``), each followed by any
-    of the ``rests`` words of ``rest`` (1 when ``rest`` is None).  Memoised,
-    so a walk never visits an empty branch."""
-    out = []
-    for first, rest in _split_family(family, caps):
-        rests = 1 if rest is None else _count_family(rest, caps)
-        if not rests:
-            continue
-        if type(first) is int:
-            firsts = 1
-        else:
-            a, d, top = first
-            firsts = sum(_count_family((a, d - s, 0, True), caps) for s in range(1, top + 1))
-        if firsts:
-            out.append((first, rest, firsts, rests))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _count_family(family: tuple, caps: tuple) -> int:
-    """The number of words in a family."""
-    return sum(firsts * rests for _, _, firsts, rests in _branches(family, caps))
-
-
-@lru_cache(maxsize=None)
-def _bracket_group(a: int, d: int, s: int, caps: tuple) -> tuple:
-    """The brackets ``[u]^s`` of arity ``a`` and degree ``d``, built once for
-    every word that contains them."""
-    return tuple(_close(_trusted(core), s) for core in _walk_family((a, d - s, 0, True), caps))
-
-
-def _walk_family(family: tuple, caps: tuple) -> Iterator[tuple]:
-    """The factor tuples of a family's words, one at a time, in the order of
-    its split: each first factor (a run, or a bracket as a 1-tuple) with
-    each rest.  The words come through chained C iterators, so Python code
-    runs once per first factor, not once per word."""
-
-    def pieces():
-        for first, rest, _, _ in _branches(family, caps):
-            if type(first) is int:
-                heads = ((_X,) * first,)
-            else:
-                a, d, top = first
-                heads = chain.from_iterable(zip(_bracket_group(a, d, s, caps)) for s in range(1, top + 1))
-            if rest is None:
-                yield heads
-            elif rest[2:] == (0, True):
-                # a core rest: its words are the cores u of the memoised
-                # brackets [u], read off them rather than walked once per head
-                held = _bracket_group(rest[0], rest[1] + 1, 1, caps)
-                for head in heads:
-                    yield map(head.__add__, map(_core_factors, held))
-            else:
-                for head in heads:
-                    yield map(head.__add__, _walk_family(rest, caps))
-
-    return chain.from_iterable(pieces())
-
-
-_core_factors = operator.attrgetter("core.factors")
-
-
-def _unrank_family(family: tuple, caps: tuple, rank: int) -> tuple:
-    """The factor tuple of the word at ``rank`` in :func:`_walk_family`'s
-    order, found by descending through the counts; no family is built, only
-    that word."""
-    if not 0 <= rank < _count_family(family, caps):
-        raise IndexError(f"rank {rank} is outside the family {family}")
-    factors = []
-    while family is not None:
-        for first, rest, firsts, rests in _branches(family, caps):
-            if rank < firsts * rests:
-                break
-            rank -= firsts * rests
-        index, rank = divmod(rank, rests)
-        family = rest
-        if type(first) is int:
-            factors.extend((_X,) * first)
-            continue
-        a, d, top = first
-        for s in range(1, top + 1):
-            cores = (a, d - s, 0, True)
-            if index < _count_family(cores, caps):
-                break
-            index -= _count_family(cores, caps)
-        factors.append(_close(_trusted(_unrank_family(cores, caps, index)), s))
-    return tuple(factors)
-
-
-def _draw(rng, families: Sequence[tuple], caps: tuple) -> tuple:
-    """The factor tuple of a word drawn uniformly from the union of
-    ``families``: a rank below their summed counts, unranked in the family
-    it falls in (the recursive method of uniform random generation)."""
-    counts = [_count_family(family, caps) for family in families]
-    rank = rng.randrange(sum(counts))
-    for family, count in zip(families, counts):
-        if rank < count:
-            return _unrank_family(family, caps, rank)
-        rank -= count
-
-
-def iter_averaging_words(max_arity: int, max_degree: int) -> Iterator[AveragingWord]:
-    """Every averaging word over ``x`` within the given arity/degree bounds."""
-    caps = (math.inf, math.inf)
-    for a in range(1, max_arity + 1):
-        for d in range(0, max_degree + 1):
-            for head in (0, 1):
-                for factors in _walk_family((a, d, head, False), caps):
-                    yield _normal(_trusted(factors))
-
-
-# ---------------------------------------------------------------------------
-# Random generation (seeded; used heavily by the test suite)
-
-def random_bracketed_word(rng, alphabet: Sequence[str] = ("x", "y"), max_size: int = 10,
-                          max_power: int = 3) -> BracketedWord:
-    """A random canonical bracketed word; not necessarily an averaging word."""
-
-    def gen(budget: int) -> BracketedWord:
-        factors = []
-        while budget > 0:
-            if rng.random() < 0.55 or budget < 3:
-                factors.append(Letter(rng.choice(alphabet)))
-                budget -= 1
-            else:
-                power = rng.randint(1, min(max_power, budget - 1))
-                core = gen(rng.randint(1, budget - power))
-                b = Bracket(core, power)
-                factors.append(b)
-                budget -= power + word_size(core)
-            if rng.random() < 0.25:
-                break
-        return BracketedWord(tuple(factors))
-
-    return gen(rng.randint(1, max_size))
-
-
-def random_averaging_word(rng, alphabet: Sequence[str] = ("x", "y"),
-                          max_depth: int = 4, max_run: int = 2) -> AveragingWord:
-    """A random averaging word of degree (hence depth) <= ``max_depth`` with
-    runs of at most ``max_run`` letters: a degree ``d`` uniform in ``0 ..
-    max_depth``, a word uniform among those of degree ``d`` over ``x`` (drawn
-    by :func:`_draw`), and each letter uniform from ``alphabet``."""
-    if max_depth < 0 or max_run < 1:
-        raise InputError("random_averaging_word needs max_depth >= 0 and max_run >= 1")
-    letters = [Letter(symbol) for symbol in alphabet]
-    d = rng.randint(0, max_depth)
-    # a word of degree d has at most 2d + 1 runs
-    families = [(a, d, head, False) for a in range(1, max_run * (2 * d + 1) + 1) for head in (0, 1)]
-    shape = _trusted(_draw(rng, families, (math.inf, max_run)))
-    return AveragingWord(substitute_letters(shape, lambda _: (rng.choice(letters),)))
+# the one generator of the tree bijection and of the enumerators
+_X = Letter("x")

@@ -66,13 +66,11 @@ def census_v1():
 
 def test_criterion_01_schroeder_identification():
     with criterion(1, "schroeder-identification"):
-        import avalg.enumeration as enum_mod
-        import avalg.words as words_mod
+        import avalg._grammar as grammar
 
-        for module in (words_mod, enum_mod):
-            for fn in vars(module).values():
-                if callable(getattr(fn, "cache_clear", None)):
-                    fn.cache_clear()
+        for fn in vars(grammar).values():
+            if callable(getattr(fn, "cache_clear", None)):
+                fn.cache_clear()
         start = time.monotonic()
         totals = census(1, 7, 15, include_one=True).a.degree_totals(7)
         census_elapsed = time.monotonic() - start

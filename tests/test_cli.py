@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from avalg import algebra, cli, enumeration, instances, trees, words
+from avalg import _grammar, algebra, cli, enumeration, instances, trees, words
 from avalg._record import InputError
 from avalg.instances import algebra_to_json, standard_fixtures
 from avalg.words import render_word
@@ -309,6 +309,36 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == f"budget exceeded: {message} the int-to-text limit of 4300\n"
 
+    def test_an_exponent_past_the_limit_is_refused_before_it_is_built(self, tmp_path):
+        # Fraction builds 10**3000000 in full, which took 1.4 s; the digits
+        # are bounded first, for a coefficient and for an instance entry (a
+        # term splits at '-', so only an entry takes a negative exponent);
+        # 123e-4302 is built, and its denominator, 10**4302, is past the limit
+        path = tmp_path / "instance.json"
+        message = "more digits than the int-to-text limit of 4300\n"
+        start = time.perf_counter()
+        with int_digits_limit(4300):
+            product = run_cli("product", "1e3000000*x", "x")
+            zero = run_cli("product", "0e3000000*x", "x")
+            checked = []
+            for entry in ("1e3000000", "1e-3000000", "123e-4302"):
+                path.write_text(json.dumps({"basis": ["1"], "mul": [[[entry]]], "op": [["1"]]}))
+                checked.append(run_cli("check-instance", str(path)))
+        assert time.perf_counter() - start < 1
+        assert (product.returncode, product.stdout) == (3, "")
+        assert product.stderr == f"budget exceeded: a coefficient has {message}"
+        assert payload_of(zero) == {"terms": []}
+        for proc in checked:
+            assert (proc.returncode, proc.stdout) == (3, "")
+            assert proc.stderr == f"budget exceeded: an entry has {message}"
+
+    def test_an_exponent_within_the_limit_reads_as_before(self, tmp_path):
+        assert payload_of(run_cli("product", "2e3*x", "x")) == {
+            "terms": [{"coeff": "2000", "word": "x x"}]}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"basis": ["1"], "mul": [[["1e0"]]], "op": [["10e-1"]]}))
+        assert payload_of(run_cli("check-instance", str(path)))["averaging"]["ok"] is True
+
     @pytest.mark.parametrize("error, code, line", [
         (OSError(28, "No space left on device"), 5,
          "resource exhausted: [Errno 28] No space left on device\n"),
@@ -358,9 +388,9 @@ class TestExitCodes:
     def test_census_count_mismatch_is_internal_under_O(self):
         # a word lost by the generator is caught even with asserts stripped
         script = (
-            "import itertools, sys, avalg.cli as cli, avalg.enumeration as enum\n"
-            "walk = enum._cell_factors\n"
-            "enum._cell_factors = lambda cap, n, m: itertools.islice(walk(cap, n, m), 1, None)\n"
+            "import itertools, sys, avalg.cli as cli, avalg._grammar as grammar\n"
+            "walk = grammar._cell_factors\n"
+            "grammar._cell_factors = lambda cap, n, m: itertools.islice(walk(cap, n, m), 1, None)\n"
             "sys.exit(cli.main(['census', '--max-degree', '2']))\n"
         )
         proc = subprocess.run(
@@ -504,7 +534,7 @@ class TestExitCodes:
 
         # the CLI calls words.render_word, so the two modules that hold the
         # name cover every call
-        for module in (enumeration, words):
+        for module in (_grammar, words):
             monkeypatch.setattr(module, "render_word", counted)
         assert cli.main(["census", "--max-degree", "4", "--list-words"]) == 0
         listed = json.loads(capsys.readouterr().out)["payload"]["words"]
@@ -524,32 +554,38 @@ class TestExitCodes:
 
 
 # Runs cli.main in a fresh interpreter and prints the exit code, then the
-# layers whose code ran.  type() reads a lazily registered module's class
-# without triggering its load, and a loaded one is a plain ModuleType.
+# avalg modules whose code ran, the layers first, then "fractions" if it was
+# imported.  type() reads a lazily registered module's class without
+# triggering its load, and a loaded one is a plain ModuleType.
 _LOADED_LAYERS = """
 import contextlib, io, sys, types
 from avalg import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, *sorted(name.split(".")[1] for name, module in sys.modules.items()
-                    if name.startswith("avalg.") and name != "avalg.cli"
-                    and type(module) is types.ModuleType))
+print(code, *sorted((name.split(".")[1] for name, module in sys.modules.items()
+                     if name.startswith("avalg.") and name != "avalg.cli"
+                     and type(module) is types.ModuleType), key=lambda m: (m[0] == "_", m)),
+      *{"fractions"} & set(sys.modules))
 """
 
 _INSTANCE = '{"dim": 1, "basis": ["1"], "mul": [[["1"]]], "op": [["1"]]}'
 
 
 class TestLoadedLayers:
+    # The lists are exact: normalize, compose, word2tree and schroeder load
+    # no fractions, and schroeder and series no words.
     @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
     @pytest.mark.parametrize("argv, code, layers", [
-        (["schroeder", "--n", "7"], 0, "enumeration words"),
-        (["series", "--kind", "I", "--N", "3", "--M", "7"], 0, "enumeration words"),
-        (["census", "--max-degree", "2"], 0, "enumeration words"),
+        (["schroeder", "--n", "7"], 0, "enumeration"),
+        (["series", "--kind", "I", "--N", "3", "--M", "7"], 0, "enumeration"),
+        (["census", "--max-degree", "2"], 0, "enumeration words _grammar"),
         (["normalize", "[x][x]^2"], 0, "algebra words"),
         (["normalize", "[x"], 2, "words"),
-        (["check-instance", "INSTANCE"], 0, "instances"),
+        (["product", "x", "[x]"], 0, "algebra words _lincomb fractions"),
+        (["check-instance", "INSTANCE"], 0, "instances fractions"),
         (["word2tree", "x[x]"], 0, "trees words"),
         (["tree2word", "B(L,U(L))"], 0, "trees words"),
+        (["schroeder-trees", "--n", "3"], 0, "enumeration trees words _families"),
         (["compose", "B(L,L)", "2", "U(L)"], 0, "algebra operad trees words"),
     ], ids=lambda v: v[0] if isinstance(v, list) else None)
     def test_a_subcommand_runs_only_the_layers_it_uses(self, tmp_path, flags, argv, code, layers):
@@ -559,8 +595,10 @@ class TestLoadedLayers:
         proc = subprocess.run([sys.executable, *flags, "-c", _LOADED_LAYERS, *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
         # every layer loads the value classes' base module, avalg._record
-        assert proc.stdout.split() == [str(code), "_record", *layers.split()]
+        loaded.remove("_record")
+        assert loaded == [str(code), *layers.split()]
 
     def test_list_words_without_json_fails_before_any_layer_runs(self):
         argv = ["census", "--max-degree", "1", "--list-words", "--format", "text"]

@@ -5,8 +5,7 @@ import tracemalloc
 import pytest
 
 import avalg.enumeration
-import avalg.words
-
+from avalg import _grammar
 from avalg.enumeration import (
     _DELTA,
     _RADICAL_FORMS,
@@ -240,7 +239,7 @@ class TestCensus:
                 yield c
 
         monkeypatch.setattr(avalg.enumeration, "_solve_i", unsolved)
-        monkeypatch.setattr(avalg.enumeration, "iter_schroeder_numbers", counted)
+        monkeypatch.setattr(_grammar, "iter_schroeder_numbers", counted)
         total = 1 + 2 * sum(s[1:101])
         with pytest.raises(BudgetExceeded, match=f"^census would generate {total} words"
                                                  r" \(budget 10000000\)$"):
@@ -264,10 +263,9 @@ class TestCensus:
         # census(2, 5, 12) walks 112,905 words one at a time and keeps only
         # counts and the brackets that stand inside larger words; holding
         # every word of every sub-size took a traced peak of 10.5 MB
-        for module in (avalg.words, avalg.enumeration):
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
+        for value in vars(_grammar).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
         tracemalloc.start()
         try:
             census(2, 5, 12)
@@ -283,11 +281,10 @@ class TestCensus:
         # census(1, 3, 2000) quadratic in the arity cap, 13 s)
         counted = []
         for max_arity in (7, 2000):
-            for memo in (avalg.words._branches, avalg.words._count_family,
-                         avalg.words._bracket_group):
+            for memo in (_grammar._branches, _grammar._count_family, _grammar._bracket_group):
                 memo.cache_clear()
             census(1, 3, max_arity)
-            counted.append(avalg.words._count_family.cache_info().currsize)
+            counted.append(_grammar._count_family.cache_info().currsize)
         assert counted[0] == counted[1]
 
 

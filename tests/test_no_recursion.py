@@ -47,12 +47,12 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "avalg"
 # qualified name -> why its depth does not grow with the input's nesting
 ALLOWED = {
     "algebra._apply_p": "recurses once, on a rest that begins with a letter, so its depth is at most 2",
-    "trees._unreduced_exact": "recursion on the size arguments, memoised",
-    "trees.enumerate_schroeder": "recursion on n, memoised",
-    "words._all_words_exact": "recursion on the size argument, memoised",
-    "words._unrank_family": "recursion on arity and degree, memoised",
-    "words._walk_family": "one level per factor of a word, at most 2d + 1 at degree d",
-    "words.random_bracketed_word.gen": "depth bounded by the size budget",
+    "_families._all_words_exact": "recursion on the size argument, memoised",
+    "_families._unreduced_exact": "recursion on the size arguments, memoised",
+    "_families.enumerate_schroeder": "recursion on n, memoised",
+    "_families.random_bracketed_word.gen": "depth bounded by the size budget",
+    "_grammar._unrank_family": "recursion on arity and degree, memoised",
+    "_grammar._walk_family": "one level per factor of a word, at most 2d + 1 at degree d",
 }
 
 

@@ -1,6 +1,7 @@
 """The package's public surface: every name resolves on first use, to the
 object its layer defines, also when threads race to it."""
 
+import importlib
 import subprocess
 import sys
 
@@ -37,9 +38,26 @@ def test_every_name_resolves_to_its_layers_object():
         assert any(getattr(m, name, None) is value for m in layers), name
 
 
+def test_every_layer_name_is_one_object_wherever_it_is_read():
+    # a layer reads the names of its _HOME table from the module that
+    # defines them; every other name is the layer's own
+    for layer in LAYERS:
+        module = getattr(avalg, layer)
+        homes = getattr(module, "_HOME", {})
+        assert set(homes) <= set(dir(module)), layer
+        for name in {*module.__all__, *avalg._LAYERS[layer]}:
+            home = importlib.import_module(f"avalg.{homes.get(name, layer)}")
+            value = vars(home)[name]
+            assert getattr(module, name) is value, (layer, name)
+            if name in avalg._HOME:
+                assert getattr(avalg, name) is value, name
+
+
 def test_unknown_names_are_attribute_errors():
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(avalg, "no_such_name")
+    with pytest.raises(AttributeError, match="'avalg.words' has no attribute 'no_such_name'"):
+        getattr(avalg.words, "no_such_name")
 
 
 def test_dir_and_star_import_cover_the_surface():

@@ -2,8 +2,8 @@
 
 The enumerations stop near size 12, and ``random_averaging_word`` keeps to
 degree 4 or so.  Here a word of degree 20-40 is drawn uniformly among all
-averaging words over ``x`` of its arity and degree by ``words._draw``: a rank
-below their number picks it, and ``words._unrank_family`` builds it by
+averaging words over ``x`` of its arity and degree by ``_grammar._draw``: a
+rank below their number picks it, and ``_grammar._unrank_family`` builds it by
 descending through the memoised counts, never through the family itself.
 """
 
@@ -17,15 +17,8 @@ from avalg.algebra import apply_p, diamond, reduce, rewrite_reduce, universal_ma
 from avalg.instances import standard_fixtures
 from avalg.operad import compose
 from avalg.trees import phi, phi_inverse, psi, psi_inverse
-from avalg.words import (
-    AveragingWord,
-    Bracket,
-    _draw,
-    _trusted,
-    arity,
-    degree,
-    word,
-)
+from avalg._grammar import _draw
+from avalg.words import AveragingWord, Bracket, _trusted, arity, degree, word
 from test_algebra import universal_map_by_definition
 
 CAPS = (math.inf, math.inf)  # the grammar of iter_averaging_words

@@ -38,17 +38,9 @@ from avalg.words import (
     word,
     word_size,
 )
-from avalg.enumeration import _cell_factors, averaging_words_v, indecomposable_words_v
-from avalg.words import (
-    _TOKEN_RE,
-    _close,
-    _count_family,
-    _draw,
-    _evaluate,
-    _trusted,
-    _unrank_family,
-    _walk_family,
-)
+from avalg._grammar import _cell_factors, _count_family, _draw, _unrank_family, _walk_family
+from avalg.enumeration import averaging_words_v, indecomposable_words_v
+from avalg.words import _TOKEN_RE, _close, _evaluate, _trusted
 
 x = Letter("x")
 
@@ -586,6 +578,22 @@ class TestWordCore:
         assert Bracket(a, 2) == Bracket(b, 2) != Bracket(c, 2)
         assert AveragingWord(a) == AveragingWord(b)
         assert (a == "x") is False
+
+    def test_equality_and_hash_past_the_int_to_text_limit(self):
+        # [[x]^N]^N is [x]^(2N), a power of 4301 digits, which does not render
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            n = "9" * 4300
+            a, b = parse_word(f"[[x]^{n}]^{n}"), parse_word(f"[[x]^{n}]^{n}")
+            c, d = parse_word(f"[[x y]^{n}]^{n}"), parse_word(f"[x]^{n}")
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert a != c and a != d and c != d
+            assert len({a, b, c, d}) == 3
+            assert {a: 1}[b] == 1
+            assert AveragingWord(a) == AveragingWord(b)
+        finally:
+            sys.set_int_max_str_digits(before)
 
     def test_public_constructors_keep_their_checks(self):
         with pytest.raises(ValueError, match="at least one factor"):

@@ -5,9 +5,9 @@ Both reducers build ``algebra._Node``s and freeze them through
 between the two.  Every identity of a finite algebra, the idempotent
 grading among them, is checked by ``instances._first_failure``, and
 ``instances._solve`` alone finds units.  One counting grammar,
-``words._split_family``, is behind the census, ``iter_averaging_words``,
+``_grammar._split_family``, is behind the census, ``iter_averaging_words``,
 the uniform words of the property tests and ``random_averaging_word``
-(through ``words._draw``), so they share its bugs too.  One recurrence,
+(through ``_grammar._draw``), so they share its bugs too.  One recurrence,
 ``enumeration._solve_i`` (the rows of the square root of I's
 discriminant), solves every series kind: B is read off I, and D, C and A
 off both, so a bug there reaches all five, and the census checks each cell
@@ -43,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ALGEBRA = "src/avalg/algebra.py"
+WORD_GRAMMAR = "src/avalg/_grammar.py"
 INSTANCES = "src/avalg/instances.py"
 WORDS = "src/avalg/words.py"
 ENUMERATION = "src/avalg/enumeration.py"
@@ -113,16 +114,16 @@ MUTANTS = (
      INSTANCES, "if pivots and pivots[-1] == n:",
      "if pivots and pivots[-1] > n:", CHECKS),
     ("_split_family: run bound off by one",
-     WORDS, "if a > run_cap * (2 * d + 1):",
+     WORD_GRAMMAR, "if a > run_cap * (2 * d + 1):",
      "if a > run_cap * (2 * d):", GRAMMAR),
     ("_split_family: core flag dropped on the last bracket",
-     WORDS, "yield (ba, bd, 1 if core else min(bd, power_cap)), None",
+     WORD_GRAMMAR, "yield (ba, bd, 1 if core else min(bd, power_cap)), None",
      "yield (ba, bd, min(bd, power_cap)), None", GRAMMAR),
     ("_unrank_family: bracket power past its cores",
-     WORDS, "if index < _count_family(cores, caps):",
+     WORD_GRAMMAR, "if index < _count_family(cores, caps):",
      "if index <= _count_family(cores, caps):", GRAMMAR),
     ("_draw: rank off by one at a family's end",
-     WORDS, "if rank < count:",
+     WORD_GRAMMAR, "if rank < count:",
      "if rank <= count:", GRAMMAR),
     ("series: B's division drops the zt term",
      ENUMERATION, "b[n][m] = i[n + 1][m + 1] - (n == m == 0) - b[n][m - 1]",

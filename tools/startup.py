@@ -6,8 +6,10 @@ Each of the ``ROUNDS`` rounds spawns ``python -c pass`` and then each
 subcommand once, on a small input, with ``PYTHONDONTWRITEBYTECODE=1`` so
 that no run reads bytecode a previous one wrote.  The report is the median wall time of each
 subcommand minus the median of ``python -c pass``, in milliseconds: what
-avalg adds to a process, start-up and the call itself.  It only reports and
-fails on nothing but a command that exits wrongly.
+avalg adds to a process, start-up and the call itself.  After the timed
+rounds one more process per subcommand lists the avalg modules whose code
+ran and their source lines, most of what such a process compiles.  It only
+reports and fails on nothing but a command that exits wrongly.
 """
 
 import os
@@ -37,6 +39,28 @@ COMMANDS = (
 )
 
 
+# Runs cli.main on the arguments, its output discarded, then prints the name
+# and file of each avalg module whose code ran: a lazily registered module
+# that never ran is not a plain ModuleType.
+LOADED = """
+import contextlib, io, sys, types
+from avalg import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sys.argv[1:])
+for name, module in sorted(sys.modules.items()):
+    if name.split(".")[0] == "avalg" and type(module) is types.ModuleType:
+        print(name, module.__file__)
+"""
+
+
+def loaded(argv, env) -> tuple:
+    """(module names, source lines) of the avalg modules ``argv`` runs."""
+    out = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    names, files = [n.partition(".")[2] or n for n in out[::2]], out[1::2]
+    return names, sum(len(Path(f).read_text().splitlines()) for f in files)
+
+
 def spawn(argv, env) -> float:
     start = time.perf_counter()
     subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, check=True)
@@ -55,10 +79,13 @@ def main() -> None:
             bare.append(spawn([sys.executable, "-c", "pass"], env))
             for argv in commands:
                 times[argv[0]].append(spawn([sys.executable, "-m", "avalg", *argv], env))
+        modules = {argv[0]: loaded(argv, env) for argv in commands}
     base = statistics.median(bare)
     print(f"python -c pass: {base * 1e3:.1f} ms (median of {ROUNDS})")
     for name, samples in times.items():
-        print(f"{name:16s} +{(statistics.median(samples) - base) * 1e3:6.1f} ms")
+        names, lines = modules[name]
+        print(f"{name:16s} +{(statistics.median(samples) - base) * 1e3:6.1f} ms"
+              f"  {lines:5d} lines: {' '.join(names)}")
 
 
 if __name__ == "__main__":
