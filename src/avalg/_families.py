@@ -17,8 +17,8 @@ from typing import Iterator, Sequence, Union
 
 from ._record import InputError, Record
 from .trees import LEAF, AveragingTree, Bi, Uni, _phi, _read_term, _tree_key
-from .words import (_X, AveragingWord, Bracket, BracketedWord, Letter, _normal, _trusted,
-                    certified, letters_of, parse_word, raw, render_word, word, word_size)
+from .words import (_X, AveragingWord, Bracket, BracketedWord, Letter, _close, _normal, _trusted,
+                    certified, letters_of, parse_word, raw, render_word)
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +31,7 @@ def _all_words_exact(size: int) -> tuple:
     for k in range(1, size + 1):
         for f in _all_factors_exact(k):
             if k == size:
-                out.append(word(f))
+                out.append(_trusted((f,)))
             else:
                 for rest in _all_words_exact(size - k):
                     out.append(_trusted((f,) + rest.factors))
@@ -47,7 +47,7 @@ def _all_factors_exact(size: int) -> tuple:
         for core in _all_words_exact(size - power):
             if len(core.factors) == 1 and isinstance(core.factors[0], Bracket):
                 continue  # that shape is already produced at a higher power
-            out.append(Bracket(core, power))
+            out.append(_close(core, power))
     return tuple(out)
 
 
@@ -60,24 +60,26 @@ def iter_bracketed_words(max_size: int) -> Iterator[BracketedWord]:
 def random_bracketed_word(rng, alphabet: Sequence[str] = ("x", "y"), max_size: int = 10,
                           max_power: int = 3) -> BracketedWord:
     """A random canonical bracketed word; not necessarily an averaging word."""
+    letters = [Letter(symbol) for symbol in alphabet]
 
-    def gen(budget: int) -> BracketedWord:
+    def gen(budget: int) -> tuple:
+        """A random word within ``budget``, and the budget it leaves."""
         factors = []
         while budget > 0:
             if rng.random() < 0.55 or budget < 3:
-                factors.append(Letter(rng.choice(alphabet)))
+                factors.append(rng.choice(letters))
                 budget -= 1
             else:
                 power = rng.randint(1, min(max_power, budget - 1))
-                core = gen(rng.randint(1, budget - power))
-                b = Bracket(core, power)
-                factors.append(b)
-                budget -= power + word_size(core)
+                given = rng.randint(1, budget - power)
+                core, unused = gen(given)
+                factors.append(_close(core, power))
+                budget -= power + given - unused
             if rng.random() < 0.25:
                 break
-        return BracketedWord(tuple(factors))
+        return _trusted(tuple(factors)), budget
 
-    return gen(rng.randint(1, max_size))
+    return gen(rng.randint(1, max_size))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -33,17 +33,18 @@ from .words import (_IDENT_RE, _X, AveragingWord, Bracket, BracketedWord, Letter
 # runs have at most ``run_cap`` letters and brackets ``[u]^s`` have
 # ``s <= power_cap``.  With ``core`` set, a word also does not end in a
 # bracket of power >= 2, as the core ``u`` of a bracket must not; a core has
-# head 0.  Only the counts, with the branches that hold words, and the
-# bracket groups, which stand inside larger words, are memoised; words are
-# walked, never held.
+# head 0.  A family splits by its words' first factor: a run of letters, or
+# the brackets of one arity, degree and power.  Only the counts, with the
+# branches that hold words, and the bracket groups, which stand inside larger
+# words, are memoised; words are walked, never held.
 
 
 def _split_family(family: tuple, caps: tuple) -> Iterator[tuple]:
     """The case split of a family: each way its words begin, as ``(first,
     rest)``.  ``first`` is a run length ``r`` (a run of ``r`` letters) or
-    ``(ba, bd, top)``, the brackets of arity ``ba`` and degree ``bd`` with
-    power at most ``top``; ``rest`` is the family of what follows, or None
-    when ``first`` is the whole word."""
+    ``(ba, bd, s)``, the brackets ``[u]^s`` of arity ``ba`` and degree ``bd``;
+    ``rest`` is the family of what follows, or None when ``first`` is the
+    whole word."""
     a, d, head, core = family
     power_cap, run_cap = caps
     if a > run_cap * (2 * d + 1):
@@ -57,30 +58,27 @@ def _split_family(family: tuple, caps: tuple) -> Iterator[tuple]:
         return
     for ba in range(1, a + 1):
         for bd in range(1, d + 1):
-            if (ba, bd) != (a, d):
-                yield (ba, bd, min(bd, power_cap)), (a - ba, d - bd, 0, core)
-            else:
-                yield (ba, bd, 1 if core else min(bd, power_cap)), None
+            last = (ba, bd) == (a, d)
+            top = 1 if last and core else min(bd, power_cap)
+            for s in range(1, top + 1):
+                yield (ba, bd, s), None if last else (a - ba, d - bd, 0, core)
 
 
 @lru_cache(maxsize=None)
 def _branches(family: tuple, caps: tuple) -> tuple:
     """The branches of a family's split that hold words, as ``(first, rest,
     firsts, rests)``: ``firsts`` first factors (one run, or a bracket
-    ``[u]^s`` for each core ``u`` of each power ``s``), each followed by any
-    of the ``rests`` words of ``rest`` (1 when ``rest`` is None).  Memoised,
-    so a walk never visits an empty branch."""
+    ``[u]^s`` for each core ``u``), each followed by any of the ``rests``
+    words of ``rest`` (1 when ``rest`` is None).  Memoised, so a walk never
+    visits an empty branch."""
     out = []
     for first, rest in _split_family(family, caps):
         rests = 1 if rest is None else _count_family(rest, caps)
-        if not rests:
-            continue
-        if type(first) is int:
-            firsts = 1
-        else:
-            a, d, top = first
-            firsts = sum(_count_family((a, d - s, 0, True), caps) for s in range(1, top + 1))
-        if firsts:
+        firsts = 1
+        if rests and type(first) is not int:
+            a, d, s = first
+            firsts = _count_family((a, d - s, 0, True), caps)
+        if firsts and rests:
             out.append((first, rest, firsts, rests))
     return tuple(out)
 
@@ -106,11 +104,7 @@ def _walk_family(family: tuple, caps: tuple) -> Iterator[tuple]:
 
     def pieces():
         for first, rest, _, _ in _branches(family, caps):
-            if type(first) is int:
-                heads = ((_X,) * first,)
-            else:
-                a, d, top = first
-                heads = chain.from_iterable(zip(_bracket_group(a, d, s, caps)) for s in range(1, top + 1))
+            heads = ((_X,) * first,) if type(first) is int else zip(_bracket_group(*first, caps))
             if rest is None:
                 yield heads
             elif rest[2:] == (0, True):
@@ -145,14 +139,9 @@ def _unrank_family(family: tuple, caps: tuple, rank: int) -> tuple:
         family = rest
         if type(first) is int:
             factors.extend((_X,) * first)
-            continue
-        a, d, top = first
-        for s in range(1, top + 1):
-            cores = (a, d - s, 0, True)
-            if index < _count_family(cores, caps):
-                break
-            index -= _count_family(cores, caps)
-        factors.append(_close(_trusted(_unrank_family(cores, caps, index)), s))
+        else:
+            a, d, s = first
+            factors.append(_close(_trusted(_unrank_family((a, d - s, 0, True), caps, index)), s))
     return tuple(factors)
 
 
@@ -194,7 +183,7 @@ def random_averaging_word(rng, alphabet: Sequence[str] = ("x", "y"),
     # a word of degree d has at most 2d + 1 runs
     families = [(a, d, head, False) for a in range(1, max_run * (2 * d + 1) + 1) for head in (0, 1)]
     shape = _trusted(_draw(rng, families, (math.inf, max_run)))
-    return AveragingWord(substitute_letters(shape, lambda _: (rng.choice(letters),)))
+    return _normal(substitute_letters(shape, lambda _: (rng.choice(letters),)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +200,7 @@ def _cell_factors(cap: Cap, n: int, m: int) -> Iterator[tuple]:
 
 def _canonical(found) -> tuple:
     """Factor tuples as words, in canonical (rendered) order."""
-    return tuple(sorted(map(BracketedWord, found), key=render_word))
+    return tuple(sorted(map(_trusted, found), key=render_word))
 
 
 def averaging_words_v(run_cap: Cap, n: int, m: int) -> tuple:

@@ -8,6 +8,7 @@ from here on first use, and ``normalize`` and ``compose`` load no
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -153,7 +154,7 @@ def parse_lincomb(text: str) -> LinearCombination:
 
 
 def _split_terms(text: str):
-    # split on +/- that sit between terms; '-' inside a coefficient is kept
+    # split on +/- between terms; a sign that begins a term or follows a coefficient's e/E stays
     out = []
     buf = []
     depth_brackets = 0
@@ -162,8 +163,9 @@ def _split_terms(text: str):
             depth_brackets += 1
         elif ch == "]":
             depth_brackets -= 1
-        if ch in "+-" and depth_brackets == 0 and buf and "".join(buf).strip():
-            out.append(("term", "".join(buf).strip()))
+        term = "".join(buf) if ch in "+-" and depth_brackets == 0 else ""
+        if term.strip() and not re.fullmatch(r"\s*[-+]?[\d.][\d._]*[eE]", term):
+            out.append(("term", term.strip()))
             out.append(("op", ch))
             buf = []
         else:

@@ -191,7 +191,7 @@ def apply_p(u: Union[AveragingWord, BracketedWord]) -> AveragingWord:
     factors = w.factors
     first, last = factors[0], factors[-1]
     if isinstance(first, Letter) and (isinstance(last, Letter) or last.power == 1):
-        return _normal(_trusted((Bracket(w),)))
+        return _normal(_trusted((_close(w, 1),)))
     value = list(factors)
     if isinstance(first, Bracket):
         value[0] = _thaw(first, spine=len(factors) > 1)

@@ -29,9 +29,9 @@ from . import _forward
 from ._record import InputError, Record
 from .words import (
     AveragingWord,
-    Bracket,
     BracketedWord,
     _X,
+    _close,
     _evaluate,
     _layers,
     _normal,
@@ -475,7 +475,7 @@ def _phi_inverse(t: UnreducedBinaryTree) -> BracketedWord:
         if not frames:
             return core
         factors, todo, power = frames.pop()
-        factors.append(Bracket(core, power))
+        factors.append(_close(core, power))
 
 
 def _tree_key(t: AveragingTree):

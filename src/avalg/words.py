@@ -36,6 +36,7 @@ from __future__ import annotations
 import operator
 import re
 from enum import Enum
+from itertools import groupby
 from typing import Callable, Sequence, Union
 
 from . import _forward
@@ -130,15 +131,11 @@ class Bracket(Record):
         if power < 1:
             raise InputError("bracket power must be >= 1")
         try:
-            factors = core.factors
+            closed = _close(core, power)  # folds [[w]^p]^q into [w]^(p+q)
         except AttributeError:
             raise TypeError(f"bracket core must be a BracketedWord, not {core!r}") from None
-        # Collapse [[w]^p]^q into [w]^(p+q); the inner value is already canonical.
-        if len(factors) == 1 and isinstance(factors[0], Bracket):
-            inner = factors[0]
-            core, power = inner.core, power + inner.power
-        _set_core(self, core)
-        _set_power(self, power)
+        _set_core(self, closed.core)
+        _set_power(self, closed.power)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -441,17 +438,9 @@ class WordAnalysis(Record):
 
 def analyze(w: BracketedWord) -> WordAnalysis:
     blocks = []
-    run: list = []
-    for f in w.factors:
-        if isinstance(f, Letter):
-            run.append(f)
-        else:
-            if run:
-                blocks.append(BracketedWord(tuple(run)))
-                run = []
-            blocks.append(word(f))
-    if run:
-        blocks.append(BracketedWord(tuple(run)))
+    for letters, group in groupby(w.factors, key=lambda f: type(f) is Letter):
+        group = tuple(group)
+        blocks += [_trusted(group)] if letters else [_trusted((f,)) for f in group]
     return WordAnalysis(
         depth=depth(w),
         breadth=breadth(w),

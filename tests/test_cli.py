@@ -311,26 +311,38 @@ class TestExitCodes:
 
     def test_an_exponent_past_the_limit_is_refused_before_it_is_built(self, tmp_path):
         # Fraction builds 10**3000000 in full, which took 1.4 s; the digits
-        # are bounded first, for a coefficient and for an instance entry (a
-        # term splits at '-', so only an entry takes a negative exponent);
+        # are bounded first, for a coefficient and for an instance entry;
         # 123e-4302 is built, and its denominator, 10**4302, is past the limit
         path = tmp_path / "instance.json"
         message = "more digits than the int-to-text limit of 4300\n"
         start = time.perf_counter()
         with int_digits_limit(4300):
-            product = run_cli("product", "1e3000000*x", "x")
+            products = [run_cli("product", f"1e{sign}3000000*x", "x") for sign in ("", "-")]
             zero = run_cli("product", "0e3000000*x", "x")
             checked = []
             for entry in ("1e3000000", "1e-3000000", "123e-4302"):
                 path.write_text(json.dumps({"basis": ["1"], "mul": [[[entry]]], "op": [["1"]]}))
                 checked.append(run_cli("check-instance", str(path)))
         assert time.perf_counter() - start < 1
-        assert (product.returncode, product.stdout) == (3, "")
-        assert product.stderr == f"budget exceeded: a coefficient has {message}"
+        for product in products:
+            assert (product.returncode, product.stdout) == (3, "")
+            assert product.stderr == f"budget exceeded: a coefficient has {message}"
         assert payload_of(zero) == {"terms": []}
         for proc in checked:
             assert (proc.returncode, proc.stdout) == (3, "")
             assert proc.stderr == f"budget exceeded: an entry has {message}"
+
+    @pytest.mark.parametrize("text, terms", [
+        ("1.5e-2*x", [("3/200", "x x")]),
+        ("2e+3*x", [("2000", "x x")]),
+        ("x - 1e-1*[x]", [("1", "x x"), ("-1/10", "[x]x")]),
+        ("x-y", [("1", "x x"), ("-1", "y x")]),
+        ("[x]-x", [("-1", "x x"), ("1", "[x]x")]),
+    ])
+    def test_a_sign_splits_terms_but_not_an_exponent(self, text, terms):
+        # the sign after a coefficient's e or E belongs to its exponent
+        assert payload_of(run_cli("product", text, "x")) == {
+            "terms": [{"coeff": c, "word": w} for c, w in terms]}
 
     def test_an_exponent_within_the_limit_reads_as_before(self, tmp_path):
         assert payload_of(run_cli("product", "2e3*x", "x")) == {

@@ -13,19 +13,19 @@ discriminant), solves every series kind: B is read off I, and D, C and A
 off both, so a bug there reaches all five, and the census checks each cell
 against the same series.  One three-term recurrence,
 ``enumeration.iter_schroeder_numbers``, gives every Schroeder number.
-``words._close`` closes every bracket that ``parse_word``, the reducers and
-the counting grammar build, folding ``[[w]^p]^q`` into ``[w]^(p+q)``; every
-value class compares through ``_record.Record.__eq__``; and the exit code
-of every command comes from the one table in ``cli.main``, whose input
-entry must not widen back to any ``ValueError``.  Each mutant below
-is one single-line edit to the source file it names.  For each one the script
-copies ``src/`` and ``tests/`` into a temporary directory, applies the edit
-and runs ``pytest -x -q`` on the mutant's test files, stopping it after
-``TIMEOUT`` seconds (a broken rule can spin until its step budget runs
-out).  It prints killed or survived, the seconds taken and the first
-failing test, and exits 1 if any mutant survives, 2 if the unmutated copy
-fails its tests or an edit no longer matches its source.  It writes nothing
-into the repository.
+``words._close`` closes every bracket, the public ``Bracket``'s and those
+that ``parse_word``, the reducers and the counting grammar build, folding
+``[[w]^p]^q`` into ``[w]^(p+q)``; every value class compares through
+``_record.Record.__eq__``; and the exit code of every command comes from
+the one table in ``cli.main``, whose input entry must not widen back to any
+``ValueError``.  Each mutant below is one single-line edit to the source
+file it names.  For each one the script copies ``src/`` and ``tests/`` into
+a temporary directory, applies the edit and runs ``pytest -x -q`` on the
+mutant's test files, stopping it after ``TIMEOUT`` seconds (a broken rule
+can spin until its step budget runs out).  It prints killed or survived, the
+seconds taken and the first failing test, and exits 1 if any mutant
+survives, 2 if the unmutated copy fails its tests or an edit no longer
+matches its source.  It writes nothing into the repository.
 
 Run from the repository root::
 
@@ -57,7 +57,8 @@ EVALUATION = ("tests/test_algebra.py", "tests/test_cli_golden.py",
               "tests/test_operad.py", "tests/test_rewrite.py")
 REWRITE = ("tests/test_rewrite.py", "tests/test_algebra.py")
 CHECKS = ("tests/test_instances.py", "tests/test_acceptance.py")
-GRAMMAR = ("tests/test_words.py", "tests/test_enumeration.py", "tests/test_uniform_words.py")
+GRAMMAR = ("tests/test_words.py", "tests/test_enumeration.py", "tests/test_uniform_words.py",
+           "tests/test_seeded_draws.py")
 SERIES = ("tests/test_enumeration.py",)
 VALUES = ("tests/test_value_classes.py",)
 CONTRACT = ("tests/test_cli.py", "tests/test_cli_fuzz.py")
@@ -117,11 +118,11 @@ MUTANTS = (
      WORD_GRAMMAR, "if a > run_cap * (2 * d + 1):",
      "if a > run_cap * (2 * d):", GRAMMAR),
     ("_split_family: core flag dropped on the last bracket",
-     WORD_GRAMMAR, "yield (ba, bd, 1 if core else min(bd, power_cap)), None",
-     "yield (ba, bd, min(bd, power_cap)), None", GRAMMAR),
-    ("_unrank_family: bracket power past its cores",
-     WORD_GRAMMAR, "if index < _count_family(cores, caps):",
-     "if index <= _count_family(cores, caps):", GRAMMAR),
+     WORD_GRAMMAR, "top = 1 if last and core else min(bd, power_cap)",
+     "top = min(bd, power_cap)", GRAMMAR),
+    ("_branches: a bracket's cores counted one degree below it at every power",
+     WORD_GRAMMAR, "firsts = _count_family((a, d - s, 0, True), caps)",
+     "firsts = _count_family((a, d - 1, 0, True), caps)", GRAMMAR),
     ("_draw: rank off by one at a family's end",
      WORD_GRAMMAR, "if rank < count:",
      "if rank <= count:", GRAMMAR),
