@@ -61,6 +61,9 @@ def random_bracketed_word(rng, alphabet: Sequence[str] = ("x", "y"), max_size: i
                           max_power: int = 3) -> BracketedWord:
     """A random canonical bracketed word; not necessarily an averaging word."""
     letters = [Letter(symbol) for symbol in alphabet]
+    if not letters or max_size < 1 or max_power < 1:
+        raise InputError("random_bracketed_word needs a nonempty alphabet, max_size >= 1"
+                         " and max_power >= 1")
 
     def gen(budget: int) -> tuple:
         """A random word within ``budget``, and the budget it leaves."""
@@ -130,25 +133,10 @@ IOTA = "iota"
 OMEGA = "omega"
 
 
-class SLeaf(Record):
-    __slots__ = _fields = ("decoration",)
-
-    def __init__(self, decoration: str):
-        if decoration not in (IOTA, OMEGA):
-            raise InputError("leaf decoration must be iota or omega")
-        Record.__init__(self, decoration)
-
-    def __str__(self) -> str:
-        return render_schroeder_tree(self)
-
-    def __repr__(self) -> str:
-        return f"parse_schroeder_tree({str(self)!r})"
-
-
 class SNode(Record):
-    """Equality, hashing and ``repr`` read the rendered text, which is unique
-    to the tree (``parse_schroeder_tree`` inverts it), so any depth compares,
-    hashes and shows."""
+    """Equality, hashing, ``repr`` and pickles read the rendered text, which
+    is unique to the tree (``parse_schroeder_tree`` inverts it), so any depth
+    compares, hashes, shows and pickles."""
 
     __slots__ = _fields = ("branches",)  # >= 2 branches; the vertex itself is decorated omega
 
@@ -176,6 +164,20 @@ class SNode(Record):
 
     def __repr__(self) -> str:
         return f"parse_schroeder_tree({str(self)!r})"
+
+    def __reduce__(self):
+        return parse_schroeder_tree, (render_schroeder_tree(self),)
+
+
+class SLeaf(Record):
+    __slots__ = _fields = ("decoration",)
+
+    def __init__(self, decoration: str):
+        if decoration not in (IOTA, OMEGA):
+            raise InputError("leaf decoration must be iota or omega")
+        Record.__init__(self, decoration)
+
+    __str__, __repr__ = SNode.__str__, SNode.__repr__
 
 
 SchroederTree = Union[SLeaf, SNode]

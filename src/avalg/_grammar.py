@@ -176,9 +176,10 @@ def random_averaging_word(rng, alphabet: Sequence[str] = ("x", "y"),
     runs of at most ``max_run`` letters: a degree ``d`` uniform in ``0 ..
     max_depth``, a word uniform among those of degree ``d`` over ``x`` (drawn
     by :func:`_draw`), and each letter uniform from ``alphabet``."""
-    if max_depth < 0 or max_run < 1:
-        raise InputError("random_averaging_word needs max_depth >= 0 and max_run >= 1")
     letters = [Letter(symbol) for symbol in alphabet]
+    if not letters or max_depth < 0 or max_run < 1:
+        raise InputError("random_averaging_word needs a nonempty alphabet, max_depth >= 0"
+                         " and max_run >= 1")
     d = rng.randint(0, max_depth)
     # a word of degree d has at most 2d + 1 runs
     families = [(a, d, head, False) for a in range(1, max_run * (2 * d + 1) + 1) for head in (0, 1)]

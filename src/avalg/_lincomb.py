@@ -247,6 +247,8 @@ def random_lincomb(rng, alphabet=("x", "y"), max_terms: int = 3,
     """Seeded random combination for property tests."""
     from ._grammar import random_averaging_word  # here only: products run without it
 
+    if not alphabet or max_terms < 1:
+        raise InputError("random_lincomb needs a nonempty alphabet and max_terms >= 1")
     pairs = []
     for _ in range(rng.randint(1, max_terms)):
         w = random_averaging_word(rng, alphabet, max_depth=max_depth)

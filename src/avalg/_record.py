@@ -4,9 +4,9 @@ A :class:`Record` keeps its fields in ``__slots__`` and names the compared
 and shown ones in ``_fields``.  Like a frozen dataclass it compares and
 hashes as the tuple of those fields, shows them as ``Name(field=...)`` and
 refuses assignment and deletion; a slot outside ``_fields`` (a stored hash,
-a mark, a kernel) is neither compared nor shown.  A pickle or copy carries
-every slot that is set.  A class declared with ``frozen=False`` takes
-assignment and is unhashable, like a plain dataclass.  ``dataclasses`` is
+a mark, a kernel) is neither compared nor shown.  A pickle or copy calls the
+constructor on the fields, which checks them again and rebuilds the other
+slots; a word or a tree pickles as its text instead.  ``dataclasses`` is
 not used: it loads ``inspect`` and ``ast`` and generates every method at
 class creation, a cost each command-line process paid at start-up.
 
@@ -32,9 +32,14 @@ class BudgetExceeded(RuntimeError):
 DEFAULT_BUDGET = 10**7
 
 
+def int_text_limit() -> int:
+    """The int-to-text limit in digits; 0 is none, as on Python 3.10."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _past_limit(what: str) -> BudgetExceeded:
     return BudgetExceeded(f"{what} more digits than the int-to-text limit"
-                          f" of {sys.get_int_max_str_digits()}")
+                          f" of {int_text_limit()}")
 
 
 def printed(what: str, render, *args) -> str:
@@ -57,7 +62,7 @@ def exact(what: str, text: str, read):
     of an exponent in full.  A value whose numerator or denominator would
     pass the int-to-text limit is a BudgetExceeded that begins with
     ``what``, refused before any power past the limit is built."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = int_text_limit()
     number = limit and ("e" in text or "E" in text) and re.fullmatch(_EXPONENT, text)
     if not number:
         return read(text)
@@ -79,13 +84,6 @@ def exact(what: str, text: str, read):
 class Record:
     __slots__ = ()
     _fields: tuple = ()
-
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *values):
         """Set the fields, in the order of ``_fields``."""
@@ -113,7 +111,5 @@ class Record:
         shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{self.__class__.__qualname__}({shown})"
 
-    def __setstate__(self, state: tuple) -> None:
-        # the default state of a slotted object is (None, {set slot: value})
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+    def __reduce__(self):
+        return type(self), self._values()

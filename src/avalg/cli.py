@@ -254,7 +254,7 @@ def _handle(args) -> tuple:
         _check_sizes(args, "--n")
         # s_n < (3 + 2 sqrt 2)^n, whose log10 is below 0.7656; 0 is no limit
         digits = 7656 * args.n // 10000 + 1
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = _record.int_text_limit()
         if 0 < limit < digits:
             raise _record.BudgetExceeded(
                 f"s_{args.n} would print up to {digits} digits (int-to-text limit {limit})")

@@ -107,7 +107,7 @@ def count_compositions(m: int, k: int, cap: Cap = math.inf) -> int:
 # ---------------------------------------------------------------------------
 # Count tables
 
-class CountTable(Record, frozen=False):
+class CountTable(Record):
     """Exact counts by (degree, arity)."""
 
     __slots__ = _fields = ("counts", "run_cap", "include_one", "max_degree", "max_arity")
@@ -139,7 +139,7 @@ class CountTable(Record, frozen=False):
         }
 
 
-class Census(Record, frozen=False):
+class Census(Record):
     """The count tables of one census; each table holds the cap and bounds
     it was counted under.  ``words`` holds the listed words, rendered, in
     canonical order, or None."""

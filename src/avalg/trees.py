@@ -105,10 +105,10 @@ class _Node(Record):
     __slots__ = ("__weakref__", "_hash", "_leaves")
 
     def __eq__(self, other) -> bool:
-        """Structural equality.  A pair whose children are shared (one vertex
-        twice, or two vertices built over the same children) is equal at
-        once; otherwise the pairs go on an explicit stack, so any depth
-        compares, and a pair whose stored hashes differ is unequal at once."""
+        """A pair whose children are shared (one vertex twice, or two vertices
+        built over the same children) is equal at once, and a pair whose
+        stored hashes differ unequal; otherwise the texts are compared, which
+        any depth renders."""
         kind = self.__class__
         if other.__class__ is not kind:
             return NotImplemented
@@ -117,18 +117,7 @@ class _Node(Record):
                 return True
         elif self.left is other.left and self.right is other.right:
             return True
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__ or a._hash != b._hash:
-                return False
-            if isinstance(a, Uni):
-                stack.append((a.child, b.child))
-            elif isinstance(a, Bi):
-                stack += ((a.right, b.right), (a.left, b.left))
-        return True
+        return self._hash == other._hash and render_binary_tree(self) == render_binary_tree(other)
 
     def __hash__(self) -> int:
         return self._hash
@@ -140,8 +129,8 @@ class _Node(Record):
         return f"parse_binary_tree({render_binary_tree(self)!r})"
 
     def __reduce__(self):
-        """Pickled as its text, which reads and writes at any depth."""
-        return _unpickle, (render_binary_tree(self), bool(self._leaves))
+        """Pickled as its text, so any depth pickles; the mark is dropped."""
+        return parse_binary_tree, (render_binary_tree(self),)
 
 
 class TLeaf(Record):
@@ -161,10 +150,10 @@ class Uni(_Node):
     0 until the subtree from here down has passed the averaging conditions
     as a whole, then its leaf count, which :func:`_averaging_leaves` reads
     instead of walking the subtree again.  Only that walk sets it, and only
-    after the whole tree it was asked about passed.  Like the hash, the mark
-    depends on the immutable subtree alone, so a marked vertex is certified
-    again when it is unpickled; a vertex built by the constructors starts
-    unmarked.  Neither slot is compared or shown."""
+    after the whole tree it was asked about passed.  The mark is a cache: a
+    vertex built by the constructors or unpickled starts unmarked, and an
+    :class:`AveragingTree` certifies its tree again when it is built or
+    unpickled.  Neither slot is compared or shown."""
 
     __slots__ = _fields = ("child",)
 
@@ -176,7 +165,7 @@ class Uni(_Node):
 
 class Bi(_Node):
     """A bi-vertex.  ``_leaves`` is the certification mark, as on ``Uni``:
-    set only once the subtree from here down has passed; pickles keep it."""
+    set only once the subtree from here down has passed."""
 
     __slots__ = _fields = ("left", "right")
 
@@ -509,13 +498,6 @@ def render_binary_tree(t: UnreducedBinaryTree) -> str:
 
 def parse_binary_tree(text: str) -> UnreducedBinaryTree:
     return _read_term(text, {"L": LEAF}, {"U": (1, Uni), "B": (2, Bi)})
-
-
-def _unpickle(text: str, marked: bool) -> UnreducedBinaryTree:
-    t = parse_binary_tree(text)
-    if marked:
-        _averaging_leaves(t)
-    return t
 
 
 def _read_term(text: str, leaves: dict, heads: dict):

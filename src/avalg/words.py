@@ -97,9 +97,6 @@ class WordSyntaxError(InputError):
         self.position = position
 
 
-# The letters, brackets and words are on the hot paths of every layer, so
-# each has its own equality and hash in place of Record's generic ones.
-
 class Letter(Record):
     __slots__ = _fields = ("symbol",)
 
@@ -107,14 +104,6 @@ class Letter(Record):
         if not _IDENT_RE.fullmatch(symbol):
             raise InputError(f"letter symbol {symbol!r} is not an identifier")
         _set_symbol(self, symbol)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.symbol == other.symbol
-
-    def __hash__(self) -> int:
-        return hash((self.symbol,))
 
     def __str__(self) -> str:
         return self.symbol
@@ -137,23 +126,15 @@ class Bracket(Record):
         _set_core(self, closed.core)
         _set_power(self, closed.power)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.power == other.power and self.core == other.core
-
-    def __hash__(self) -> int:
-        return hash((self.core, self.power))
-
     def __str__(self) -> str:
         return render_word(word(self))
 
 
 class BracketedWord(Record):
-    """Equality, hashing and ``repr`` read the rendered text, which is unique
-    to the word (``parse_word`` inverts it), so any depth compares, hashes
-    and shows.  A word with a power past the int-to-text limit, which does
-    not render, compares and hashes by its unrendered text (:func:`_tokens`)."""
+    """Equality, hashing, ``repr`` and pickles read the rendered text, which
+    is unique to the word (``parse_word`` inverts it), so any depth works.  A
+    word with a power past the int-to-text limit, which does not render,
+    compares and hashes by :func:`_tokens` and pickles as its factors."""
 
     __slots__ = _fields = ("factors",)  # tuple[Factor, ...], nonempty
 
@@ -191,6 +172,12 @@ class BracketedWord(Record):
 
     def __repr__(self) -> str:
         return f"parse_word({render_word(self)!r})"
+
+    def __reduce__(self):
+        try:
+            return parse_word, (render_word(self),)
+        except BudgetExceeded:
+            return BracketedWord, (self.factors,)
 
 
 Factor = Union[Letter, Bracket]
@@ -474,13 +461,20 @@ class Violation(Record):
         Record.__init__(self, pattern, path)
 
 
+class _PathIndexError(InputError, IndexError):
+    """A path that addresses no factor; an IndexError too, as it always was."""
+
+
 def factor_at(w: BracketedWord, path: Sequence[int]) -> Factor:
     """Resolve a :class:`Violation` path to the factor it addresses."""
-    f = w.factors[path[0]]
-    for idx in path[1:]:
-        if not isinstance(f, Bracket):
-            raise InputError(f"path {tuple(path)} passes through the letter {f.symbol!r}")
-        f = f.core.factors[idx]
+    try:
+        f = w.factors[path[0]]
+        for idx in path[1:]:
+            if not isinstance(f, Bracket):
+                raise InputError(f"path {tuple(path)} passes through the letter {f.symbol!r}")
+            f = f.core.factors[idx]
+    except IndexError:
+        raise _PathIndexError(f"path {tuple(path)} addresses no factor") from None
     return f
 
 
@@ -539,14 +533,6 @@ class AveragingWord(Record):
         found = _scan_violation(self.word)
         if found is not None:
             raise InvalidAveragingWord(found)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.word == other.word
-
-    def __hash__(self) -> int:
-        return hash((self.word,))
 
     def __str__(self) -> str:
         return render_word(self.word)

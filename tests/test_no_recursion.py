@@ -4,12 +4,15 @@ Two checks keep it so.  A scan of ``src/avalg`` fails on any function that
 calls itself by its bare name, unless the allow-list below names it with the
 reason its depth is bounded.  A depth matrix runs each function that walks
 words or trees on inputs nested 1200 levels deep (words 3000 deep for
-``==`` and ``hash``) with the recursion limit set just above the caller's
+``==`` and ``hash``, and every recursive value 5000 deep through ``pickle``
+and ``copy.deepcopy``) with the recursion limit set just above the caller's
 stack, which also catches mutual recursion that the scan cannot see.
 """
 
 import ast
 import contextlib
+import copy
+import pickle
 import sys
 from pathlib import Path
 
@@ -34,6 +37,7 @@ from avalg.trees import (
     render_schroeder_tree,
 )
 from avalg.words import (
+    AveragingWord,
     depth,
     letters_of,
     parse_word,
@@ -124,6 +128,25 @@ def schroeder_eq_and_hash():
     return copy == SCHROEDER, hash(copy) == hash(SCHROEDER), copy != NOT_SCHROEDER
 
 
+P = 5000
+PICKLED = "[x" * P + "]" * P
+
+
+def round_trips(make):
+    """Whether ``make`` of the word ``P`` levels deep comes back equal, as a
+    new object, through ``pickle`` and through ``copy.deepcopy``."""
+    value = make(parse_word(PICKLED))
+    return tuple(loaded == value and loaded is not value
+                 for loaded in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)))
+
+
+def averaging_tree_round_trips():
+    tree = phi(parse_word(PICKLED))
+    loaded = pickle.loads(pickle.dumps(tree))
+    # the constructor certifies the tree again, which marks every vertex
+    return loaded == tree, loaded.arity, loaded.tree._leaves, copy.deepcopy(tree) == tree
+
+
 def mapped_into_dual_numbers():
     # x^1200 under the identity operator: (1 + y)^1200 = 1 + 1200y
     alg = standard_fixtures()["identity_dual_numbers"]
@@ -170,6 +193,12 @@ MATRIX = {
     "trees.lf": (lambda: render_binary_tree(lf(CUT)), COMB),
     "trees.is_lft": (lambda: (is_lft(FAT), is_lft(CUT)), (True, False)),
     "trees.is_fat": (lambda: (is_fat(FAT), is_fat(CUT)), (True, True)),
+    "pickle/deepcopy: words.BracketedWord": (lambda: round_trips(lambda w: w), (True, True)),
+    "pickle/deepcopy: words.Bracket": (lambda: round_trips(lambda w: w.factors[0]), (True, True)),
+    "pickle/deepcopy: words.AveragingWord": (lambda: round_trips(AveragingWord), (True, True)),
+    "pickle/deepcopy: trees.Uni/Bi": (lambda: round_trips(lambda w: phi(w).tree), (True, True)),
+    "pickle/deepcopy: trees.AveragingTree": (averaging_tree_round_trips, (True, P, P, True)),
+    "pickle/deepcopy: trees.SNode": (lambda: round_trips(psi), (True, True)),
     "algebra.reduce": (
         lambda: (render_word(reduce(WORD)), render_word(reduce(parse_word("[x]" + DEEP)))),
         (DEEP, "[x" * (D + 1) + "]" * (D + 1))),

@@ -258,7 +258,7 @@ class TestCertificationMarks:
         t = AveragingTree(parse_binary_tree("B(U(B(L,L)),L)"))
         assert t.tree._leaves == 3 and t.tree == Bi(Uni(Bi(LEAF, LEAF)), LEAF)
         assert Bi(Uni(Bi(LEAF, LEAF)), LEAF)._leaves == 0  # built unmarked
-        loaded = pickle.loads(pickle.dumps(t))
+        loaded = pickle.loads(pickle.dumps(t))  # certified again on load
         assert loaded == t and loaded.tree is not t.tree
         assert [s._leaves for s in subtrees(loaded.tree)] == [s._leaves for s in subtrees(t.tree)]
         assert AveragingTree(loaded.tree).arity == 3

@@ -38,7 +38,9 @@ from avalg.words import (
     word,
     word_size,
 )
+from avalg._record import InputError
 from avalg._grammar import _cell_factors, _count_family, _draw, _unrank_family, _walk_family
+from avalg.algebra import random_lincomb
 from avalg.enumeration import averaging_words_v, indecomposable_words_v
 from avalg.words import _TOKEN_RE, _close, _evaluate, _trusted
 
@@ -375,6 +377,13 @@ class TestValidate:
         assert factor_at(w, (1, 0)) == Letter("y")
         with pytest.raises(ValueError, match=r"path \(0, 0\) passes through the letter 'x'"):
             factor_at(w, (0, 0))
+
+    @pytest.mark.parametrize("path", [(), (2,), (-3,), (1, 1)], ids=str)
+    def test_factor_at_rejects_a_path_that_addresses_no_factor(self, path):
+        # an input error, and an IndexError as it always was
+        with pytest.raises(InputError) as raised:
+            factor_at(bw("x[y]"), path)
+        assert isinstance(raised.value, IndexError)
 
     def test_innermost_violation_wins(self):
         # the content is both bracket-headed and has adjacent brackets one
@@ -775,3 +784,27 @@ class TestRandomAveragingWord:
     def test_invalid_bounds_raise(self, bounds):
         with pytest.raises(ValueError, match="max_depth >= 0 and max_run >= 1"):
             random_averaging_word(random.Random(0), **bounds)
+
+
+class NoDraws:
+    """A stand-in RNG that fails on any draw, so an argument is rejected
+    before the first one."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew with {name} before the arguments were checked")
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: random_bracketed_word(rng, max_size=0),
+    lambda rng: random_bracketed_word(rng, max_size=-3),
+    lambda rng: random_bracketed_word(rng, max_power=0),
+    lambda rng: random_bracketed_word(rng, alphabet=()),
+    lambda rng: random_averaging_word(rng, alphabet=()),
+    lambda rng: random_lincomb(rng, alphabet=()),
+    lambda rng: random_lincomb(rng, max_terms=0),
+], ids=["bracketed max_size=0", "bracketed max_size=-3", "bracketed max_power=0",
+        "bracketed alphabet=()", "averaging alphabet=()", "lincomb alphabet=()",
+        "lincomb max_terms=0"])
+def test_seeded_generators_reject_bad_arguments_before_drawing(call):
+    with pytest.raises(InputError):
+        call(NoDraws())

@@ -15,17 +15,19 @@ against the same series.  One three-term recurrence,
 ``enumeration.iter_schroeder_numbers``, gives every Schroeder number.
 ``words._close`` closes every bracket, the public ``Bracket``'s and those
 that ``parse_word``, the reducers and the counting grammar build, folding
-``[[w]^p]^q`` into ``[w]^(p+q)``; every value class compares through
-``_record.Record.__eq__``; and the exit code of every command comes from
-the one table in ``cli.main``, whose input entry must not widen back to any
-``ValueError``.  Each mutant below is one single-line edit to the source
-file it names.  For each one the script copies ``src/`` and ``tests/`` into
-a temporary directory, applies the edit and runs ``pytest -x -q`` on the
-mutant's test files, stopping it after ``TIMEOUT`` seconds (a broken rule
-can spin until its step budget runs out).  It prints killed or survived, the
-seconds taken and the first failing test, and exits 1 if any mutant
-survives, 2 if the unmutated copy fails its tests or an edit no longer
-matches its source.  It writes nothing into the repository.
+``[[w]^p]^q`` into ``[w]^(p+q)``; every value class that is not its text
+(the bracketed words and the tree vertices are) compares, hashes and
+pickles through ``_record.Record``'s ``__eq__``, ``__hash__`` and
+``__reduce__``, but for ``AveragingTree``, which keeps its own ``==`` and
+hash; and the exit code of every command comes from the one table in
+``cli.main``, whose input entry must not widen back to any ``ValueError``.
+Each mutant below is one single-line edit to the source file it names.  For
+each one the script copies ``src/`` and ``tests/`` into a temporary
+directory, applies the edit and runs ``pytest -x -q`` on the mutant's test
+files, stopping it after ``TIMEOUT`` seconds (a broken rule can spin until
+its step budget runs out).  It prints killed or survived, the seconds taken
+and the first failing test, and exits 1 if any mutant survives, 2 if the
+unmutated copy fails its tests or an edit no longer matches its source.  It writes nothing into the repository.
 
 Run from the repository root::
 
@@ -156,6 +158,12 @@ MUTANTS = (
     ("Record.__eq__: only the first field compared",
      RECORD, "return self._values() == other._values()",
      "return self._values()[:1] == other._values()[:1]", VALUES),
+    ("Record.__hash__: only the first field hashed",
+     RECORD, "return hash(self._values())",
+     "return hash(self._values()[:1])", VALUES),
+    ("Record.__reduce__: the last field dropped",
+     RECORD, "return type(self), self._values()",
+     "return type(self), self._values()[:-1]", VALUES),
     ("main: every ValueError an input error",
      CLI, "except _record.InputError as exc:",
      "except ValueError as exc:", CONTRACT),
