@@ -1,7 +1,8 @@
-"""The families built outside the counting grammar of :mod:`avalg._grammar`:
-the exhaustive and random bracketed words, the exhaustive unreduced and
-averaging trees, and the Schroeder trees with their bijection ``psi`` to the
-indecomposable words.
+"""The bracketed words, the unreduced trees and the Schroeder trees, each
+declared once by its case split in the engine of :mod:`avalg._engine`,
+which counts, walks, unranks and draws them; the random bracketed words of
+the benchmark's own sampler, the exhaustive averaging trees, and the
+bijection ``psi`` from the indecomposable words to the Schroeder trees.
 
 Of the commands only ``schroeder-trees`` runs this code, so
 :mod:`avalg.words` and :mod:`avalg.trees` read these names from here on
@@ -10,11 +11,10 @@ first use.
 
 from __future__ import annotations
 
-import itertools
 import re
-from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
+from ._engine import Family, _itself, _prefix
 from ._record import InputError, Record
 from .trees import LEAF, AveragingTree, Bi, Uni, _phi, _read_term, _tree_key
 from .words import (_X, AveragingWord, Bracket, BracketedWord, Letter, _close, _normal, _trusted,
@@ -24,37 +24,34 @@ from .words import (_X, AveragingWord, Bracket, BracketedWord, Letter, _close, _
 # ---------------------------------------------------------------------------
 # Bracketed words: every one over x up to a size, and random ones
 
-@lru_cache(maxsize=None)
-def _all_words_exact(size: int) -> tuple:
-    """All canonical bracketed words with ``arity + degree == size >= 1``."""
-    out = []
-    for k in range(1, size + 1):
-        for f in _all_factors_exact(k):
-            if k == size:
-                out.append(_trusted((f,)))
-            else:
-                for rest in _all_words_exact(size - k):
-                    out.append(_trusted((f,) + rest.factors))
-    return tuple(out)
+# A family is named by ``(kind, size)``, the size being arity plus degree:
+# the "word"s, the "core"s (words that are not a lone bracket, which the
+# power form folds into the bracket around them) and the one-factor
+# "factor"s, ``x`` or ``[u]^p`` around a core.  A word splits by the size of
+# its first factor, and what follows, or a lone factor, is the rest.
+
+def _split_bracketed(key: tuple) -> Iterator[tuple]:
+    kind, size = key
+    if kind == "factor":
+        if size == 1:
+            yield (), None, lambda: (_X,)
+        for power in range(1, size):
+            yield (("core", size - power),), None, lambda core, power=power: (
+                _close(_trusted(core), power),)
+        return
+    for k in range(1, size):
+        yield (("factor", k),), ("word", size - k), _prefix
+    if kind == "word" or size == 1:
+        yield (), ("factor", size), lambda: _itself
 
 
-@lru_cache(maxsize=None)
-def _all_factors_exact(size: int) -> tuple:
-    out = []
-    if size == 1:
-        out.append(_X)
-    for power in range(1, size):
-        for core in _all_words_exact(size - power):
-            if len(core.factors) == 1 and isinstance(core.factors[0], Bracket):
-                continue  # that shape is already produced at a higher power
-            out.append(_close(core, power))
-    return tuple(out)
+BRACKETED = Family(_split_bracketed)
 
 
 def iter_bracketed_words(max_size: int) -> Iterator[BracketedWord]:
     """Every canonical bracketed word over ``x`` with size <= ``max_size``."""
     for size in range(1, max_size + 1):
-        yield from _all_words_exact(size)
+        yield from map(_trusted, BRACKETED.walk(("word", size)))
 
 
 def random_bracketed_word(rng, alphabet: Sequence[str] = ("x", "y"), max_size: int = 10,
@@ -88,30 +85,31 @@ def random_bracketed_word(rng, alphabet: Sequence[str] = ("x", "y"), max_size: i
 # ---------------------------------------------------------------------------
 # Exhaustive tree families
 
-@lru_cache(maxsize=None)
-def _unreduced_exact(leaves: int, unis: int) -> tuple:
-    """All unreduced binary trees with ``leaves >= 1`` leaves and ``unis >= 0``
-    uni-vertices."""
-    out = []
-    if unis == 0 and leaves == 1:
-        out.append(LEAF)
-    if unis >= 1:
-        out.extend(Uni(t) for t in _unreduced_exact(leaves, unis - 1))
-    if leaves >= 2:
-        for l_leaves in range(1, leaves):
-            for l_unis in range(unis + 1):
-                lefts = _unreduced_exact(l_leaves, l_unis)
-                rights = _unreduced_exact(leaves - l_leaves, unis - l_unis)
-                out.extend(Bi(a, b) for a in lefts for b in rights)
-    return tuple(out)
+# A family is named by ``(leaves, unis)``: a leaf, ``Uni(t)`` or ``Bi(l, r)``.
+
+def _split_unreduced(key: tuple) -> Iterator[tuple]:
+    leaves, unis = key
+    if key == (1, 0):
+        yield (), None, lambda: LEAF
+    if unis:
+        yield ((leaves, unis - 1),), None, Uni
+    for l_leaves in range(1, leaves):
+        for l_unis in range(unis + 1):
+            yield ((l_leaves, l_unis), (leaves - l_leaves, unis - l_unis)), None, Bi
+
+
+UNREDUCED = Family(_split_unreduced)
 
 
 def enumerate_unreduced(max_leaves: int, max_unis: int) -> list:
-    out = []
-    for leaves in range(1, max_leaves + 1):
-        for unis in range(max_unis + 1):
-            out.extend(_unreduced_exact(leaves, unis))
-    return out
+    """The unreduced trees within the bounds, by leaves, then uni-vertices.
+    Every smaller family is a head (or a head's head) of the largest, so
+    once its heads are held, each is read off its group, not built twice."""
+    keys = [(leaves, unis) for leaves in range(1, max_leaves + 1) for unis in range(max_unis + 1)]
+    for heads, *_ in UNREDUCED.branches(keys[-1]) if keys else ():
+        for head in heads:
+            UNREDUCED.group(head)
+    return [t for key in keys for t in UNREDUCED.walk(key)]
 
 
 def enumerate_averaging_trees(max_leaves: int, max_unis: int) -> list:
@@ -202,27 +200,50 @@ def omega_count(t: SchroederTree) -> int:
     return text.count("w") + text.count("o")
 
 
-@lru_cache(maxsize=None)
+# A family is named by its number ``n`` of omega decorations: the omega leaf
+# at 1, past it a vertex over ``k`` trees, by ``k``, by the composition of
+# ``n - 1`` they make and by the trees, each without and with the trailing
+# iota leaf (the family ``_TAIL``).  A branch is one n-ary product: nested
+# binary ones would interleave the composition with the trees.
+
+_TAIL = "tail"
+
+
+def _split_schroeder(key) -> Iterator[tuple]:
+    if key == _TAIL:
+        yield (), None, lambda: ()
+        yield (), None, lambda: (_IOTA_LEAF,)
+    elif key == 1:
+        yield (), None, lambda: _OMEGA_LEAF
+    else:
+        from .enumeration import compositions  # here only: the other families run without it
+
+        for k in range(1, key):
+            for parts in compositions(key - 1, k):
+                yield (*parts, _TAIL), None, _graft
+
+
+def _graft(*picks) -> SNode:
+    """The vertex over the trees ``picks[:-1]``, each after an iota leaf,
+    then the tail ``picks[-1]``: a Schroeder tree by construction, so built
+    without the constructor's checks."""
+    branches = []
+    for sub in picks[:-1]:
+        branches += (_IOTA_LEAF, sub)
+    node = _new(SNode)
+    _set_branches(node, (*branches, *picks[-1]))
+    return node
+
+
+_new, _set_branches = object.__new__, SNode.branches.__set__
+
+
+SCHROEDER = Family(_split_schroeder)
+
+
 def enumerate_schroeder(n: int) -> tuple:
     """All Schroeder trees with n omega decorations, by the grafting recursion."""
-    if n < 1:
-        return ()
-    if n == 1:
-        return (_OMEGA_LEAF,)
-    from .enumeration import compositions  # here only: the other families run without it
-
-    out = []
-    for k in range(1, n):
-        for parts in compositions(n - 1, k):
-            choices = [enumerate_schroeder(p) for p in parts]
-            for picks in itertools.product(*choices):
-                branches = []
-                for sub in picks:
-                    branches.append(_IOTA_LEAF)
-                    branches.append(sub)
-                out.append(SNode(tuple(branches)))
-                out.append(SNode(tuple(branches) + (_IOTA_LEAF,)))
-    return tuple(out)
+    return tuple(SCHROEDER.walk(n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The averaging words over ``x``, generated by one grammar that counts,
-walks, unranks and draws them.
+"""The averaging words over ``x``, declared by their case split in the
+engine of :mod:`avalg._engine`, which counts, walks, unranks and draws them.
 
 The exhaustive and random averaging words of :mod:`avalg.words` and the
 census of :mod:`avalg.enumeration` come from here, with the run collapse
@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import re
-from functools import lru_cache
 from itertools import chain
 from typing import Iterator, Sequence, Union
 
+from ._engine import Family, _itself, _prefix
 from ._record import DEFAULT_BUDGET, BudgetExceeded, InputError
 from .enumeration import (Cap, Census, CountTable, _check_cap, _check_sizes,
                           iter_schroeder_numbers, reduce_to_v1)
@@ -25,136 +24,47 @@ from .words import (_IDENT_RE, _X, AveragingWord, Bracket, BracketedWord, Letter
 
 
 # ---------------------------------------------------------------------------
-# Averaging words over x: one recursion counts, walks and unranks them
+# Averaging words over x
 #
-# A family is named by ``(a, d, head, core)`` under ``caps = (power_cap,
-# run_cap)``: the averaging words over ``x`` of arity ``a`` and degree ``d``
-# whose first factor is a letter (head 0) or a bracket (head 1), in which
-# runs have at most ``run_cap`` letters and brackets ``[u]^s`` have
-# ``s <= power_cap``.  With ``core`` set, a word also does not end in a
-# bracket of power >= 2, as the core ``u`` of a bracket must not; a core has
-# head 0.  A family splits by its words' first factor: a run of letters, or
-# the brackets of one arity, degree and power.  Only the counts, with the
-# branches that hold words, and the bracket groups, which stand inside larger
-# words, are memoised; words are walked, never held.
+# A word family is named by ``(a, d, head, core, caps)``: the factor tuples
+# of the averaging words over ``x`` of arity ``a`` and degree ``d`` whose
+# first factor is a letter (head 0) or a bracket (head 1), in which, with
+# ``caps = (power_cap, run_cap)``, runs have at most ``run_cap`` letters and
+# brackets ``[u]^s`` have ``s <= power_cap``.  With ``core`` set, a word also
+# does not end in a bracket of power >= 2, as the core ``u`` of a bracket
+# must not; a core has head 0.  A family splits by its words' first factor,
+# a run of letters or one of the brackets ``("[]", a, d, s, caps)`` of one
+# arity, degree and power (one-factor words), and what follows is the rest.
 
-
-def _split_family(family: tuple, caps: tuple) -> Iterator[tuple]:
-    """The case split of a family: each way its words begin, as ``(first,
-    rest)``.  ``first`` is a run length ``r`` (a run of ``r`` letters) or
-    ``(ba, bd, s)``, the brackets ``[u]^s`` of arity ``ba`` and degree ``bd``;
-    ``rest`` is the family of what follows, or None when ``first`` is the
-    whole word."""
-    a, d, head, core = family
+def _split_words(key: tuple) -> Iterator[tuple]:
+    if key[0] == "[]":
+        _, a, d, s, caps = key
+        yield ((a, d - s, 0, True, caps),), None, lambda core: (_close(_trusted(core), s),)
+        return
+    a, d, head, core, caps = key
     power_cap, run_cap = caps
     if a > run_cap * (2 * d + 1):
         return  # a word of degree d has at most 2d + 1 runs
     if head == 0:
         for r in range(1, min(a, run_cap) + 1):
+            run = (_X,) * r
             if r < a:
-                yield r, (a - r, d, 1, core)
+                yield (), (a - r, d, 1, core, caps), lambda run=run: run.__add__
             elif d == 0:
-                yield r, None
+                yield (), None, lambda run=run: run
         return
     for ba in range(1, a + 1):
         for bd in range(1, d + 1):
             last = (ba, bd) == (a, d)
             top = 1 if last and core else min(bd, power_cap)
             for s in range(1, top + 1):
-                yield (ba, bd, s), None if last else (a - ba, d - bd, 0, core)
+                if last:
+                    yield (("[]", ba, bd, s, caps),), None, _itself
+                else:
+                    yield (("[]", ba, bd, s, caps),), (a - ba, d - bd, 0, core, caps), _prefix
 
 
-@lru_cache(maxsize=None)
-def _branches(family: tuple, caps: tuple) -> tuple:
-    """The branches of a family's split that hold words, as ``(first, rest,
-    firsts, rests)``: ``firsts`` first factors (one run, or a bracket
-    ``[u]^s`` for each core ``u``), each followed by any of the ``rests``
-    words of ``rest`` (1 when ``rest`` is None).  Memoised, so a walk never
-    visits an empty branch."""
-    out = []
-    for first, rest in _split_family(family, caps):
-        rests = 1 if rest is None else _count_family(rest, caps)
-        firsts = 1
-        if rests and type(first) is not int:
-            a, d, s = first
-            firsts = _count_family((a, d - s, 0, True), caps)
-        if firsts and rests:
-            out.append((first, rest, firsts, rests))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _count_family(family: tuple, caps: tuple) -> int:
-    """The number of words in a family."""
-    return sum(firsts * rests for _, _, firsts, rests in _branches(family, caps))
-
-
-@lru_cache(maxsize=None)
-def _bracket_group(a: int, d: int, s: int, caps: tuple) -> tuple:
-    """The brackets ``[u]^s`` of arity ``a`` and degree ``d``, built once for
-    every word that contains them."""
-    return tuple(_close(_trusted(core), s) for core in _walk_family((a, d - s, 0, True), caps))
-
-
-def _walk_family(family: tuple, caps: tuple) -> Iterator[tuple]:
-    """The factor tuples of a family's words, one at a time, in the order of
-    its split: each first factor (a run, or a bracket as a 1-tuple) with
-    each rest.  The words come through chained C iterators, so Python code
-    runs once per first factor, not once per word."""
-
-    def pieces():
-        for first, rest, _, _ in _branches(family, caps):
-            heads = ((_X,) * first,) if type(first) is int else zip(_bracket_group(*first, caps))
-            if rest is None:
-                yield heads
-            elif rest[2:] == (0, True):
-                # a core rest: its words are the cores u of the memoised
-                # brackets [u], read off them rather than walked once per head
-                held = _bracket_group(rest[0], rest[1] + 1, 1, caps)
-                for head in heads:
-                    yield map(head.__add__, map(_core_factors, held))
-            else:
-                for head in heads:
-                    yield map(head.__add__, _walk_family(rest, caps))
-
-    return chain.from_iterable(pieces())
-
-
-_core_factors = operator.attrgetter("core.factors")
-
-
-def _unrank_family(family: tuple, caps: tuple, rank: int) -> tuple:
-    """The factor tuple of the word at ``rank`` in :func:`_walk_family`'s
-    order, found by descending through the counts; no family is built, only
-    that word."""
-    if not 0 <= rank < _count_family(family, caps):
-        raise IndexError(f"rank {rank} is outside the family {family}")
-    factors = []
-    while family is not None:
-        for first, rest, firsts, rests in _branches(family, caps):
-            if rank < firsts * rests:
-                break
-            rank -= firsts * rests
-        index, rank = divmod(rank, rests)
-        family = rest
-        if type(first) is int:
-            factors.extend((_X,) * first)
-        else:
-            a, d, s = first
-            factors.append(_close(_trusted(_unrank_family((a, d - s, 0, True), caps, index)), s))
-    return tuple(factors)
-
-
-def _draw(rng, families: Sequence[tuple], caps: tuple) -> tuple:
-    """The factor tuple of a word drawn uniformly from the union of
-    ``families``: a rank below their summed counts, unranked in the family
-    it falls in (the recursive method of uniform random generation)."""
-    counts = [_count_family(family, caps) for family in families]
-    rank = rng.randrange(sum(counts))
-    for family, count in zip(families, counts):
-        if rank < count:
-            return _unrank_family(family, caps, rank)
-        rank -= count
+WORDS = Family(_split_words)
 
 
 def iter_averaging_words(max_arity: int, max_degree: int) -> Iterator[AveragingWord]:
@@ -163,7 +73,7 @@ def iter_averaging_words(max_arity: int, max_degree: int) -> Iterator[AveragingW
     for a in range(1, max_arity + 1):
         for d in range(0, max_degree + 1):
             for head in (0, 1):
-                for factors in _walk_family((a, d, head, False), caps):
+                for factors in WORDS.walk((a, d, head, False, caps)):
                     yield _normal(_trusted(factors))
 
 
@@ -175,15 +85,17 @@ def random_averaging_word(rng, alphabet: Sequence[str] = ("x", "y"),
     """A random averaging word of degree (hence depth) <= ``max_depth`` with
     runs of at most ``max_run`` letters: a degree ``d`` uniform in ``0 ..
     max_depth``, a word uniform among those of degree ``d`` over ``x`` (drawn
-    by :func:`_draw`), and each letter uniform from ``alphabet``."""
+    by :meth:`Family.draw`), and each letter uniform from ``alphabet``."""
     letters = [Letter(symbol) for symbol in alphabet]
     if not letters or max_depth < 0 or max_run < 1:
         raise InputError("random_averaging_word needs a nonempty alphabet, max_depth >= 0"
                          " and max_run >= 1")
     d = rng.randint(0, max_depth)
     # a word of degree d has at most 2d + 1 runs
-    families = [(a, d, head, False) for a in range(1, max_run * (2 * d + 1) + 1) for head in (0, 1)]
-    shape = _trusted(_draw(rng, families, (math.inf, max_run)))
+    caps = (math.inf, max_run)
+    families = [(a, d, head, False, caps) for a in range(1, max_run * (2 * d + 1) + 1)
+                for head in (0, 1)]
+    shape = _trusted(WORDS.draw(rng, families))
     return _normal(substitute_letters(shape, lambda _: (rng.choice(letters),)))
 
 
@@ -196,7 +108,7 @@ def _cell_factors(cap: Cap, n: int, m: int) -> Iterator[tuple]:
     power >= 2, so the families are named as cores, whose counts the
     brackets' cores share."""
     caps = (1, cap)
-    return chain(_walk_family((m, n, 0, True), caps), _walk_family((m, n, 1, True), caps))
+    return chain(WORDS.walk((m, n, 0, True, caps)), WORDS.walk((m, n, 1, True, caps)))
 
 
 def _canonical(found) -> tuple:
@@ -221,7 +133,7 @@ def indecomposable_words_v(run_cap: Cap, n: int, m: int = -1) -> tuple:
     arities = [m] if m >= 0 else range(1, int(cap) * max(2 * n - 1, 1) + 1)
     out = []
     for mm in arities:
-        out.extend(_canonical((b,) for b in _bracket_group(mm, n, 1, (1, cap))))
+        out.extend(_canonical(WORDS.walk(("[]", mm, n, 1, (1, cap)))))
     return tuple(out)
 
 

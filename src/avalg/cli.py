@@ -19,12 +19,12 @@ their own (``avalg._forward``).  So ``check-instance`` loads ``instances``
 alone, ``analyze`` ``words`` alone, ``series`` and ``schroeder``
 ``enumeration`` alone, ``normalize`` and ``apply-p`` ``words`` and
 ``algebra``, ``product`` those two and ``_lincomb``, ``census`` ``words``,
-``enumeration`` and ``_grammar``, ``word2tree`` and ``tree2word`` ``words``
-and ``trees``, ``schroeder-trees`` those two, ``_families`` and
-``enumeration``, and ``compose`` ``words``, ``algebra``, ``trees`` and
-``operad``.  Each also loads ``avalg._record``, the base of the value
-classes; none loads ``dataclasses``, and only ``product`` and
-``check-instance`` load ``fractions``.
+``enumeration``, ``_engine`` and ``_grammar``, ``word2tree`` and
+``tree2word`` ``words`` and ``trees``, ``schroeder-trees`` those two,
+``_engine``, ``_families`` and ``enumeration``, and ``compose`` ``words``,
+``algebra``, ``trees`` and ``operad``.  Each also loads ``avalg._record``,
+the base of the value classes; none loads ``dataclasses``, and only
+``product`` and ``check-instance`` load ``fractions``.
 """
 
 from __future__ import annotations

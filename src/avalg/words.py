@@ -27,8 +27,8 @@ Images of the letters extend uniquely along juxtaposition and brackets;
 ``_evaluate`` is that one fold, which ``depth``, ``letters_of``,
 ``substitute_letters``, ``trees.phi`` and ``algebra.universal_map`` run.
 The exhaustive and random words live in :mod:`avalg._grammar` (averaging
-words, from the counting grammar) and :mod:`avalg._families` (bracketed
-words).
+words) and :mod:`avalg._families` (bracketed words); their exhaustive
+families are declared in the engine of :mod:`avalg._engine`.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from __future__ import annotations
 import operator
 import re
 from enum import Enum
-from itertools import groupby
-from typing import Callable, Sequence, Union
+from itertools import groupby, islice
+from typing import Callable, Iterator, Sequence, Union
 
 from . import _forward
 from ._record import BudgetExceeded, InputError, Record, printed
@@ -131,10 +131,11 @@ class Bracket(Record):
 
 
 class BracketedWord(Record):
-    """Equality, hashing, ``repr`` and pickles read the rendered text, which
-    is unique to the word (``parse_word`` inverts it), so any depth works.  A
-    word with a power past the int-to-text limit, which does not render,
-    compares and hashes by :func:`_tokens` and pickles as its factors."""
+    """Equality, hashing and ``repr`` read the rendered text, unique to the
+    word, so any depth works; a word with a power past the int-to-text limit
+    compares and hashes by :func:`_tokens`.  A pickle is the flat tuple of
+    :func:`_tokens`, read back by the text's checking reader, so any depth
+    pickles, and the powers travel as binary ints, past any text limit."""
 
     __slots__ = _fields = ("factors",)  # tuple[Factor, ...], nonempty
 
@@ -174,10 +175,7 @@ class BracketedWord(Record):
         return f"parse_word({render_word(self)!r})"
 
     def __reduce__(self):
-        try:
-            return parse_word, (render_word(self),)
-        except BudgetExceeded:
-            return BracketedWord, (self.factors,)
+        return _read, (_tokens(self),)
 
 
 Factor = Union[Letter, Bracket]
@@ -306,47 +304,73 @@ def word_key(w: Union[BracketedWord, "AveragingWord"]):
 # Parsing and rendering
 
 def parse_word(text: str) -> BracketedWord:
-    """Parse the concrete syntax into a canonical-power-form word.  One pass
-    over :data:`_TOKEN_RE`'s tokens with an explicit stack, so any depth
-    parses.  The tokens are checked as they are read, so the factors are
-    built without the public constructors' checks."""
-    stack = []  # (factors enclosing an open bracket, offset of its '[')
-    factors = []
-    letters = {}  # one Letter per distinct symbol
+    """Parse the concrete syntax into a canonical-power-form word: the
+    tokens of :func:`_lex`, read by :func:`_read`."""
+    return _read(_lex(text), lambda i: _offset(text, i))
+
+
+def _offset(text: str, i: int) -> int:
+    """Where the ``i``-th token of ``text`` starts, for an error message."""
+    return next(islice((m for m in _TOKEN_RE.finditer(text) if m.lastindex), i, None)).start()
+
+
+def _lex(text: str) -> Iterator:
+    """The tokens of ``text`` as :func:`_tokens` writes them.  A power that
+    does not read is the error it raises, which the reader raises once it
+    has checked the bracket it closes."""
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastindex
         if kind == 1:
-            symbol = m.group()
-            f = letters.get(symbol)
-            if f is None:
-                f = letters[symbol] = _letter(symbol)
-            factors.append(f)
+            yield m.group()
         elif kind == 2:
-            stack.append((factors, m.start()))
-            factors = []
+            yield None
         elif kind == 3:
-            if not stack:
-                raise WordSyntaxError("unmatched ']'", m.start())
-            if not factors:
-                raise WordSyntaxError("empty bracket content", m.start())
             digits = m.group(4)
             power = 1
             if digits is not None:
-                if not digits:
-                    raise WordSyntaxError("expected an integer after '^'", m.start(4))
                 try:
-                    power = int(digits)
-                except ValueError:  # more digits than the int-to-text limit
-                    raise WordSyntaxError("power too long to read", m.start(4)) from None
-                if power == 0:
-                    raise WordSyntaxError("zero power", m.start(4))
-            f = _close(_trusted(tuple(factors)), power)
-            factors = stack.pop()[0]
-            factors.append(f)
+                    power = int(digits) or WordSyntaxError("zero power", m.start(4))
+                except ValueError:  # no digits, or more than the int-to-text limit
+                    message = "power too long to read" if digits else "expected an integer after '^'"
+                    power = WordSyntaxError(message, m.start(4))
+            yield power
         elif kind == 5:
             raise WordSyntaxError(f"unexpected character {m.group()!r}", m.start())
+
+
+def _read(tokens, offset=int) -> BracketedWord:
+    """The word of ``tokens`` (a pickle's, from :func:`_tokens`, or the
+    text's), each checked as it is read, so the factors are built without
+    the public constructors' checks; ``offset`` maps a token's index to its
+    place in an error.  An explicit stack, so any depth reads."""
+    stack = []  # (factors enclosing an open bracket, index of its '[')
+    factors = []
+    letters = {}  # one Letter per distinct symbol
+    for i, token in enumerate(tokens):
+        if type(token) is str:
+            f = letters.get(token)
+            if f is None:
+                if not _IDENT_RE.fullmatch(token):
+                    raise WordSyntaxError(f"letter symbol {token!r} is not an identifier", offset(i))
+                f = letters[token] = _letter(token)
+            factors.append(f)
+        elif token is None:
+            stack.append((factors, i))
+            factors = []
+        else:
+            if not stack:
+                raise WordSyntaxError("unmatched ']'", offset(i))
+            if not factors:
+                raise WordSyntaxError("empty bracket content", offset(i))
+            if type(token) is not int or token < 1:
+                if isinstance(token, WordSyntaxError):
+                    raise token
+                raise WordSyntaxError(f"bracket power {token!r} is not an int >= 1", offset(i))
+            f = _close(_trusted(tuple(factors)), token)
+            factors = stack.pop()[0]
+            factors.append(f)
     if stack:
-        raise WordSyntaxError("unclosed '['", stack[-1][1])
+        raise WordSyntaxError("unclosed '['", offset(stack[-1][1]))
     if not factors:
         raise WordSyntaxError("empty word", 0)
     return _trusted(tuple(factors))

@@ -590,14 +590,14 @@ class TestLoadedLayers:
     @pytest.mark.parametrize("argv, code, layers", [
         (["schroeder", "--n", "7"], 0, "enumeration"),
         (["series", "--kind", "I", "--N", "3", "--M", "7"], 0, "enumeration"),
-        (["census", "--max-degree", "2"], 0, "enumeration words _grammar"),
+        (["census", "--max-degree", "2"], 0, "enumeration words _engine _grammar"),
         (["normalize", "[x][x]^2"], 0, "algebra words"),
         (["normalize", "[x"], 2, "words"),
         (["product", "x", "[x]"], 0, "algebra words _lincomb fractions"),
         (["check-instance", "INSTANCE"], 0, "instances fractions"),
         (["word2tree", "x[x]"], 0, "trees words"),
         (["tree2word", "B(L,U(L))"], 0, "trees words"),
-        (["schroeder-trees", "--n", "3"], 0, "enumeration trees words _families"),
+        (["schroeder-trees", "--n", "3"], 0, "enumeration trees words _engine _families"),
         (["compose", "B(L,L)", "2", "U(L)"], 0, "algebra operad trees words"),
     ], ids=lambda v: v[0] if isinstance(v, list) else None)
     def test_a_subcommand_runs_only_the_layers_it_uses(self, tmp_path, flags, argv, code, layers):

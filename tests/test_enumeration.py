@@ -261,11 +261,10 @@ class TestCensus:
 
     def test_memory_is_the_bracket_groups_not_the_words(self):
         # census(2, 5, 12) walks 112,905 words one at a time and keeps only
-        # counts and the brackets that stand inside larger words; holding
-        # every word of every sub-size took a traced peak of 10.5 MB
-        for value in vars(_grammar).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
+        # counts, branches and the groups of the heads (the brackets and
+        # their cores) that stand inside larger words; holding every word of
+        # every sub-size took a traced peak of 10.5 MB
+        _grammar.WORDS.cache_clear()
         tracemalloc.start()
         try:
             census(2, 5, 12)
@@ -281,10 +280,9 @@ class TestCensus:
         # census(1, 3, 2000) quadratic in the arity cap, 13 s)
         counted = []
         for max_arity in (7, 2000):
-            for memo in (_grammar._branches, _grammar._count_family, _grammar._bracket_group):
-                memo.cache_clear()
+            _grammar.WORDS.cache_clear()
             census(1, 3, max_arity)
-            counted.append(_grammar._count_family.cache_info().currsize)
+            counted.append(_grammar.WORDS.count.cache_info().currsize)
         assert counted[0] == counted[1]
 
 

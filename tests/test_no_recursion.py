@@ -1,8 +1,9 @@
 """No function recurses once per level of a user's input.
 
 Two checks keep it so.  A scan of ``src/avalg`` fails on any function that
-calls itself by its bare name, unless the allow-list below names it with the
-reason its depth is bounded.  A depth matrix runs each function that walks
+calls itself by its bare name, or any method that calls itself through
+``self``, unless the allow-list below names it with the reason its depth is
+bounded.  A depth matrix runs each function that walks
 words or trees on inputs nested 1200 levels deep (words 3000 deep for
 ``==`` and ``hash``, and every recursive value 5000 deep through ``pickle``
 and ``copy.deepcopy``) with the recursion limit set just above the caller's
@@ -51,36 +52,46 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "avalg"
 # qualified name -> why its depth does not grow with the input's nesting
 ALLOWED = {
     "algebra._apply_p": "recurses once, on a rest that begins with a letter, so its depth is at most 2",
-    "_families._all_words_exact": "recursion on the size argument, memoised",
-    "_families._unreduced_exact": "recursion on the size arguments, memoised",
-    "_families.enumerate_schroeder": "recursion on n, memoised",
     "_families.random_bracketed_word.gen": "depth bounded by the size budget",
-    "_grammar._unrank_family": "recursion on arity and degree, memoised",
-    "_grammar._walk_family": "one level per factor of a word, at most 2d + 1 at degree d",
+    "_engine.Family.walk": "one level per rest, and a rest is a smaller family: a word's"
+                            " next factors, at most its size",
+    "_engine.Family.unrank": "one level per head, a smaller family: a bracket's core or a"
+                              " subtree, so at most the member's size",
 }
+
+
+def calls_itself(function, method: bool) -> bool:
+    """Whether ``function`` calls its own name, bare or, for a method,
+    through ``self``."""
+    for n in ast.walk(function):
+        if isinstance(n, ast.Call):
+            f = n.func
+            if isinstance(f, ast.Name) and f.id == function.name:
+                return True
+            if (method and isinstance(f, ast.Attribute) and f.attr == function.name
+                    and isinstance(f.value, ast.Name) and f.value.id == "self"):
+                return True
+    return False
 
 
 def self_calls():
     """Qualified names of the functions in ``src/avalg`` that call themselves
-    by bare name (``module.outer.inner`` for nested ones, ``module.Class.f``
-    for methods)."""
+    by bare name, or through ``self`` for methods (``module.outer.inner`` for
+    nested ones, ``module.Class.f`` for methods)."""
     found = set()
     for path in sorted(SOURCE.glob("*.py")):
-        todo = [(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+        todo = [(ast.parse(path.read_text(encoding="utf-8")), path.stem, False)]
         while todo:
-            node, prefix = todo.pop()
+            node, prefix, in_class = todo.pop()
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     name = f"{prefix}.{child.name}"
-                    if not isinstance(child, ast.ClassDef) and any(
-                        isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-                        and n.func.id == child.name
-                        for n in ast.walk(child)
-                    ):
+                    is_class = isinstance(child, ast.ClassDef)
+                    if not is_class and calls_itself(child, in_class):
                         found.add(name)
-                    todo.append((child, name))
+                    todo.append((child, name, is_class))
                 else:
-                    todo.append((child, prefix))
+                    todo.append((child, prefix, in_class))
     return found
 
 

@@ -4,7 +4,8 @@ The benchmark's inputs come from the random generators, each called in the
 form below with a seeded ``random.Random``, so a change to a sampler or to
 the counting grammar behind it must leave every draw as it was.  Each
 digest is the SHA-256 of 10,000 rendered draws, one per line, from one
-seed; the last one covers the order of ``iter_averaging_words(6, 4)``.
+seed.  The exhaustive families are pinned the same way, one rendered member
+per line in the order they are walked.
 """
 
 import hashlib
@@ -12,8 +13,9 @@ import random
 
 import pytest
 
-from avalg import words
+from avalg import trees, words
 from avalg.algebra import random_lincomb
+from avalg.trees import render_binary_tree, render_schroeder_tree
 from avalg.words import render_word
 
 DRAWS = 10_000
@@ -71,3 +73,33 @@ def test_seeded_draws_are_pinned(call, seed):
 def test_exhaustive_order_is_pinned():
     assert digest(map(render_word, words.iter_averaging_words(6, 4))) == (
         "7dba9199cc0078d5946790207298cf5b73eab6a3085f949dc45955c055768510")
+
+
+ORDERS = {
+    "iter_bracketed_words(10)": (
+        lambda: map(render_word, words.iter_bracketed_words(10)),
+        "3c7826698f1d4414432f808354b758f75503dd748d4498194c811ea66e64d033"),
+    "enumerate_unreduced(6, 4)": (
+        lambda: map(render_binary_tree, trees.enumerate_unreduced(6, 4)),
+        "0a7741b222bb3ea2eb34ce66ebdac61d843e819830a3e2985024386e07eef6a8"),
+}
+SCHROEDER = (
+    "7427d152005f9ed0fa31c76ef9963cf4bb47dce6e2768111d9eb0edbfe59c704",
+    "625c00f91d8f5f863d207361913c355be8e493260316944fb3c7abd6488b6a8a",
+    "303349e5253dfb07f650aee729dd712a0ed7eef0208eb5986beee441f027c774",
+    "ff6ca940935b5dc22998e45483338a66726b7c41edb2eb65e1877cab1b89e088",
+    "fe2902d729e822453bc63015d119b6574a4b21473a3c83d8a15e397c432fe278",
+    "1f8ca8acb8c935a833dab334d927a9844d242c91d7196929a88dd83a97b1188d",
+    "d9d3d19393a19165279cffc9f1323919f204f28a75fbcbb1c61e9f9419853516",
+    "c2c1750c4d70c59409accb77b24da7fa84c55d7631bf8ba21c5dff864db8fbfe",
+    "91cf3ed2129e10f5a610edd5f281e1e17144166de64c1b3cc00987567a0998c7",
+)
+ORDERS.update((f"enumerate_schroeder({n})", (
+    lambda n=n: map(render_schroeder_tree, trees.enumerate_schroeder(n)), pinned))
+    for n, pinned in enumerate(SCHROEDER, 1))
+
+
+@pytest.mark.parametrize("family", sorted(ORDERS))
+def test_family_order_is_pinned(family):
+    walk, pinned = ORDERS[family]
+    assert digest(walk()) == pinned

@@ -3,11 +3,14 @@
 class, their hash (none for the two count classes, which hold a dict),
 refused assignment and deletion, and a pickle round trip that rebuilds the
 slots neither compared nor shown but for a bare vertex's mark, a cache.  A
-pickle calls the constructor, so it checks the value again; a word or a
-tree pickles as its text."""
+pickle calls the constructor, so it checks the value again; a tree pickles
+as its text, and a word as its flat tuple of tokens, read back through the
+checks of the text's reader."""
 
 import copy
 import pickle
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,6 +38,7 @@ from avalg.words import (
     Letter,
     Violation,
     WordAnalysis,
+    WordSyntaxError,
     _normal,
     analyze,
     parse_word,
@@ -185,11 +189,54 @@ def test_a_forged_averaging_word_is_refused_on_load():
 
 
 def test_a_power_too_long_to_render_round_trips():
-    # 4,301 digits, past the default int-to-text limit, so it pickles as factors
+    # 4,301 digits, past the default int-to-text limit: the power travels as
+    # a binary int
     w = word(Letter("x"), Bracket(word(Letter("y")), 10**4300))
     for loaded in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w)):
         assert type(loaded) is BracketedWord and loaded == w
         assert loaded.factors[1].power == 10**4300
+
+
+def test_a_deep_word_with_a_power_too_long_to_render_pickles():
+    # no level renders, and the token tuple is flat, so pickle does not
+    # recurse once per level
+    w = word(Letter("x"), Bracket(word(Letter("x")), 10**5000))
+    for _ in range(3000):
+        w = word(Letter("x"), Bracket(w))
+    loaded = pickle.loads(pickle.dumps(w))
+    assert type(loaded) is BracketedWord and loaded == w
+
+
+def test_a_word_pickled_without_a_text_limit_loads_under_the_default_one():
+    w = word(Letter("x"), Bracket(word(Letter("y")), 10**5000))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        dumped = pickle.dumps(w)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    loaded = pickle.loads(dumped)
+    assert loaded == w and loaded.factors[1].power == 10**5000
+
+
+@pytest.mark.parametrize("tokens, message", [
+    (("x", None), "unclosed '['"),
+    (("x", 1), "unmatched ']'"),
+    ((None, 1), "empty bracket content"),
+    ((None, "x", 0), "bracket power 0 is not an int >= 1"),
+    ((None, "x", True), "bracket power True is not an int >= 1"),
+    (("1x",), "letter symbol '1x' is not an identifier"),
+    ((), "empty word"),
+])
+def test_a_forged_word_pickle_is_refused_on_load(tokens, message):
+    load, _ = parse_word("x").__reduce__()
+
+    class Forged:
+        def __reduce__(self):
+            return load, (tokens,)
+
+    with pytest.raises(WordSyntaxError, match=re.escape(message)):
+        pickle.loads(pickle.dumps(Forged()))
 
 
 def test_unmarked_vertices_stay_unmarked_through_pickle():

@@ -39,7 +39,7 @@ from avalg.words import (
     word_size,
 )
 from avalg._record import InputError
-from avalg._grammar import _cell_factors, _count_family, _draw, _unrank_family, _walk_family
+from avalg._grammar import WORDS, _cell_factors
 from avalg.algebra import random_lincomb
 from avalg.enumeration import averaging_words_v, indecomposable_words_v
 from avalg.words import _TOKEN_RE, _close, _evaluate, _trusted
@@ -691,7 +691,7 @@ class TestAveragingWalk:
             for d in range(9):
                 for head in (0, 1):
                     cell = oracle_factors(a, d, math.inf, math.inf, head)
-                    assert _count_family((a, d, head, False), (math.inf, math.inf)) == len(cell)
+                    assert WORDS.count((a, d, head, False, (math.inf, math.inf))) == len(cell)
                     expected += texts(cell)
         assert [render_word(w) for w in iter_averaging_words(6, 8)] == expected
 
@@ -711,19 +711,19 @@ class TestAveragingWalk:
         for a in range(1, 7):
             for d in range(6):
                 for head in (0, 1):
-                    family = (a, d, head, False)
-                    walked = list(_walk_family(family, caps))
-                    assert [_unrank_family(family, caps, r) for r in range(len(walked))] == walked
+                    family = (a, d, head, False, caps)
+                    walked = list(WORDS.walk(family))
+                    assert [WORDS.unrank(family, r) for r in range(len(walked))] == walked
                     with pytest.raises(IndexError):
-                        _unrank_family(family, caps, len(walked))
+                        WORDS.unrank(family, len(walked))
 
     @pytest.mark.parametrize("caps", [(1, 1), (math.inf, 2)])
     def test_draw_ranks_the_families_in_turn(self, caps):
         # each rank below the summed counts picks one word, in the order of
         # the families' walks one after another
-        families = [(a, 4, head, False) for a in range(1, 7) for head in (0, 1)]
-        walked = [f for family in families for f in _walk_family(family, caps)]
-        drawn = [_draw(FixedRank(rank, len(walked)), families, caps) for rank in range(len(walked))]
+        families = [(a, 4, head, False, caps) for a in range(1, 7) for head in (0, 1)]
+        walked = [f for family in families for f in WORDS.walk(family)]
+        drawn = [WORDS.draw(FixedRank(rank, len(walked)), families) for rank in range(len(walked))]
         assert drawn == walked
 
 

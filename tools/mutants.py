@@ -4,17 +4,19 @@ Both reducers build ``algebra._Node``s and freeze them through
 ``algebra._freeze``, so a bug there can no longer show up as a disagreement
 between the two.  Every identity of a finite algebra, the idempotent
 grading among them, is checked by ``instances._first_failure``, and
-``instances._solve`` alone finds units.  One counting grammar,
-``_grammar._split_family``, is behind the census, ``iter_averaging_words``,
-the uniform words of the property tests and ``random_averaging_word``
-(through ``_grammar._draw``), so they share its bugs too.  One recurrence,
+``instances._solve`` alone finds units.  One engine, ``_engine.Family``,
+counts, walks, unranks and draws every family declared in it, and one case
+split, ``_grammar._split_words``, is behind the census,
+``iter_averaging_words``, the uniform words of the property tests and
+``random_averaging_word``, so they share their bugs too; the bracketed
+words and the Schroeder trees are declared in ``_families``.  One recurrence,
 ``enumeration._solve_i`` (the rows of the square root of I's
 discriminant), solves every series kind: B is read off I, and D, C and A
 off both, so a bug there reaches all five, and the census checks each cell
 against the same series.  One three-term recurrence,
 ``enumeration.iter_schroeder_numbers``, gives every Schroeder number.
 ``words._close`` closes every bracket, the public ``Bracket``'s and those
-that ``parse_word``, the reducers and the counting grammar build, folding
+that ``parse_word``, the reducers and the family declarations build, folding
 ``[[w]^p]^q`` into ``[w]^(p+q)``; every value class that is not its text
 (the bracketed words and the tree vertices are) compares, hashes and
 pickles through ``_record.Record``'s ``__eq__``, ``__hash__`` and
@@ -46,6 +48,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ALGEBRA = "src/avalg/algebra.py"
 WORD_GRAMMAR = "src/avalg/_grammar.py"
+ENGINE_FILE = "src/avalg/_engine.py"
+FAMILIES = "src/avalg/_families.py"
 INSTANCES = "src/avalg/instances.py"
 WORDS = "src/avalg/words.py"
 ENUMERATION = "src/avalg/enumeration.py"
@@ -61,6 +65,9 @@ REWRITE = ("tests/test_rewrite.py", "tests/test_algebra.py")
 CHECKS = ("tests/test_instances.py", "tests/test_acceptance.py")
 GRAMMAR = ("tests/test_words.py", "tests/test_enumeration.py", "tests/test_uniform_words.py",
            "tests/test_seeded_draws.py")
+ENGINE = ("tests/test_families.py",) + GRAMMAR
+DECLARED = ("tests/test_families.py", "tests/test_seeded_draws.py", "tests/test_words.py",
+            "tests/test_trees.py")
 SERIES = ("tests/test_enumeration.py",)
 VALUES = ("tests/test_value_classes.py",)
 CONTRACT = ("tests/test_cli.py", "tests/test_cli_fuzz.py")
@@ -116,18 +123,30 @@ MUTANTS = (
     ("_solve: an inconsistent system solved",
      INSTANCES, "if pivots and pivots[-1] == n:",
      "if pivots and pivots[-1] > n:", CHECKS),
-    ("_split_family: run bound off by one",
+    ("_split_words: run bound off by one",
      WORD_GRAMMAR, "if a > run_cap * (2 * d + 1):",
      "if a > run_cap * (2 * d):", GRAMMAR),
-    ("_split_family: core flag dropped on the last bracket",
+    ("_split_words: core flag dropped on the last bracket",
      WORD_GRAMMAR, "top = 1 if last and core else min(bd, power_cap)",
      "top = min(bd, power_cap)", GRAMMAR),
-    ("_branches: a bracket's cores counted one degree below it at every power",
-     WORD_GRAMMAR, "firsts = _count_family((a, d - s, 0, True), caps)",
-     "firsts = _count_family((a, d - 1, 0, True), caps)", GRAMMAR),
-    ("_draw: rank off by one at a family's end",
-     WORD_GRAMMAR, "if rank < count:",
-     "if rank <= count:", GRAMMAR),
+    ("_split_words: a bracket's cores one degree below it at every power",
+     WORD_GRAMMAR, "yield ((a, d - s, 0, True, caps),), None,",
+     "yield ((a, d - 1, 0, True, caps),), None,", GRAMMAR),
+    ("Family._branches: a head's count added to the rest's",
+     ENGINE_FILE, "size *= self.count(head)",
+     "size += self.count(head)", ENGINE),
+    ("Family.unrank: the last head read as the slowest",
+     ENGINE_FILE, "rank, index = divmod(rank, self.count(head))",
+     "index, rank = divmod(rank, self.count(head))", ENGINE),
+    ("Family.draw: rank off by one at a family's end",
+     ENGINE_FILE, "if rank < count:",
+     "if rank <= count:", ENGINE),
+    ("_split_bracketed: a core may be a lone bracket",
+     FAMILIES, 'if kind == "word" or size == 1:',
+     'if kind == "word" or size >= 1:', DECLARED),
+    ("_split_schroeder: the trailing iota leaf dropped",
+     FAMILIES, "yield (), None, lambda: (_IOTA_LEAF,)",
+     "yield (), None, lambda: ()", DECLARED),
     ("series: B's division drops the zt term",
      ENUMERATION, "b[n][m] = i[n + 1][m + 1] - (n == m == 0) - b[n][m - 1]",
      "b[n][m] = i[n + 1][m + 1] - b[n][m - 1]", SERIES),
