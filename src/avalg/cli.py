@@ -13,23 +13,28 @@ recursion), 6 stdout closed before the output was written (a reader such as
 {json,csv,text}``.
 
 A process runs the code of a module only when its subcommand first uses it:
-the layers are registered lazily and called through their modules, and each
-layer reads the names that most subcommands never run from a module of
-their own (``avalg._forward``).  So ``check-instance`` loads ``instances``
-alone, ``analyze`` ``words`` alone, ``series`` and ``schroeder``
-``enumeration`` alone, ``normalize`` and ``apply-p`` ``words`` and
-``algebra``, ``product`` those two and ``_lincomb``, ``census`` ``words``,
-``enumeration``, ``_engine`` and ``_grammar``, ``word2tree`` and
-``tree2word`` ``words`` and ``trees``, ``schroeder-trees`` those two,
-``_engine``, ``_families`` and ``enumeration``, and ``compose`` ``words``,
-``algebra``, ``trees`` and ``operad``.  Each also loads ``avalg._record``,
-the base of the value classes; none loads ``dataclasses``, and only
-``product`` and ``check-instance`` load ``fractions``.
+the parser holds the named subcommand alone, the layers are registered
+lazily and called through their modules, and each layer reads the names
+that most subcommands never run from a module of their own
+(``avalg._forward``).  So ``check-instance`` loads ``instances`` alone,
+``analyze`` ``words`` alone, ``series`` and ``schroeder`` ``enumeration``
+alone, ``normalize`` and ``apply-p`` ``words`` and ``algebra``, ``product``
+those two and ``_lincomb``, ``census`` ``words``, ``enumeration``,
+``_engine`` and ``_grammar``, ``word2tree`` and ``tree2word`` ``words`` and
+``trees``, ``schroeder-trees`` those two, ``_engine``, ``_families`` and
+``enumeration``, and ``compose`` ``words``, ``algebra``, ``trees`` and
+``operad``.  Each also loads ``avalg._record``, the base of the value
+classes; none loads ``dataclasses``, and only ``product`` and
+``check-instance`` load ``fractions``.  The program entry, :func:`run`,
+freezes the collector's objects before the process exits, so the
+collections at shutdown have nothing to walk; :func:`main` leaves the
+collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import itertools
 import json
@@ -41,7 +46,10 @@ import sys
 def _lazy(name: str):
     """The layer ``avalg.<name>``, registered so that its code runs on first
     attribute access (``importlib.util.LazyLoader``); a module already in
-    ``sys.modules`` is returned as it is."""
+    ``sys.modules`` is returned as it is.  So ``import avalg.cli`` leaves
+    every layer in ``sys.modules`` without running it, where a tool that
+    wraps the layers' functions from outside (``perfbench/instrument.py``)
+    reads them."""
     fullname = f"{__package__}.{name}"
     if fullname not in sys.modules:
         spec = importlib.util.find_spec(fullname)
@@ -66,6 +74,9 @@ EXIT_PIPE = 6
 # the cells of the largest series table served: (222, 445) took 0.24 s and
 # printed 3.5 MB, and the tallest box, (99999, 0), took 0.82 s
 SERIES_BUDGET = 10**5
+# the term pairs of the largest product served: 300 x 300 terms took 1.36 s
+# and printed 6.1 MB, and 1,000 x 1,000 took 19.7 s and printed 68 MB
+PRODUCT_BUDGET = 10**5
 
 
 class UsageError(Exception):
@@ -98,64 +109,67 @@ def _check_sizes(args, *flags: str) -> None:
             raise UsageError(f"{flag} must be nonnegative")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FORMAT = {"--format": {"choices": ("json", "csv", "text"), "default": "json"}}
+
+# each subcommand's help and arguments, in the order --help lists them; an
+# argument is its name and the keywords of its add_argument call
+_SUBCOMMANDS = {
+    "normalize": ("reduce a bracketed word to normal form", {
+        "word": {},
+        "--method": {"choices": ("eval", "rewrite"), "default": "eval"},
+        "--rewrite-budget": {"type": int,
+                             "help": "step cap for --method rewrite (default 10 * size^2)"},
+    }),
+    "product": ("diamond product of two linear combinations", {"left": {}, "right": {}}),
+    "apply-p": ("apply the averaging operator to a word", {"word": {}}),
+    "analyze": ("depth, breadth, indices and decompositions", {"word": {}}),
+    "census": ("count idempotent-convention words", {
+        "--run-cap": {"default": "1", "type": _run_cap},
+        "--max-degree": {"type": int, "required": True},
+        "--max-arity": {"type": int},
+        "--include-one": {"action": "store_true"},
+        "--list-words": {"action": "store_true"},
+        "--budget": {"type": int},
+        **_FORMAT,
+    }),
+    "series": ("bivariate generating series coefficients", {
+        "--kind": {"choices": ("I", "B", "D", "C", "A"), "required": True},
+        "--N": {"type": int, "required": True},
+        "--M": {"type": int, "required": True},
+        **_FORMAT,
+    }),
+    "schroeder": ("large Schroeder number by recursion", {"--n": {"type": int, "required": True}}),
+    "word2tree": ("averaging word to averaging tree", {"word": {}}),
+    "tree2word": ("averaging tree to averaging word", {"tree": {}}),
+    "schroeder-trees": ("enumerate Schroeder trees", {"--n": {"type": int, "required": True}}),
+    "compose": ("operad partial composition", {"outer": {}, "index": {"type": int}, "inner": {}}),
+    "check-instance": ("verify a finite algebra from JSON", {"path": {}}),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.  A
+    subcommand reads its arguments and words its errors and its help the
+    same in both; only the top level's texts list the other subcommands."""
     # the module docstring up to its last paragraph, which is about loading
     # (no docstring under -OO)
     parser = _Parser(prog="avalg", description=__doc__ and __doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("normalize", help="reduce a bracketed word to normal form")
-    p.add_argument("word")
-    p.add_argument("--method", choices=("eval", "rewrite"), default="eval")
-    p.add_argument("--rewrite-budget", type=int, default=None,
-                   help="step cap for --method rewrite (default 10 * size^2)")
-
-    p = sub.add_parser("product", help="diamond product of two linear combinations")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("apply-p", help="apply the averaging operator to a word")
-    p.add_argument("word")
-
-    p = sub.add_parser("analyze", help="depth, breadth, indices and decompositions")
-    p.add_argument("word")
-
-    p = sub.add_parser("census", help="count idempotent-convention words")
-    p.add_argument("--run-cap", default="1", type=_run_cap)
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--max-arity", type=int, default=None)
-    p.add_argument("--include-one", action="store_true")
-    p.add_argument("--list-words", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-
-    p = sub.add_parser("series", help="bivariate generating series coefficients")
-    p.add_argument("--kind", choices=("I", "B", "D", "C", "A"), required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-
-    p = sub.add_parser("schroeder", help="large Schroeder number by recursion")
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("word2tree", help="averaging word to averaging tree")
-    p.add_argument("word")
-
-    p = sub.add_parser("tree2word", help="averaging tree to averaging word")
-    p.add_argument("tree")
-
-    p = sub.add_parser("schroeder-trees", help="enumerate Schroeder trees")
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("compose", help="operad partial composition")
-    p.add_argument("outer")
-    p.add_argument("index", type=int)
-    p.add_argument("inner")
-
-    p = sub.add_parser("check-instance", help="verify a finite algebra from JSON")
-    p.add_argument("path")
-
+    for name, (text, arguments) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            for argument, options in arguments.items():
+                p.add_argument(argument, **options)
     return parser
+
+
+def _parse(argv):
+    """The namespace of ``argv`` (the process's arguments if None), read by
+    the parser of the subcommand it names; a first argument that names none
+    (``--help``, nothing, an unknown command) is read by the full parser."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    return build_parser(command).parse_args(argv)
 
 
 def _parse_tree_or_word(text: str) -> trees.AveragingTree:
@@ -197,6 +211,10 @@ def _handle(args) -> tuple:
     if cmd == "product":
         left = algebra.parse_lincomb(args.left)
         right = algebra.parse_lincomb(args.right)
+        pairs = len(left.terms) * len(right.terms)
+        if pairs > PRODUCT_BUDGET:
+            raise _record.BudgetExceeded(
+                f"product would multiply {pairs} pairs of terms (budget {PRODUCT_BUDGET})")
         return (left * right).to_json(), "json"
 
     if cmd == "apply-p":
@@ -335,7 +353,7 @@ def main(argv=None) -> int:
     # the exit table: the first clause that matches wins, and a clause's class
     # is read only when those above it miss, so a usage error loads no layer
     try:
-        _emit(*_handle(build_parser().parse_args(argv)))
+        _emit(*_handle(_parse(argv)))
         return EXIT_OK
     except UsageError as exc:
         code, line = EXIT_USAGE, f"usage error: {exc}"
@@ -359,5 +377,20 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """The program entry (``python -m avalg``, ``python -m avalg.cli``, the
+    ``avalg`` script): :func:`main` on the process's arguments, then exit.
+    ``gc.freeze()`` first moves every tracked object to the permanent
+    generation, which the collections at shutdown skip; they were the
+    largest single cost of a short command.  Only the exit follows, and it
+    still runs ``atexit``, module teardown and the stream flushes that exit
+    codes 5 and 6 rely on; what stays uncollected is cyclic garbage, and no
+    avalg object has a finalizer.  ``main`` leaves the collector alone: its
+    state is the whole process's."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -43,6 +44,11 @@ def int_digits_limit(digits):
         yield
     finally:
         sys.set_int_max_str_digits(before)
+
+
+def sum_of_letters(stem, count):
+    """The formal sum of ``count`` distinct letters ``stem0``, ``stem1``, ..."""
+    return " + ".join(f"{stem}{i}" for i in range(count))
 
 
 def payload_of(proc):
@@ -283,6 +289,20 @@ class TestExitCodes:
         with int_digits_limit(0):  # no limit
             assert payload_of(run_cli("schroeder", "--n", "6000"))["value"] == (
                 enumeration.schroeder(6000))
+
+    def test_a_product_one_pair_below_its_budget_runs(self):
+        # 9 x 11,111 distinct letters: 99,999 pairs, each a distinct term
+        assert cli.PRODUCT_BUDGET == 100_000
+        proc = run_cli("product", sum_of_letters("y", 9), sum_of_letters("x", 11_111))
+        assert len(payload_of(proc)["terms"]) == 99_999
+
+    def test_a_product_one_pair_past_its_budget_exits_3_before_multiplying(self, monkeypatch):
+        # 11 x 9,091 letters: 100,001 pairs; no product is taken
+        monkeypatch.setattr(algebra.LinearCombination, "__mul__", None)
+        proc = run_cli("product", sum_of_letters("y", 11), sum_of_letters("x", 9_091))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("budget exceeded: product would multiply 100001 pairs of terms"
+                               " (budget 100000)\n")
 
     def test_schroeder_past_the_digit_limit_exits_3_as_a_process(self):
         proc = subprocess.run([sys.executable, "-m", "avalg", "schroeder", "--n", "1000"],
@@ -617,3 +637,45 @@ class TestLoadedLayers:
         proc = subprocess.run([sys.executable, "-c", _LOADED_LAYERS, *argv],
                               capture_output=True, text=True)
         assert proc.stdout.split() == ["1"], proc.stderr
+
+
+class TestProgramEntry:
+    # main leaves the collector alone: its state is the whole process's
+    @pytest.mark.parametrize("argv, code", [
+        (["schroeder", "--n", "3"], 0),
+        (["schroeder", "--n"], 1),
+        (["normalize", "[x"], 2),
+    ], ids=["ok", "usage", "input"])
+    def test_main_leaves_the_collector_as_it_was(self, argv, code):
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert run_cli(*argv).returncode == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_both_module_entries_print_the_same(self):
+        procs = [subprocess.run([sys.executable, "-m", module, "schroeder", "--n", "3"],
+                                capture_output=True, text=True)
+                 for module in ("avalg", "avalg.cli")]
+        expected = run_cli("schroeder", "--n", "3")
+        for proc in procs:
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.stdout, "")
+
+    def test_the_entry_freezes_the_collector_before_the_exit_handlers_run(self):
+        code = ("import atexit, gc, sys\n"
+                "from avalg import cli\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0,"
+                " file=sys.stderr))\n"
+                "cli.run()\n")
+        proc = subprocess.run([sys.executable, "-c", code, "normalize", "[x"],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("input error: ")
+        assert proc.stderr.endswith("\nfrozen True\n")
+
+    def test_a_pipe_closed_before_the_write_exits_6_quietly(self):
+        # the sink main puts in place of stdout is what the exit flushes
+        proc = subprocess.Popen([sys.executable, "-m", "avalg", "schroeder-trees", "--n", "6"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (6, b"")

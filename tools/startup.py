@@ -2,11 +2,15 @@
 
     python tools/startup.py
 
-Each of the ``ROUNDS`` rounds spawns ``python -c pass`` and then each
+Each of the ``ROUNDS`` rounds spawns ``python -c pass`` and each
 subcommand once, on a small input, with ``PYTHONDONTWRITEBYTECODE=1`` so
-that no run reads bytecode a previous one wrote.  The report is the median wall time of each
-subcommand minus the median of ``python -c pass``, in milliseconds: what
-avalg adds to a process, start-up and the call itself.  After the timed
+that no run reads bytecode a previous one wrote; every other round runs
+them in the reverse order, so no command always runs first.  The report is,
+for each subcommand, the median over the rounds of its wall time minus that
+round's ``python -c pass``, in milliseconds: what avalg adds to a process,
+start-up and the call itself.  Differences within a round share the host's
+state at that moment, so they swing far less than separate medians over
+sequential rounds did.  After the timed
 rounds one more process per subcommand lists the avalg modules whose code
 ran and their source lines, most of what such a process compiles.  It only
 reports and fails on nothing but a command that exits wrongly.
@@ -21,7 +25,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ROUNDS = 15
+ROUNDS = 30
 INSTANCE = '{"dim": 1, "basis": ["1"], "mul": [[["1"]]], "op": [["1"]]}'
 COMMANDS = (
     ("normalize", "[x][x]^2"),
@@ -73,18 +77,21 @@ def main() -> None:
         instance = Path(tmp) / "instance.json"
         instance.write_text(INSTANCE)
         commands = [[str(instance) if a == "INSTANCE" else a for a in c] for c in COMMANDS]
-        bare = []
-        times = {c[0]: [] for c in commands}
-        for _ in range(ROUNDS):
-            bare.append(spawn([sys.executable, "-c", "pass"], env))
-            for argv in commands:
-                times[argv[0]].append(spawn([sys.executable, "-m", "avalg", *argv], env))
+        runs = [("pass", [sys.executable, "-c", "pass"])]
+        runs += [(argv[0], [sys.executable, "-m", "avalg", *argv]) for argv in commands]
+        bare, added = [], {argv[0]: [] for argv in commands}
+        for round_ in range(ROUNDS):
+            order = runs if round_ % 2 == 0 else runs[::-1]
+            times = {name: spawn(argv, env) for name, argv in order}
+            bare.append(times.pop("pass"))
+            for name, wall in times.items():
+                added[name].append(wall - bare[-1])
         modules = {argv[0]: loaded(argv, env) for argv in commands}
-    base = statistics.median(bare)
-    print(f"python -c pass: {base * 1e3:.1f} ms (median of {ROUNDS})")
-    for name, samples in times.items():
+    print(f"python -c pass: {statistics.median(bare) * 1e3:.1f} ms (median of {ROUNDS});"
+          " each subcommand: the median of its difference from that round's")
+    for name, samples in added.items():
         names, lines = modules[name]
-        print(f"{name:16s} +{(statistics.median(samples) - base) * 1e3:6.1f} ms"
+        print(f"{name:16s} +{statistics.median(samples) * 1e3:6.1f} ms"
               f"  {lines:5d} lines: {' '.join(names)}")
 
 
