@@ -202,8 +202,9 @@ def universal_map(assignment: Mapping[str, object], target, value):
     A target may also carry an encoded form of its elements:
     ``encode``/``decode``, ``kernel_multiply``, ``kernel_operator`` and
     ``kernel_sum`` (a sum of ``(coefficient, value)`` terms), as
-    :class:`~avalg.instances.FiniteAlgebra` does with integer numerators over
-    one denominator.  Then each assigned element is encoded once, the whole
+    :class:`~avalg.instances.FiniteAlgebra` does with a tuple of integer
+    numerators over one denominator, and kernels unrolled into straight-line
+    code once per algebra.  Then each assigned element is encoded once, the whole
     evaluation and the sum over a combination's terms run on encoded values,
     and the result is decoded once.  The kernel operations leave their
     arguments unchanged, so each bracket object, however many terms share

@@ -5,16 +5,18 @@ structure constants and the operator by a matrix.  Elements are coefficient
 tuples of exact rationals (``int`` or ``Fraction``); ``multiply`` and
 ``operator`` return ``Fraction`` tuples.
 
-Both compute in integers.  ``encode`` turns a vector into its nonzero
-entries as ``(index, numerator)`` pairs over one common denominator;
+Both compute in integers.  ``encode`` turns a vector into the tuple of its
+entries' numerators over one common denominator, the lcm of theirs;
 ``kernel_multiply`` and ``kernel_operator`` take and return that form, kept
-in lowest terms (the denominator is the lcm of the entries' own), and
-``kernel_sum`` adds rational multiples of such values over one lcm;
-``decode`` builds one ``Fraction`` per nonzero entry.  ``multiply`` and
-``operator`` are encode, kernel, decode.  ``algebra.universal_map`` encodes
-its assignment once and decodes once per call; a target without this
-protocol is treated as its own encoding.  Four standard constructions are
-provided:
+in lowest terms, and ``kernel_sum`` adds rational multiples of such values
+over one lcm; ``decode`` builds one ``Fraction`` per nonzero entry.
+``multiply`` and ``operator`` are encode, kernel, decode.  Each kernel is
+written once per algebra, on construction, by ``_unrolled``: the loop over
+the nonzero structure constants unrolled into straight-line code, which
+skips the rows of a zero entry and reads each constant by its index, so
+the code holds no value.  ``algebra.universal_map`` encodes its assignment
+once and decodes once per call; a target without this protocol is treated
+as its own encoding.  Four standard constructions are provided:
 
 * ``GroupAverage``: sum over a finite group acting by algebra automorphisms
   (basis permutations), or the translation average ``P(g) = (sum of G) g``
@@ -88,21 +90,45 @@ _ZERO = Fraction(0)
 
 
 def _lowest(out, d):
-    """The nonzero entries of ``out / d`` as ``(index, numerator)`` pairs and
-    one denominator, with the common gcd divided out."""
-    if d == 1:  # already lowest terms
-        return [(k, v) for k, v in enumerate(out) if v], 1
+    """``out / d`` as a numerator tuple and one denominator, with the common
+    gcd divided out."""
     g = gcd(d, *out)
-    return [(k, v // g) for k, v in enumerate(out) if v], d // g
+    if g == 1:
+        return out, d
+    return tuple([v // g for v in out]), d // g
 
 
-def _integer_rows(rows):
-    """Each row's nonzero ``(k, numerator)`` pairs over one common denominator."""
+def _unrolled(table, n, bilinear):
+    """``(d, kernel)`` for the rational ``table``, ``mul`` if ``bilinear``
+    and ``op`` if not: ``d`` clears its denominators, and ``kernel`` maps the
+    numerator tuples of ``x`` (and ``y``) to those of ``x y`` (or ``P(x)``)
+    over their denominators times ``d``.  It is the loop over the nonzero
+    constants unrolled once, so a zero entry skips its rows.  Its text holds
+    indices only, and it runs where nothing but the constants ``C`` is
+    defined."""
+    rows = [row for plane in table for row in plane] if bilinear else table
     d = lcm(*[c.denominator for row in rows for c in row])
-    return d, tuple(
-        tuple((k, c.numerator * (d // c.denominator)) for k, c in enumerate(row) if c)
-        for row in rows
-    )
+    constants = []
+    pad, factor = ("   ", "ab") if bilinear else ("  ", "a")
+    code = ["def kernel(x, y):" if bilinear else "def kernel(x):"]
+    code += [f" o{k} = 0" for k in range(n)]
+    for i in range(n):
+        guarded = []
+        for j, row in enumerate(table[i] if bilinear else (table[i],)):
+            terms = []
+            for k, c in enumerate(row):
+                if c:
+                    terms.append(f"{pad}o{k} += {factor} * C[{len(constants)}]")
+                    constants.append(c.numerator * (d // c.denominator))
+            if terms and bilinear:
+                guarded += [f"  b = y[{j}]", "  if b:", "   ab = a * b"]
+            guarded += terms
+        if guarded:
+            code += [f" a = x[{i}]", " if a:", *guarded]
+    code.append(" return (" + "".join(f"o{k}, " for k in range(n)) + ")")
+    namespace = {"__builtins__": {}, "C": tuple(constants)}
+    exec("\n".join(code), namespace)
+    return d, namespace["kernel"]
 
 
 class FiniteAlgebra(Record):
@@ -130,12 +156,12 @@ class FiniteAlgebra(Record):
         if len(op) != n or any(len(row) != n for row in op):
             raise InputError("operator matrix has wrong shape")
         Record.__init__(self, basis, mul, op)
-        dm, rows = _integer_rows([row for plane in mul for row in plane])
-        object.__setattr__(self, "_mul_int", (dm, tuple(rows[i * n:(i + 1) * n] for i in range(n))))
-        object.__setattr__(self, "_op_int", _integer_rows(op))
-        e = [self.basis_vector(i) for i in range(n)]
-        bad = _first_failure(self, 3, lambda i, j, k: (
-            self.multiply(mul[i][j], e[k]), self.multiply(e[i], mul[j][k])))
+        object.__setattr__(self, "_mul_int", _unrolled(mul, n, True))
+        object.__setattr__(self, "_op_int", _unrolled(op, n, False))
+        # encoded values are in lowest terms, so they compare as the vectors do
+        times, e = self.kernel_multiply, [self.encode(self.basis_vector(i)) for i in range(n)]
+        m = [[self.encode(v) for v in plane] for plane in mul]
+        bad = _first_failure(self, 3, lambda i, j, k: (times(m[i][j], e[k]), times(e[i], m[j][k])))
         if bad is not None:
             triple = tuple(self.basis[i] for i in bad)
             raise InputError(f"multiplication is not associative at basis triple {triple}")
@@ -170,7 +196,7 @@ class FiniteAlgebra(Record):
     def encode(self, x: Vector):
         try:
             d = lcm(*[a.denominator for a in x])
-            return [(i, a.numerator * (d // a.denominator)) for i, a in enumerate(x) if a], d
+            return tuple([a.numerator * (d // a.denominator) for a in x]), d
         except AttributeError:
             for a in x:
                 if not (hasattr(a, "numerator") and hasattr(a, "denominator")):
@@ -179,41 +205,26 @@ class FiniteAlgebra(Record):
 
     def decode(self, x) -> Vector:
         xs, d = x
-        out = [_ZERO] * self.dim
-        for k, a in xs:
-            out[k] = Fraction(a, d)
-        return tuple(out)
+        return tuple([Fraction(a, d) if a else _ZERO for a in xs])
 
     def kernel_multiply(self, x, y):
-        dm, table = self._mul_int
+        d, kernel = self._mul_int
         (xs, dx), (ys, dy) = x, y
-        out = [0] * len(table)
-        for i, a in xs:
-            row = table[i]
-            for j, b in ys:
-                ab = a * b
-                for k, c in row[j]:
-                    out[k] += ab * c
-        return _lowest(out, dx * dy * dm)
+        return _lowest(kernel(xs, ys), dx * dy * d)
 
     def kernel_operator(self, x):
-        do, table = self._op_int
+        d, kernel = self._op_int
         xs, dx = x
-        out = [0] * len(table)
-        for i, a in xs:
-            for k, c in table[i]:
-                out[k] += a * c
-        return _lowest(out, dx * do)
+        return _lowest(kernel(xs), dx * d)
 
     def kernel_sum(self, terms):
         """``sum(c * x for c, x in terms)`` over one lcm, for rational ``c``."""
         scaled = [(c.numerator, xs, dx * c.denominator) for c, (xs, dx) in terms]
         d = lcm(*[dx for _, _, dx in scaled])
-        out = [0] * self.dim
+        out = (0,) * self.dim
         for c, xs, dx in scaled:
             f = c * (d // dx)
-            for k, a in xs:
-                out[k] += f * a
+            out = tuple([v + f * a for v, a in zip(out, xs)])
         return _lowest(out, d)
 
     def element(self, coeffs: Sequence) -> Vector:

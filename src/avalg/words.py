@@ -37,7 +37,7 @@ import operator
 import re
 from enum import Enum
 from itertools import groupby, islice
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from . import _forward
 from ._record import BudgetExceeded, InputError, Record, printed
@@ -82,11 +82,11 @@ _HOME = {"iter_averaging_words": "_grammar", "random_averaging_word": "_grammar"
 _forward(globals())
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-# The tokens of parse_word, one per match and numbered by ``lastindex``:
-# 1 an identifier, 2 '[', 3 ']' with an optional '^' and its digits (group
-# 4, possibly empty), 5 any other character.  Whitespace runs match with no
-# group.  Every character belongs to some token, so the matches tile the text.
-_TOKEN_RE = re.compile(rf"({_IDENT_RE.pattern})|(\[)|(\](?:\^(\d*))?)|\s+|(.)", re.DOTALL)
+# The tokens of parse_word, one per match of its one group: an identifier,
+# '[', ']' with an optional '^' and its digits (possibly none), or any other
+# character that is not whitespace.  So the matches skip exactly the
+# whitespace.
+_TOKEN_RE = re.compile(rf"({_IDENT_RE.pattern}|\[|\](?:\^\d*)?|\S)")
 
 
 class WordSyntaxError(InputError):
@@ -305,75 +305,72 @@ def word_key(w: Union[BracketedWord, "AveragingWord"]):
 
 def parse_word(text: str) -> BracketedWord:
     """Parse the concrete syntax into a canonical-power-form word: the
-    tokens of :func:`_lex`, read by :func:`_read`."""
-    return _read(_lex(text), lambda i: _offset(text, i))
+    tokens of ``_TOKEN_RE``, read by :func:`_read`."""
+    return _read(_TOKEN_RE.findall(text), text)
 
 
-def _offset(text: str, i: int) -> int:
-    """Where the ``i``-th token of ``text`` starts, for an error message."""
-    return next(islice((m for m in _TOKEN_RE.finditer(text) if m.lastindex), i, None)).start()
+def _offset(text, i: int) -> int:
+    """Where the ``i``-th token of ``text`` starts, for an error message; a
+    pickle's tokens have no text, and their place is ``i``."""
+    if text is None:
+        return i
+    return next(islice(_TOKEN_RE.finditer(text), i, None)).start()
 
 
-def _lex(text: str) -> Iterator:
-    """The tokens of ``text`` as :func:`_tokens` writes them.  A power that
-    does not read is the error it raises, which the reader raises once it
-    has checked the bracket it closes."""
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastindex
-        if kind == 1:
-            yield m.group()
-        elif kind == 2:
-            yield None
-        elif kind == 3:
-            digits = m.group(4)
-            power = 1
-            if digits is not None:
-                try:
-                    power = int(digits) or WordSyntaxError("zero power", m.start(4))
-                except ValueError:  # no digits, or more than the int-to-text limit
-                    message = "power too long to read" if digits else "expected an integer after '^'"
-                    power = WordSyntaxError(message, m.start(4))
-            yield power
-        elif kind == 5:
-            raise WordSyntaxError(f"unexpected character {m.group()!r}", m.start())
-
-
-def _read(tokens, offset=int) -> BracketedWord:
-    """The word of ``tokens`` (a pickle's, from :func:`_tokens`, or the
-    text's), each checked as it is read, so the factors are built without
-    the public constructors' checks; ``offset`` maps a token's index to its
-    place in an error.  An explicit stack, so any depth reads."""
+def _read(tokens, text=None) -> BracketedWord:
+    """The word of ``tokens``: a pickle's, from :func:`_tokens`, or those of
+    ``text``, where a '[' and a ']' with its power are text too.  Each token
+    is checked as it is read, so the factors are built without the public
+    constructors' checks.  An explicit stack, so any depth reads."""
     stack = []  # (factors enclosing an open bracket, index of its '[')
     factors = []
     letters = {}  # one Letter per distinct symbol
     for i, token in enumerate(tokens):
-        if type(token) is str:
+        if type(token) is str and (text is None or token[0] not in "[]"):
             f = letters.get(token)
             if f is None:
                 if not _IDENT_RE.fullmatch(token):
-                    raise WordSyntaxError(f"letter symbol {token!r} is not an identifier", offset(i))
+                    message = (f"letter symbol {token!r} is not an identifier" if text is None
+                               else f"unexpected character {token!r}")
+                    raise WordSyntaxError(message, _offset(text, i))
                 f = letters[token] = _letter(token)
             factors.append(f)
-        elif token is None:
+        elif token is None or token == "[":
             stack.append((factors, i))
             factors = []
         else:
             if not stack:
-                raise WordSyntaxError("unmatched ']'", offset(i))
+                raise WordSyntaxError("unmatched ']'", _offset(text, i))
             if not factors:
-                raise WordSyntaxError("empty bracket content", offset(i))
+                raise WordSyntaxError("empty bracket content", _offset(text, i))
+            if type(token) is str:
+                token = _power(token, text, i)
             if type(token) is not int or token < 1:
-                if isinstance(token, WordSyntaxError):
-                    raise token
-                raise WordSyntaxError(f"bracket power {token!r} is not an int >= 1", offset(i))
+                raise WordSyntaxError(f"bracket power {token!r} is not an int >= 1", _offset(text, i))
             f = _close(_trusted(tuple(factors)), token)
             factors = stack.pop()[0]
             factors.append(f)
     if stack:
-        raise WordSyntaxError("unclosed '['", offset(stack[-1][1]))
+        raise WordSyntaxError("unclosed '['", _offset(text, stack[-1][1]))
     if not factors:
         raise WordSyntaxError("empty word", 0)
     return _trusted(tuple(factors))
+
+
+def _power(token: str, text: str, i: int) -> int:
+    """The power of ``token``, the ``i``-th of ``text``: 1 for a bare ']', else
+    its digits after '^', whose place an error names."""
+    if token == "]":
+        return 1
+    digits = token[2:]
+    try:
+        power = int(digits)
+    except ValueError:  # no digits, or more than the int-to-text limit
+        message = "power too long to read" if digits else "expected an integer after '^'"
+        raise WordSyntaxError(message, _offset(text, i) + 2) from None
+    if not power:
+        raise WordSyntaxError("zero power", _offset(text, i) + 2)
+    return power
 
 
 def render_word(w: Union[BracketedWord, "AveragingWord"]) -> str:

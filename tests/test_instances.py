@@ -1,7 +1,9 @@
 import itertools
 import json
 import pickle
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from avalg.instances import (
     super_projection,
     truncated_polynomial_algebra,
 )
+from avalg.instances import _solve
 
 BASIS2, MUL2 = truncated_polynomial_algebra(2)  # k[y]/(y^2), basis 1, y
 
@@ -76,6 +79,42 @@ _entries = st.one_of(
 
 def _vectors(dim):
     return st.tuples(*[_entries] * dim)
+
+
+def averaging_failure_by_definition(alg):
+    """``check_averaging`` over the Fraction loops above."""
+    e = [alg.basis_vector(i) for i in range(alg.dim)]
+    p = [operator_by_definition(alg, v) for v in e]
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        sides = {multiply_by_definition(alg, p[i], p[j]),
+                 operator_by_definition(alg, multiply_by_definition(alg, e[i], p[j])),
+                 operator_by_definition(alg, multiply_by_definition(alg, p[i], e[j]))}
+        if len(sides) > 1:
+            return i, j
+    return None
+
+
+def dense_algebra(n, seed):
+    """k^n, coordinatewise, in the random integer basis f_i = sum_k m[i][k] e_k
+    (diagonally dominant, so a basis), with P(x) = a x for a random a: its
+    constants are nonzero rationals almost everywhere."""
+    rng = random.Random(seed)
+    m = [[Fraction(11 if i == k else rng.randint(-2, 2)) for k in range(n)] for i in range(n)]
+    # e_k = sum_l inv[k][l] f_l
+    inv = [_solve([[m[l][t] for l in range(n)] for t in range(n)],
+                  [Fraction(int(t == k)) for t in range(n)]) for k in range(n)]
+    mul = [[[sum(m[i][k] * m[j][k] * inv[k][l] for k in range(n)) for l in range(n)]
+            for j in range(n)] for i in range(n)]
+    return central_multiplier(tuple(f"f{i}" for i in range(n)), mul,
+                              [rng.randint(-3, 3) for _ in range(n)])
+
+
+KERNEL_CASES = {
+    **ALGEBRAS,
+    "dim0": FiniteAlgebra((), (), ()),
+    "dim1": FiniteAlgebra(("e",), [[[Fraction(-3, 4)]]], [[Fraction(5, 7)]]),
+    "dense6": dense_algebra(6, 0),
+}
 
 
 class TestBuilders:
@@ -290,6 +329,44 @@ class TestKernel:
         assert alg.decode(alg.encode(x)) == x
         combined = alg.kernel_sum([(c, alg.encode(x)), (Fraction(-1), alg.encode(y))])
         assert alg.decode(combined) == alg.add(alg.scale(c, x), alg.scale(-1, y))
+
+    def test_the_dense_case_is_dense(self):
+        alg = KERNEL_CASES["dense6"]
+        assert sum(1 for plane in alg.mul for row in plane for c in row if not c) < 6**3 // 10
+        assert all(c and c.denominator > 1 for row in alg.op for c in row)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_unrolled_kernel_agrees_with_the_fraction_loop(self, name):
+        alg = KERNEL_CASES[name]
+        rng = random.Random(name)
+        vectors = [alg.zero] + [alg.basis_vector(i) for i in range(alg.dim)] + [
+            tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * (rng.random() < 0.7)
+                  for _ in range(alg.dim)) for _ in range(6)]
+        for x in vectors:
+            assert alg.operator(x) == operator_by_definition(alg, x)
+            for y in vectors:
+                assert alg.multiply(x, y) == multiply_by_definition(alg, x, y)
+                xy = alg.kernel_multiply(alg.encode(x), alg.encode(y))
+                assert xy[1] == lcm(*[c.denominator for c in alg.decode(xy)])  # lowest terms
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_checks_agree_with_the_fraction_loop(self, name):
+        alg = KERNEL_CASES[name]
+        rng = random.Random(name)
+        # the operator and three near it, some of them not averaging
+        for a in [alg] + [alg.with_operator([[c + rng.choice((0,) * 5 + (1, -1)) for c in row]
+                                             for row in alg.op]) for _ in range(3)]:
+            assert check_averaging(a) == averaging_failure_by_definition(a)
+
+    def test_a_constant_past_the_int_to_text_limit(self):
+        # the kernel's text holds indices, never a constant, so a constant
+        # with more digits than the int-to-text limit still builds and runs
+        big = 10**5000
+        alg = FiniteAlgebra(("u", "n"), [[[big, 0], [0, big]], [[0, big], [0, 0]]],
+                            [[Fraction(1, 3), big], [0, -1]])
+        x, y = (Fraction(1, 3), Fraction(2)), (Fraction(1), Fraction(-1, 2))
+        assert alg.multiply(x, y) == multiply_by_definition(alg, x, y)
+        assert alg.operator(x) == operator_by_definition(alg, x)
 
     def test_inexact_entries_are_type_errors(self):
         alg = standard_fixtures()["central_dual_numbers"]

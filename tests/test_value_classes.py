@@ -8,6 +8,7 @@ as its text, and a word as its flat tuple of tokens, read back through the
 checks of the text's reader."""
 
 import copy
+import itertools
 import pickle
 import re
 import sys
@@ -178,6 +179,11 @@ def test_pickle_round_trip_keeps_the_hidden_slots(name):
     for n in hidden:
         if n == "_leaves":  # the mark is a cache: a bare vertex comes back unmarked
             assert value._leaves and loaded._leaves == 0
+        elif n in ("_mul_int", "_op_int"):  # a kernel is code, rebuilt on load
+            (d, kernel), (d0, kernel0) = getattr(loaded, n), getattr(value, n)
+            units = [tuple(int(i == j) for j in range(value.dim)) for i in range(value.dim)]
+            args = list(itertools.product(units, repeat=2 if n == "_mul_int" else 1))
+            assert d == d0 and [kernel(*a) for a in args] == [kernel0(*a) for a in args]
         else:
             assert getattr(loaded, n) == getattr(value, n)
 

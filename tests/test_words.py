@@ -206,12 +206,11 @@ class TestParse:
         assert parsed_or_error(parse_word, text) == parsed_or_error(parse_word_by_characters, text)
 
     def test_whitespace_is_what_str_isspace_says(self):
-        # the token regex skips a run of ``\s``; the character loop skipped
-        # ``str.isspace``.  They agree on every code point.
+        # the token regex's matches skip the ``\s`` characters; the character
+        # loop skipped ``str.isspace``.  They agree on every code point.
         text = "".join(map(chr, range(sys.maxunicode + 1)))
-        skipped = {i for m in _TOKEN_RE.finditer(text) if m.lastindex is None
-                   for i in range(m.start(), m.end())}
-        assert skipped == {i for i, ch in enumerate(text) if ch.isspace()}
+        covered = {i for m in _TOKEN_RE.finditer(text) for i in range(m.start(), m.end())}
+        assert set(range(len(text))) - covered == {i for i, ch in enumerate(text) if ch.isspace()}
 
     def test_factors_are_canonical_and_share_letters(self):
         w = bw("x [[x y]^2]^3 x")

@@ -4,8 +4,11 @@ Both reducers build ``algebra._Node``s and freeze them through
 ``algebra._freeze``, so a bug there can no longer show up as a disagreement
 between the two.  Every identity of a finite algebra, the idempotent
 grading among them, is checked by ``instances._first_failure``, and
-``instances._solve`` alone finds units.  One engine, ``_engine.Family``,
-counts, walks, unranks and draws every family declared in it, and one case
+``instances._solve`` alone finds units.  Every product and operator of a
+finite algebra, ``universal_map``'s among them, runs on the code that
+``instances._unrolled`` writes, over the numerators of ``encode`` and
+``_lowest``.  One engine, ``_engine.Family``, counts, walks, unranks and
+draws every family declared in it, and one case
 split, ``_grammar._split_words``, is behind the census,
 ``iter_averaging_words``, the uniform words of the property tests and
 ``random_averaging_word``, so they share their bugs too; the bracketed
@@ -15,8 +18,9 @@ discriminant), solves every series kind: B is read off I, and D, C and A
 off both, so a bug there reaches all five, and the census checks each cell
 against the same series.  One three-term recurrence,
 ``enumeration.iter_schroeder_numbers``, gives every Schroeder number.
-``words._close`` closes every bracket, the public ``Bracket``'s and those
-that ``parse_word``, the reducers and the family declarations build, folding
+Every word text is lexed by ``words._TOKEN_RE``.  ``words._close`` closes
+every bracket, the public ``Bracket``'s and those that ``parse_word``, the
+reducers and the family declarations build, folding
 ``[[w]^p]^q`` into ``[w]^(p+q)``; every value class that is not its text
 (the bracketed words and the tree vertices are) compares, hashes and
 pickles through ``_record.Record``'s ``__eq__``, ``__hash__`` and
@@ -63,6 +67,7 @@ EVALUATION = ("tests/test_algebra.py", "tests/test_cli_golden.py",
               "tests/test_operad.py", "tests/test_rewrite.py")
 REWRITE = ("tests/test_rewrite.py", "tests/test_algebra.py")
 CHECKS = ("tests/test_instances.py", "tests/test_acceptance.py")
+KERNEL = ("tests/test_instances.py", "tests/test_algebra.py")
 GRAMMAR = ("tests/test_words.py", "tests/test_enumeration.py", "tests/test_uniform_words.py",
            "tests/test_seeded_draws.py")
 ENGINE = ("tests/test_families.py",) + GRAMMAR
@@ -123,6 +128,21 @@ MUTANTS = (
     ("_solve: an inconsistent system solved",
      INSTANCES, "if pivots and pivots[-1] == n:",
      "if pivots and pivots[-1] > n:", CHECKS),
+    ("encode: numerators not brought to the common denominator",
+     INSTANCES, "return tuple([a.numerator * (d // a.denominator) for a in x]), d",
+     "return tuple([a.numerator for a in x]), d", KERNEL),
+    ("_lowest: the common gcd never divided out",
+     INSTANCES, "if g == 1:",
+     "if g:", KERNEL),
+    ("_unrolled: a cell guarded by y at x's index",
+     INSTANCES, 'guarded += [f"  b = y[{j}]", "  if b:", "   ab = a * b"]',
+     'guarded += [f"  b = y[{i}]", "  if b:", "   ab = a * b"]', KERNEL),
+    ("_unrolled: a cell's factors added, not multiplied",
+     INSTANCES, '"   ab = a * b"]',
+     '"   ab = a + b"]', KERNEL),
+    ("_unrolled: each constant read one place early",
+     INSTANCES, "C[{len(constants)}]",
+     "C[{len(constants) - 1}]", KERNEL),
     ("_split_words: run bound off by one",
      WORD_GRAMMAR, "if a > run_cap * (2 * d + 1):",
      "if a > run_cap * (2 * d):", GRAMMAR),
@@ -174,6 +194,9 @@ MUTANTS = (
     ("_close: [[w]^p]^q folds to the power p + q - 1",
      WORDS, "core, power = inner.core, inner.power + power",
      "core, power = inner.core, inner.power + power - 1", GRAMMAR),
+    ("_TOKEN_RE: a ']' lexed without its power",
+     WORDS, r"\](?:\^\d*)?|",
+     r"\]|", GRAMMAR),
     ("Record.__eq__: only the first field compared",
      RECORD, "return self._values() == other._values()",
      "return self._values()[:1] == other._values()[:1]", VALUES),
